@@ -44,16 +44,13 @@ from .lie import (
     unimodular_kernel,
 )
 from .reductive import (
-    CanonicalData,
     FoliationData,
     Frame,
     InvariantMetric,
     ReductiveDecomposition,
-    canonical_data,
     check_reductive,
     closedness_residual,
     foliation_data,
-    u_tensor,
 )
 from .structure import (
     ClassificationReport,
@@ -68,7 +65,6 @@ from .structure import (
     torsion_structure_convert,
     torsion_to_structure,
     trace_form,
-    u_map,
 )
 from .curvature import (
     EinsteinReport,

@@ -28,6 +28,7 @@ from .lie import (
 )
 from .reductive import InvariantMetric, ReductiveDecomposition
 from .spectrum import BlockGrading, cyclic_metric, grading_decomposition
+from .structure import CLASS_FIELDS
 
 
 @dataclass(frozen=True)
@@ -55,14 +56,7 @@ class ExpectedClass:
         return bad
 
     def booleans(self) -> dict:
-        return {
-            "cyclic": self.cyclic,
-            "traceless": self.traceless,
-            "traceless_cyclic": self.traceless_cyclic,
-            "vectorial": self.vectorial,
-            "naturally_reductive": self.naturally_reductive,
-            "symmetric": self.symmetric,
-        }
+        return {name: getattr(self, name) for name in CLASS_FIELDS}
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,10 +5,12 @@ sign convention is R(X,Y) = nabla_[X,Y] - [nabla_X, nabla_Y], lowered
 as R4[a,b,c,d] = <R(f_a,f_b) f_c, f_d>, so the round metrics come out
 with positive sectional curvature.
 
-Two independent diagonal formulas (one general, one for cyclic
-brackets) and several Ricci routes are provided; ricci_routes computes
-every route that applies and raises ConsistencyError if they disagree,
-which guards the tensor assembly against sign slips.
+The tensor and the Ricci routes are built once per space as Frame.r4
+and Frame.ricci_routes; the functions here read them off the Frame of
+(dec, metric), or off a Frame passed as dec.  Two independent diagonal
+formulas (one general, one for cyclic brackets) and several Ricci
+routes, which must agree or raise ConsistencyError, guard the tensor
+assembly against sign slips.
 """
 
 from __future__ import annotations
@@ -17,83 +19,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tol_or_default
 from .errors import ConsistencyError, DegeneratePlane, NotCyclic
-from .lie import killing_form
-from .reductive import Frame, u_tensor
-from .structure import cyclic_sum, homogeneous_structure
-
-
-def _as_frame(dec, metric, tol=None) -> Frame:
-    return dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
+from .reductive import Frame, as_frame, foliation_data
 
 
 def levi_civita(dec, metric=None, tol=None) -> np.ndarray:
-    """Connection coefficients gamma[a,b,c] = <nabla_{f_a} f_b, f_c>.
-
-    Metric compatibility (antisymmetry in the last two slots) and
-    vanishing torsion (alternation in the first two slots equals the
-    projected bracket) are verified before returning.
-    """
-    frame = _as_frame(dec, metric, tol)
-    gamma = 0.5 * frame.lte + u_tensor(frame)
-    scale = max(1.0, float(np.abs(gamma).max())) if gamma.size else 1.0
-    compat = float(np.abs(gamma + np.einsum("abc->acb", gamma)).max()) if gamma.size else 0.0
-    tors = (float(np.abs(gamma - np.einsum("abc->bac", gamma) - frame.lte).max())
-            if gamma.size else 0.0)
-    if max(compat, tors) > 1e-11 * scale:
-        raise ConsistencyError(
-            f"connection coefficients fail metric/torsion identities "
-            f"(compat {compat:.3e}, torsion {tors:.3e})"
-        )
-    return gamma
+    """Connection coefficients <nabla_{f_a} f_b, f_c>; see Frame.gamma."""
+    return as_frame(dec, metric, tol).gamma
 
 
 def curvature_tensor(dec, metric=None, tol=None) -> np.ndarray:
-    """Lowered curvature R4[a,b,c,d] = <R(f_a,f_b) f_c, f_d>.
-
-    The algebraic symmetries (both pair antisymmetries, pair exchange,
-    first Bianchi identity) are verified on the assembled tensor.
-    """
-    frame = _as_frame(dec, metric, tol)
-    lte = frame.lte
-    gamma = levi_civita(frame)
-    lam = np.einsum("abd->adb", gamma)  # lam[a] is the matrix of nabla_{f_a}
-
-    m_term = np.einsum("abe,edc->abdc", lte, lam)
-    k_term = np.einsum("abw,wdc->abdc", frame.k_part, frame.ad_k)
-    comm = (np.einsum("ade,bec->abdc", lam, lam)
-            - np.einsum("bde,aec->abdc", lam, lam))
-    r4 = np.einsum("abdc->abcd", m_term + k_term - comm)
-
-    if r4.size:
-        scale = max(1.0, float(np.abs(r4).max()))
-        worst = max(
-            float(np.abs(r4 + np.einsum("abcd->bacd", r4)).max()),
-            float(np.abs(r4 + np.einsum("abcd->abdc", r4)).max()),
-            float(np.abs(r4 - np.einsum("abcd->cdab", r4)).max()),
-            float(np.abs(r4 + np.einsum("abcd->bcad", r4)
-                         + np.einsum("abcd->cabd", r4)).max()),
-        )
-        if worst > 1e-10 * scale:
-            raise ConsistencyError(
-                f"curvature tensor fails its algebraic symmetries ({worst:.3e})"
-            )
-    return r4
+    """Lowered curvature R4[a,b,c,d] = <R(f_a,f_b) f_c, f_d>; see Frame.r4."""
+    return as_frame(dec, metric, tol).r4
 
 
-def curvature_diagonal_general(dec, metric, x, y, tol=None, *,
-                               frame_vectors=True) -> float:
+def _require_cyclic(frame: Frame) -> None:
+    if frame.cyclic_residual > frame.tol:
+        raise NotCyclic("the projected bracket has a nonzero cyclic sum")
+
+
+def curvature_diagonal_general(dec, metric, x, y, tol=None) -> float:
     """<R(X,Y)X, Y> from brackets and U alone, for any reductive space.
 
-    x, y are frame coordinate vectors unless frame_vectors=False, in
-    which case they are m-index basis coordinates.  Inner brackets are
-    full algebra brackets (k-components included) before projecting
-    to m.
+    x, y are frame coordinate vectors.  Inner brackets are full algebra
+    brackets (k-components included) before projecting to m.
     """
-    frame = _as_frame(dec, metric, tol)
-    x = np.asarray(x, dtype=float) if frame_vectors else frame.frame_coords(x)
-    y = np.asarray(y, dtype=float) if frame_vectors else frame.frame_coords(y)
+    frame = as_frame(dec, metric, tol)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     alg = frame.dec.algebra
     xg = frame.g_coords(x)
     yg = frame.g_coords(y)
@@ -101,7 +54,7 @@ def curvature_diagonal_general(dec, metric, x, y, tol=None, *,
     bxy_m = frame.m_part_frame(bxy)
     xxy = frame.m_part_frame(alg.bracket(xg, bxy))
     yyx = frame.m_part_frame(alg.bracket(yg, alg.bracket(yg, xg)))
-    u = u_tensor(frame)
+    u = frame.u
     uxy = np.einsum("a,b,abc->c", x, y, u)
     uxx = np.einsum("a,b,abc->c", x, x, u)
     uyy = np.einsum("a,b,abc->c", y, y, u)
@@ -114,19 +67,16 @@ def curvature_diagonal_general(dec, metric, x, y, tol=None, *,
     )
 
 
-def cyclic_curvature_diagonal(dec, metric, x, y, tol=None, *,
-                              frame_vectors=True) -> float:
+def cyclic_curvature_diagonal(dec, metric, x, y, tol=None) -> float:
     """<R(X,Y)X, Y> via the structure tensor, valid for cyclic brackets.
 
-    Raises NotCyclic when the cyclic sum of the projected bracket does
-    not vanish.
+    x, y are frame coordinate vectors.  Raises NotCyclic when the
+    cyclic sum of the projected bracket does not vanish.
     """
-    frame = _as_frame(dec, metric, tol)
-    tol = frame.tol
-    if frame.n and float(np.abs(cyclic_sum(frame.lte)).max()) > tol:
-        raise NotCyclic("the projected bracket has a nonzero cyclic sum")
-    x = np.asarray(x, dtype=float) if frame_vectors else frame.frame_coords(x)
-    y = np.asarray(y, dtype=float) if frame_vectors else frame.frame_coords(y)
+    frame = as_frame(dec, metric, tol)
+    _require_cyclic(frame)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     alg = frame.dec.algebra
     xg = frame.g_coords(x)
     yg = frame.g_coords(y)
@@ -136,7 +86,7 @@ def cyclic_curvature_diagonal(dec, metric, x, y, tol=None, *,
     bxy_k[list(frame.dec.m_indices)] = 0.0
     k_act = frame.m_part_frame(alg.bracket(bxy_k, xg))
 
-    s = homogeneous_structure(frame, None).components
+    s = frame.s
     sxy = np.einsum("a,b,abc->c", x, y, s)
     syx = np.einsum("a,b,abc->c", y, x, s)
     sxx = np.einsum("a,b,abc->c", x, x, s)
@@ -144,84 +94,36 @@ def cyclic_curvature_diagonal(dec, metric, x, y, tol=None, *,
     return float(k_act @ y - bxy_m @ bxy_m + sxy @ syx - sxx @ syy)
 
 
-def sectional_curvature(dec, metric, x, y, tol=None, *, frame_vectors=False) -> float:
+def sectional_curvature(dec, metric, x, y, tol=None) -> float:
     """Sectional curvature of the plane spanned by x and y.
 
-    By default x and y are coordinate vectors in the m-index basis;
-    pass frame_vectors=True if they are already frame coordinates.
-    Raises DegeneratePlane when the span is (numerically) degenerate.
+    x and y are coordinate vectors in the m-index basis.  Raises
+    DegeneratePlane when the span is (numerically) degenerate.
     """
-    frame = _as_frame(dec, metric, tol)
-    tol = frame.tol
-    xf = np.asarray(x, dtype=float) if frame_vectors else frame.frame_coords(x)
-    yf = np.asarray(y, dtype=float) if frame_vectors else frame.frame_coords(y)
+    frame = as_frame(dec, metric, tol)
+    xf = frame.frame_coords(x)
+    yf = frame.frame_coords(y)
     nx2 = float(xf @ xf)
     ny2 = float(yf @ yf)
     area2 = nx2 * ny2 - float(xf @ yf) ** 2
-    if area2 <= max(tol, 1e-12) * max(1.0, nx2, ny2):
+    if area2 <= max(frame.tol, 1e-12) * max(1.0, nx2, ny2):
         raise DegeneratePlane("x and y do not span a nondegenerate plane")
-    r4 = curvature_tensor(frame)
-    num = float(np.einsum("a,b,c,d,abcd->", xf, yf, xf, yf, r4))
+    num = float(np.einsum("a,b,c,d,abcd->", xf, yf, xf, yf, frame.r4))
     return num / area2
 
 
 def ricci_routes(dec, metric=None, tol=None) -> dict:
-    """Ricci tensor (frame components) by every applicable route.
+    """Ricci tensor by every applicable route, cross-checked; see Frame.ricci_routes.
 
-    Routes:
-      trace    contraction of the curvature tensor (always),
-      general  the bracket/Killing-form formula (always),
-      cyclic   trace form of U minus Killing form minus the isotropy
-               correction (cyclic brackets only),
-      cyclic_trivial_isotropy  same with the correction dropped (cyclic
-               brackets, empty k only).
-
-    All computed routes must agree; disagreement raises
-    ConsistencyError.
+    The dict is a fresh copy; its matrices are the Frame's read-only
+    arrays.
     """
-    frame = _as_frame(dec, metric, tol)
-    tol = frame.tol
-    n = frame.n
-    lte = frame.lte
-    b_m = frame.killing_m(killing_form(frame.dec.algebra))
-
-    routes = {}
-    r4 = curvature_tensor(frame)
-    routes["trace"] = np.einsum("xaya->xy", r4)
-
-    xi_term = np.einsum("a,axy->xy", frame.xi, lte)
-    routes["general"] = (
-        -0.5 * np.einsum("xac,yac->xy", lte, lte)
-        - 0.5 * b_m
-        + 0.25 * np.einsum("abx,aby->xy", lte, lte)
-        + 0.5 * (xi_term + xi_term.T)
-    )
-
-    cyclic = not (n and float(np.abs(cyclic_sum(lte)).max()) > tol)
-    if cyclic:
-        u = u_tensor(frame)
-        eta_u = np.einsum("xyc,c->xy", u, frame.eta)
-        iso = np.einsum("xaw,way->xy", frame.k_part, frame.ad_k)
-        routes["cyclic"] = eta_u - b_m - 0.5 * (iso + iso.T)
-        if frame.dec.dim_k == 0:
-            routes["cyclic_trivial_isotropy"] = eta_u - b_m
-
-    names = list(routes)
-    scale = max(1.0, max(float(np.abs(m).max()) for m in routes.values())
-                if n else 1.0)
-    for i in range(1, len(names)):
-        gap = float(np.abs(routes[names[0]] - routes[names[i]]).max())
-        if gap > max(tol, 1e-9 * scale):
-            raise ConsistencyError(
-                f"Ricci routes '{names[0]}' and '{names[i]}' disagree "
-                f"(gap {gap:.3e})"
-            )
-    return routes
+    return dict(as_frame(dec, metric, tol).ricci_routes)
 
 
 def ricci_tensor(dec, metric=None, tol=None) -> np.ndarray:
     """Ricci tensor in frame components, cross-checked across routes."""
-    return ricci_routes(dec, metric, tol)["trace"]
+    return as_frame(dec, metric, tol).ricci_routes["trace"]
 
 
 def scalar_curvature(dec, metric=None, tol=None) -> float:
@@ -238,12 +140,12 @@ class EinsteinReport:
 
 def einstein_check(dec, metric=None, tol=None) -> EinsteinReport:
     """Best Einstein constant tr(Ric)/n and the max deviation from it."""
-    frame = _as_frame(dec, metric, tol)
-    ric = ricci_tensor(frame)
+    frame = as_frame(dec, metric, tol)
+    ric = frame.ricci_routes["trace"]
     n = frame.n
-    lam = float(np.trace(ric)) / n if n else 0.0
-    dev = float(np.abs(ric - lam * np.eye(n)).max()) if n else 0.0
-    check_tol = max(frame.tol, 1e-9 * max(1.0, float(np.abs(ric).max()) if n else 1.0))
+    lam = float(np.trace(ric)) / n
+    dev = float(np.abs(ric - lam * np.eye(n)).max())
+    check_tol = max(frame.tol, 1e-9 * max(1.0, float(np.abs(ric).max())))
     return EinsteinReport(ric, lam, dev, dev <= check_tol)
 
 
@@ -269,12 +171,9 @@ class XiCurvatureReport:
 
 def xi_curvatures(dec, metric=None, tol=None) -> XiCurvatureReport:
     """Needs a cyclic, non-unimodular space; see XiCurvatureReport."""
-    from .reductive import foliation_data
-
-    frame = _as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric, tol)
     tol = frame.tol
-    if frame.n and float(np.abs(cyclic_sum(frame.lte)).max()) > tol:
-        raise NotCyclic("the projected bracket has a nonzero cyclic sum")
+    _require_cyclic(frame)
     fol = foliation_data(frame, None)
     n = frame.n
     d = fol.d_basis  # (n, n-1), frame coordinates
@@ -282,7 +181,7 @@ def xi_curvatures(dec, metric=None, tol=None) -> XiCurvatureReport:
 
     # ad_xi restricted to D, A[i,j] = <[xi, d_j]_m, d_i>; closedness keeps
     # [xi, D]_m inside D, and the cyclic condition makes A symmetric
-    ad_xi = np.einsum("a,abc->cb", frame.xi, frame.lte)  # maps frame coords
+    ad_xi = np.einsum("a,abc->cb", frame.eta, frame.lte)  # maps frame coords
     a_matrix = d.T @ ad_xi @ d
     a_sym = float(np.abs(a_matrix - a_matrix.T).max())
     if a_sym > max(tol, 1e-10) * max(1.0, float(np.abs(a_matrix).max())):
@@ -293,12 +192,12 @@ def xi_curvatures(dec, metric=None, tol=None) -> XiCurvatureReport:
     umb_defect = float(np.abs(a_matrix - kappa * np.eye(n - 1)).max())
     umbilical = umb_defect <= max(tol, 1e-10 * max(1.0, c2))
 
-    r4 = curvature_tensor(frame)
+    r4 = frame.r4
     sectional = []
     radial = 0.0
     for i in range(n - 1):
         x = d[:, i]
-        num = float(np.einsum("a,b,c,d,abcd->", x, frame.xi, x, frame.xi, r4))
+        num = float(np.einsum("a,b,c,d,abcd->", x, frame.eta, x, frame.eta, r4))
         sectional.append(num / c2)
         bx = ad_xi @ x  # [xi, x]_m in frame coordinates
         radial = max(radial, abs(num + float(bx @ bx)))

@@ -24,7 +24,7 @@ from .errors import (
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -54,9 +54,6 @@ class LieAlgebra:
     def bracket(self, x, y) -> np.ndarray:
         """Bracket of two coefficient vectors, as a coefficient vector."""
         return np.einsum("i,j,ijk->k", x, y, self.tensor)
-
-    def label_index(self, label: str) -> int:
-        return self.basis_labels.index(label)
 
     def __repr__(self):
         nz = len(self.brackets)

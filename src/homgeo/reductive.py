@@ -1,16 +1,19 @@
-"""Reductive decompositions, invariant metrics, and canonical data.
+"""Reductive decompositions, invariant metrics, and the cached Frame.
 
 A homogeneous space is presented infinitesimally: a Lie algebra g, a
 coordinate splitting g = k + m given by two index sets, and an inner
 product on m.  Reductivity means [k, k] in k and [k, m] in m; the
 metric must be symmetric positive definite and ad_k-invariant.  All
 tensor components downstream are taken in an orthonormal frame of m,
-built once per (decomposition, metric) pair by Frame.
+built once per (decomposition, metric) pair by Frame, which also
+caches every tensor derived from the bracket data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -23,12 +26,12 @@ from .errors import (
     NotReductive,
     UnimodularInput,
 )
-from .lie import LieAlgebra, trace_vector, _frozen
+from .lie import LieAlgebra, _frozen, killing_form, trace_vector
 
 
 @dataclass(frozen=True, eq=False)
 class ReductiveDecomposition:
-    """Index splitting g = k + m.  k may be empty (a metric Lie group)."""
+    """Index splitting g = k + m.  k may be empty (a metric Lie group), m not."""
 
     algebra: LieAlgebra
     k_indices: tuple[int, ...]
@@ -45,6 +48,8 @@ class ReductiveDecomposition:
             raise IndexOutOfRange(
                 f"k={k} and m={m} do not partition the basis 0..{dim - 1}"
             )
+        if not m:
+            raise IndexOutOfRange("m must contain at least one basis index")
 
     @property
     def dim_m(self) -> int:
@@ -73,9 +78,8 @@ def check_reductive(dec: ReductiveDecomposition, tol=None) -> ReductiveReport:
     kk = 0.0
     km = 0.0
     if k:
-        if m:
-            kk = float(np.abs(c[np.ix_(k, k)][:, :, m]).max())
-            km = float(np.abs(c[np.ix_(k, m)][:, :, k]).max())
+        kk = float(np.abs(c[np.ix_(k, k)][:, :, m]).max())
+        km = float(np.abs(c[np.ix_(k, m)][:, :, k]).max())
     report = ReductiveReport(kk, km)
     if report.residual > tol:
         raise NotReductive(
@@ -94,7 +98,9 @@ class InvariantMetric:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidMetric(f"metric must be a square matrix, got {mat.shape}")
-        sym = float(np.abs(mat - mat.T).max()) if mat.size else 0.0
+        if not mat.size:
+            raise InvalidMetric("metric must be at least 1x1, got a 0x0 matrix")
+        sym = float(np.abs(mat - mat.T).max())
         if sym > 1e-12 * max(1.0, float(np.abs(mat).max())):
             raise InvalidMetric(f"metric is not symmetric (defect {sym:.3e})")
         object.__setattr__(self, "matrix", _frozen((mat + mat.T) / 2.0))
@@ -122,7 +128,13 @@ class Frame:
     lte : (n, n, n) lte[a,b,c] = <[f_a, f_b]_m, f_c>
     k_part : (n, n, dim_k) k-components of [f_a, f_b]
     ad_k : (dim_k, n, n) ad_k[w, d, c] = <[k_w, f_c], f_d>
-    eta : (n,) canonical trace form, eta[a] = -tr ad_{f_a}
+    eta : (n,) canonical trace form, eta[a] = -tr ad_{f_a}, which are
+        also the frame coordinates of its metric dual xi; c = |eta|
+
+    The cached properties below the coordinate helpers are built and
+    verified on first access, then shared by every function handed this
+    Frame in place of (dec, metric); their arrays and mappings are
+    read-only.  r4 and ricci_routes also set r4_defect and ricci_gap.
     """
 
     def __init__(self, dec: ReductiveDecomposition, metric: InvariantMetric, tol=None):
@@ -175,8 +187,6 @@ class Frame:
         tau = trace_vector(algebra)
         self.eta = -(frame_g.T @ tau)
         self.c = float(np.linalg.norm(self.eta))
-        # metric dual of eta; in an orthonormal frame the coordinates agree
-        self.xi = self.eta.copy()
 
     # coordinate helpers ------------------------------------------------
     def m_coords(self, v_frame):
@@ -190,51 +200,143 @@ class Frame:
     def g_coords(self, v_frame):
         return self.frame_g @ np.asarray(v_frame, dtype=float)
 
-    def killing_m(self, killing_g) -> np.ndarray:
-        """Killing form restricted to m, in frame coordinates."""
-        return self.frame_g.T @ killing_g @ self.frame_g
-
-    def bracket_full(self, x_frame, y_frame) -> np.ndarray:
-        """Full algebra bracket of two m-vectors, in g coordinates."""
-        return self.dec.algebra.bracket(self.g_coords(x_frame), self.g_coords(y_frame))
-
     def m_part_frame(self, v_g) -> np.ndarray:
         """m-component of a g-coefficient vector, in frame coordinates."""
         return self.q_inv @ np.asarray(v_g, dtype=float)[list(self.dec.m_indices)]
 
-    def k_coords(self, v_g) -> np.ndarray:
-        return np.asarray(v_g, dtype=float)[list(self.dec.k_indices)]
+    # derived tensors, each built once ----------------------------------
+    @cached_property
+    def u(self) -> np.ndarray:
+        """Symmetric map U, fixed by 2<U(X,Y),Z> = <[Z,X]_m,Y> + <[Z,Y]_m,X>."""
+        lte = self.lte
+        return _frozen(0.5 * (np.einsum("cab->abc", lte) + np.einsum("cba->abc", lte)))
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Components of the structure tensor S = (1/2) T^c - U."""
+        return _frozen(-0.5 * self.lte - self.u)
+
+    @cached_property
+    def rc(self) -> np.ndarray:
+        """Canonical curvature rc[a,b,c,d] = <[[f_a,f_b]_k, f_c], f_d>."""
+        return _frozen(np.einsum("abw,wdc->abcd", self.k_part, self.ad_k))
+
+    @cached_property
+    def killing_m(self) -> np.ndarray:
+        """Killing form restricted to m, in frame coordinates."""
+        return _frozen(self.frame_g.T @ killing_form(self.dec.algebra) @ self.frame_g)
+
+    @cached_property
+    def cyclic_residual(self) -> float:
+        """Max-abs cyclic sum of lte; within tol exactly on cyclic spaces."""
+        return float(np.abs(cyclic_sum(self.lte)).max())
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Connection coefficients gamma[a,b,c] = <nabla_{f_a} f_b, f_c>.
+
+        Metric compatibility (antisymmetry in the last two slots) and
+        vanishing torsion (alternation in the first two slots equals the
+        projected bracket) are verified.
+        """
+        gamma = 0.5 * self.lte + self.u
+        scale = max(1.0, float(np.abs(gamma).max()))
+        compat = float(np.abs(gamma + np.einsum("abc->acb", gamma)).max())
+        tors = float(np.abs(gamma - np.einsum("abc->bac", gamma) - self.lte).max())
+        if max(compat, tors) > 1e-11 * scale:
+            raise ConsistencyError(
+                f"connection coefficients fail metric/torsion identities "
+                f"(compat {compat:.3e}, torsion {tors:.3e})"
+            )
+        return _frozen(gamma)
+
+    @cached_property
+    def r4(self) -> np.ndarray:
+        """Lowered curvature R4[a,b,c,d] = <R(f_a,f_b) f_c, f_d>.
+
+        The algebraic symmetries (both pair antisymmetries, pair
+        exchange, first Bianchi identity) are verified; the worst defect
+        is kept as r4_defect.
+        """
+        lam = np.einsum("abd->adb", self.gamma)  # lam[a] is the matrix of nabla_{f_a}
+        m_term = np.einsum("abe,edc->abdc", self.lte, lam)
+        comm = (np.einsum("ade,bec->abdc", lam, lam)
+                - np.einsum("bde,aec->abdc", lam, lam))
+        r4 = np.einsum("abdc->abcd", m_term - comm) + self.rc
+
+        scale = max(1.0, float(np.abs(r4).max()))
+        worst = max(
+            float(np.abs(r4 + np.einsum("abcd->bacd", r4)).max()),
+            float(np.abs(r4 + np.einsum("abcd->abdc", r4)).max()),
+            float(np.abs(r4 - np.einsum("abcd->cdab", r4)).max()),
+            float(np.abs(r4 + np.einsum("abcd->bcad", r4)
+                         + np.einsum("abcd->cabd", r4)).max()),
+        )
+        if worst > 1e-10 * scale:
+            raise ConsistencyError(
+                f"curvature tensor fails its algebraic symmetries ({worst:.3e})"
+            )
+        self.r4_defect = worst
+        return _frozen(r4)
+
+    @cached_property
+    def ricci_routes(self) -> MappingProxyType:
+        """Ricci tensor (frame components) by every applicable route.
+
+        Routes:
+          trace    contraction of the curvature tensor (always),
+          general  the bracket/Killing-form formula (always),
+          cyclic   trace form of U minus Killing form minus the isotropy
+                   correction (cyclic brackets only),
+          cyclic_trivial_isotropy  same with the correction dropped
+                   (cyclic brackets, empty k only).
+
+        Every route must agree with the trace route, or ConsistencyError
+        is raised; the worst gap over all route pairs is kept as
+        ricci_gap.
+        """
+        lte = self.lte
+        b_m = self.killing_m
+        routes = {"trace": np.einsum("xaya->xy", self.r4)}
+
+        xi_term = np.einsum("a,axy->xy", self.eta, lte)
+        routes["general"] = (
+            -0.5 * np.einsum("xac,yac->xy", lte, lte)
+            - 0.5 * b_m
+            + 0.25 * np.einsum("abx,aby->xy", lte, lte)
+            + 0.5 * (xi_term + xi_term.T)
+        )
+
+        if self.cyclic_residual <= self.tol:
+            eta_u = np.einsum("xyc,c->xy", self.u, self.eta)
+            iso = np.einsum("xaya->xy", self.rc)
+            routes["cyclic"] = eta_u - b_m - 0.5 * (iso + iso.T)
+            if self.dec.dim_k == 0:
+                routes["cyclic_trivial_isotropy"] = eta_u - b_m
+
+        names = list(routes)
+        stack = np.array(list(routes.values()))
+        scale = max(1.0, float(np.abs(stack).max()))
+        gaps = np.abs(stack[1:] - stack[0]).max(axis=(1, 2))
+        for name, gap in zip(names[1:], gaps):
+            if gap > max(self.tol, 1e-9 * scale):
+                raise ConsistencyError(
+                    f"Ricci routes '{names[0]}' and '{name}' disagree "
+                    f"(gap {gap:.3e})"
+                )
+        # the largest entrywise spread is the worst gap over all route pairs
+        self.ricci_gap = float((stack.max(axis=0) - stack.min(axis=0)).max())
+        return MappingProxyType({name: _frozen(m) for name, m in routes.items()})
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalData:
-    """Canonical torsion, curvature and trace data of a reductive splitting.
-
-    tc[a,b,c] is the lowered canonical torsion -<[f_a,f_b]_m, f_c>;
-    rc[a,b,c,d] = <[[f_a,f_b]_k, f_c], f_d>; eta is the canonical trace
-    form on the frame; xi its metric dual; c = |xi|.
-    """
-
-    tc: np.ndarray
-    rc: np.ndarray
-    eta: np.ndarray
-    xi: np.ndarray
-    c: float
-    frame: Frame
+def as_frame(dec, metric=None, tol=None) -> Frame:
+    """dec itself when it is a Frame already, else the Frame of (dec, metric)."""
+    return dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
 
 
-def canonical_data(dec: ReductiveDecomposition, metric: InvariantMetric,
-                   tol=None) -> CanonicalData:
-    frame = dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
-    rc = np.einsum("abw,wdc->abcd", frame.k_part, frame.ad_k)
-    return CanonicalData(
-        tc=_frozen(-frame.lte),
-        rc=_frozen(rc),
-        eta=_frozen(frame.eta),
-        xi=_frozen(frame.xi),
-        c=frame.c,
-        frame=frame,
-    )
+def cyclic_sum(components: np.ndarray) -> np.ndarray:
+    """S_{XYZ} + S_{YZX} + S_{ZXY} over all index triples."""
+    return components + np.einsum("abc->cab", components) + np.einsum("abc->bca", components)
 
 
 def closedness_residual(dec, metric, tol=None) -> float:
@@ -244,19 +346,8 @@ def closedness_residual(dec, metric, tol=None) -> float:
     splitting, so this vanishes identically; the residual is exposed
     for verification.
     """
-    frame = dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
-    if frame.n == 0:
-        return 0.0
+    frame = as_frame(dec, metric, tol)
     return float(np.abs(np.einsum("abc,c->ab", frame.lte, frame.eta)).max())
-
-
-def u_tensor(frame: Frame) -> np.ndarray:
-    """Symmetric connection bilinear map U in frame components.
-
-    U is determined by 2<U(X,Y),Z> = <[Z,X]_m,Y> + <[Z,Y]_m,X>.
-    """
-    lte = frame.lte
-    return 0.5 * (np.einsum("cab->abc", lte) + np.einsum("cba->abc", lte))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +379,7 @@ def foliation_data(dec, metric, tol=None) -> FoliationData:
     otherwise.  Internal identities (symmetry of h, U(xi,xi) = 0 and
     the trace identity xi = -sum_i U(d_i, d_i)) are verified.
     """
-    frame = dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
+    frame = as_frame(dec, metric, tol)
     tol = frame.tol
     n = frame.n
     if frame.c <= max(tol, 1e-12):
@@ -301,7 +392,7 @@ def foliation_data(dec, metric, tol=None) -> FoliationData:
     # in index order, keeping the first n-1 independent directions.
     cols = []
     for a in range(n):
-        v = np.eye(n)[a] - (frame.eta[a] / c2) * frame.xi
+        v = np.eye(n)[a] - (frame.eta[a] / c2) * frame.eta
         for u in cols:
             v = v - (u @ v) * u
         norm = np.linalg.norm(v)
@@ -313,14 +404,14 @@ def foliation_data(dec, metric, tol=None) -> FoliationData:
         raise ConsistencyError("failed to build an orthonormal basis of ker eta")
     d_basis = np.array(cols).T
 
-    u = u_tensor(frame)
+    u = frame.u
     u_dd = np.einsum("ai,bj,abc->ijc", d_basis, d_basis, u)
     h_coeff = np.einsum("ijc,c->ij", u_dd, frame.eta) / c2
-    h_mean = -frame.xi / (n - 1)
+    h_mean = -frame.eta / (n - 1)
 
     sym = float(np.abs(h_coeff - h_coeff.T).max())
-    u_xi = np.einsum("a,b,abc->c", frame.xi, frame.xi, u)
-    trace_id = np.einsum("iic->c", u_dd) + frame.xi
+    u_xi = np.einsum("a,b,abc->c", frame.eta, frame.eta, u)
+    trace_id = np.einsum("iic->c", u_dd) + frame.eta
     worst = max(sym, float(np.abs(u_xi).max()) / max(c2, 1.0),
                 float(np.abs(trace_id).max()) / max(frame.c, 1.0))
     if worst > max(tol, 1e-10):
@@ -331,7 +422,7 @@ def foliation_data(dec, metric, tol=None) -> FoliationData:
         d_basis=_frozen(d_basis),
         h_coeff=_frozen(h_coeff),
         h_mean=_frozen(h_mean),
-        xi=_frozen(frame.xi.copy()),
+        xi=_frozen(frame.eta.copy()),
         c=frame.c,
         frame=frame,
     )

@@ -28,7 +28,11 @@ import numpy as np
 from .config import tol_or_default
 from .errors import ConsistencyError, SlotSymmetryViolation
 from .lie import _frozen, trace_vector
-from .reductive import Frame, InvariantMetric, ReductiveDecomposition, u_tensor
+from .reductive import Frame, InvariantMetric, as_frame, cyclic_sum
+
+# the six class booleans, in report order
+CLASS_FIELDS = ("cyclic", "traceless", "traceless_cyclic", "vectorial",
+                "naturally_reductive", "symmetric")
 
 
 def _check_rank3(components) -> np.ndarray:
@@ -83,17 +87,10 @@ class TorsionTensor:
         return self.components.shape[0]
 
 
-def u_map(dec: ReductiveDecomposition, metric: InvariantMetric, tol=None) -> np.ndarray:
-    """Frame components U[a,b,c] of the symmetric map U(X, Y)."""
-    frame = dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
-    return u_tensor(frame)
-
-
 def homogeneous_structure(dec, metric, tol=None) -> StructureTensor:
-    """Structure tensor S = (1/2) T^c - U in frame components."""
-    frame = dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
-    s = -0.5 * frame.lte - u_tensor(frame)
-    return StructureTensor(s, frame)
+    """Structure tensor S = (1/2) T^c - U in frame components (Frame.s)."""
+    frame = as_frame(dec, metric, tol)
+    return StructureTensor(frame.s, frame)
 
 
 def structure_to_torsion(s: StructureTensor) -> TorsionTensor:
@@ -236,11 +233,6 @@ def _decomposition_selfcheck(a, dec):
         raise ConsistencyError("traceless cyclic component has a cyclic sum")
 
 
-def cyclic_sum(components: np.ndarray) -> np.ndarray:
-    """S_{XYZ} + S_{YZX} + S_{ZXY} over all index triples."""
-    return components + np.einsum("abc->cab", components) + np.einsum("abc->bca", components)
-
-
 @dataclass(frozen=True, eq=False)
 class ClassificationReport:
     """Class membership booleans plus the norms and residuals behind them.
@@ -263,25 +255,13 @@ class ClassificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "cyclic": self.cyclic,
-            "traceless": self.traceless,
-            "traceless_cyclic": self.traceless_cyclic,
-            "vectorial": self.vectorial,
-            "naturally_reductive": self.naturally_reductive,
-            "symmetric": self.symmetric,
+            **self.booleans(),
             "norms": {k: float(v) for k, v in self.norms.items()},
             "eta": [float(v) for v in self.eta],
         }
 
     def booleans(self) -> dict:
-        return {
-            "cyclic": self.cyclic,
-            "traceless": self.traceless,
-            "traceless_cyclic": self.traceless_cyclic,
-            "vectorial": self.vectorial,
-            "naturally_reductive": self.naturally_reductive,
-            "symmetric": self.symmetric,
-        }
+        return {name: getattr(self, name) for name in CLASS_FIELDS}
 
 
 def classify(dec, metric, tol=None) -> ClassificationReport:
@@ -297,7 +277,7 @@ def classify(dec, metric, tol=None) -> ClassificationReport:
 
     Each decision is cross-checked against the type-component norms.
     """
-    frame = dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
+    frame = as_frame(dec, metric, tol)
     tol = frame.tol
     n = frame.n
     lte = frame.lte
@@ -306,10 +286,10 @@ def classify(dec, metric, tol=None) -> ClassificationReport:
     s = homogeneous_structure(frame, None)
     types = decompose(s, tol=tol)
 
-    cyc_res = float(np.abs(cyclic_sum(lte)).max()) if n else 0.0
-    nat_res = float(np.abs(lte + np.einsum("abc->acb", lte)).max()) if n else 0.0
-    trace_res = float(np.abs(eta).max()) if n else 0.0
-    sym_res = float(np.abs(s.components).max()) if n else 0.0
+    cyc_res = frame.cyclic_residual
+    nat_res = float(np.abs(lte + np.einsum("abc->acb", lte)).max())
+    trace_res = float(np.abs(eta).max())
+    sym_res = float(np.abs(s.components).max())
     if n >= 2:
         eye = np.eye(n)
         vect_target = (np.einsum("ac,b->abc", eye, eta)

@@ -18,17 +18,15 @@ from .catalog import default_entries, sp11_model, su21_model
 from .config import seed_or_default, tol_or_default
 from .curvature import (
     curvature_diagonal_general,
-    curvature_tensor,
     cyclic_curvature_diagonal,
     einstein_check,
     killing_quadratic_via_brackets,
-    ricci_routes,
     sectional_curvature,
     xi_curvatures,
 )
 from .errors import HomgeoError
 from .lie import killing_form, trace_vector
-from .reductive import Frame, canonical_data, closedness_residual, foliation_data
+from .reductive import Frame, InvariantMetric, closedness_residual, foliation_data
 from .spectrum import flat_section_witness, solve_cyclic, theta_split
 from .structure import (
     StructureTensor,
@@ -117,21 +115,13 @@ def _check_classification(entry, frame, rng, tol):
 
 
 def _check_curvature_symmetries(entry, frame, rng, tol):
-    r4 = curvature_tensor(frame)
-    scale = max(1.0, float(np.abs(r4).max()))
-    res = max(
-        float(np.abs(r4 + np.einsum("bacd->abcd", r4)).max()),
-        float(np.abs(r4 + np.einsum("abdc->abcd", r4)).max()),
-        float(np.abs(r4 - np.einsum("cdab->abcd", r4)).max()),
-        float(np.abs(r4 + np.einsum("bcad->abcd", r4)
-                     + np.einsum("cabd->abcd", r4)).max()),
-    )
-    return [_result("curvature_symmetries", res, 1e-10 * scale)]
+    scale = max(1.0, float(np.abs(frame.r4).max()))
+    return [_result("curvature_symmetries", frame.r4_defect, 1e-10 * scale)]
 
 
 def _check_diagonal_routes(entry, frame, rng, tol):
     n = frame.n
-    r4 = curvature_tensor(frame)
+    r4 = frame.r4
     worst = 0.0
     for _ in range(20):
         x = rng.standard_normal(n)
@@ -148,12 +138,9 @@ def _check_diagonal_routes(entry, frame, rng, tol):
 
 
 def _check_ricci_routes(entry, frame, rng, tol):
-    routes = ricci_routes(frame)
-    keys = sorted(routes)
-    gap = max((float(np.abs(routes[a] - routes[b]).max())
-               for a in keys for b in keys), default=0.0)
+    keys = sorted(frame.ricci_routes)
     return [CheckResult("ricci_routes", True,
-                        f"routes {keys} agree within {gap:.3e}")]
+                        f"routes {keys} agree within {frame.ricci_gap:.3e}")]
 
 
 def _check_killing_identity(entry, frame, rng, tol):
@@ -170,15 +157,9 @@ def _check_killing_identity(entry, frame, rng, tol):
 
 
 def _check_scaling_covariance(entry, frame, rng, tol):
-    n = frame.n
-    x = np.zeros(n)
-    y = np.zeros(n)
-    x[0] = 1.0
-    y[1] = 1.0
-    base = sectional_curvature(entry.decomposition, entry.metric, x, y)
+    x, y = np.eye(frame.n)[:2]
+    base = sectional_curvature(frame, None, x, y)
     worst = 0.0
-    from .reductive import InvariantMetric
-
     for t in (0.5, 2.0):
         scaled = InvariantMetric(t * entry.metric.matrix)
         got = sectional_curvature(entry.decomposition, scaled, x, y)
@@ -192,14 +173,13 @@ def _check_closedness(entry, frame, rng, tol):
 
 
 def _check_trace_form(entry, frame, rng, tol):
-    data = canonical_data(entry.decomposition, entry.metric)
-    eta2 = trace_form(TorsionTensor(data.tc))
-    res = float(np.abs(eta2 - data.eta).max()) if frame.n else 0.0
+    eta2 = trace_form(TorsionTensor(-frame.lte))
+    res = float(np.abs(eta2 - frame.eta).max())
     return [_result("canonical_trace_form", res, 1e-10 * max(1.0, frame.c))]
 
 
 def _check_structure_tensor(entry, frame, rng, tol):
-    s = homogeneous_structure(entry.decomposition, entry.metric)
+    s = homogeneous_structure(frame, None)
     scale = max(1.0, float(np.abs(s.components).max()))
     t = structure_to_torsion(s)
     round_trip = float(np.abs(torsion_to_structure(t).components
@@ -230,8 +210,7 @@ def _check_foliation(entry, frame, rng, tol):
     res = float(np.abs(fol.h_mean + fol.xi / (n - 1)).max())
     out = [_result("foliation_mean_curvature", res, 1e-12 * max(1.0, frame.c))]
     if entry.expected.cyclic:
-        s = homogeneous_structure(entry.decomposition, entry.metric)
-        s_xi = np.einsum("a,abc->bc", fol.xi, s.components)
+        s_xi = np.einsum("a,abc->bc", fol.xi, frame.s)
         out.append(_result("foliation_s_xi", float(np.abs(s_xi).max()),
                            1e-10 * max(1.0, frame.c)))
         rep = xi_curvatures(frame)

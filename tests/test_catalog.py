@@ -4,7 +4,7 @@ import pytest
 from homgeo.catalog import build, default_entries, list_entries
 from homgeo.errors import ParamOutOfRange, UnknownEntry
 from homgeo.io import space_from_dict, space_to_dict
-from homgeo.reductive import Frame, canonical_data
+from homgeo.reductive import Frame
 from homgeo.structure import classify
 
 
@@ -86,9 +86,8 @@ def test_quotient_entries_are_cyclic_with_isotropy():
 
 def test_closedness_over_catalog():
     for entry in default_entries():
-        data = canonical_data(entry.decomposition, entry.metric)
-        lte = data.frame.lte
-        residual = np.abs(np.einsum("abc,c->ab", lte, data.eta)).max()
+        frame = Frame(entry.decomposition, entry.metric)
+        residual = np.abs(np.einsum("abc,c->ab", frame.lte, frame.eta)).max()
         assert residual <= 1e-10, entry.label
 
 

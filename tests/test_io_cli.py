@@ -31,6 +31,13 @@ MILNOR_DOC = {
 }
 
 
+EMPTY_M_DOC = {
+    "algebra": MILNOR_DOC,
+    "decomposition": {"k": [0, 1, 2], "m": []},
+    "metric": {"diag": []},
+}
+
+
 def milnor_space_doc(l1, l2, l3, name=None):
     doc = {
         "algebra": {
@@ -114,6 +121,8 @@ def test_space_document_errors():
     doc["name"] = 7
     with pytest.raises(ParseError):
         space_from_dict(doc)
+    with pytest.raises(IndexOutOfRange):
+        space_from_dict(EMPTY_M_DOC)
 
 
 def test_space_partition_must_cover():
@@ -190,6 +199,15 @@ def test_cli_classify_rejects_jacobi_violation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "JacobiViolation" in captured.err
+
+
+@pytest.mark.parametrize("command", ["classify", "curvature"])
+def test_cli_rejects_empty_m(tmp_path, capsys, command):
+    code = main([command, write_space(tmp_path, EMPTY_M_DOC)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: IndexOutOfRange")
+    assert "Traceback" not in err
 
 
 def test_cli_curvature_json(tmp_path, capsys):

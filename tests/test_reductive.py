@@ -12,11 +12,9 @@ from homgeo.reductive import (
     Frame,
     InvariantMetric,
     ReductiveDecomposition,
-    canonical_data,
     check_reductive,
     closedness_residual,
     foliation_data,
-    u_tensor,
 )
 
 
@@ -50,6 +48,8 @@ def test_partition_validation():
         ReductiveDecomposition(alg, (), (0, 1))
     with pytest.raises(IndexOutOfRange):
         ReductiveDecomposition(alg, (3,), (0, 1, 2))
+    with pytest.raises(IndexOutOfRange):
+        ReductiveDecomposition(alg, (0, 1, 2), ())
 
 
 def test_check_reductive():
@@ -71,6 +71,8 @@ def test_metric_validation():
         InvariantMetric(np.ones((2, 3)))
     with pytest.raises(InvalidMetric):
         InvariantMetric(np.array([[1.0, 0.5], [-0.5, 1.0]]))
+    with pytest.raises(InvalidMetric):
+        InvariantMetric.from_diag([])
     dec = ReductiveDecomposition(milnor(1.0, 1.0, 1.0), (), (0, 1, 2))
     with pytest.raises(InvalidMetric):
         Frame(dec, InvariantMetric.from_diag([1.0, -1.0, 1.0]))
@@ -108,14 +110,13 @@ def test_frame_eta_values():
     frame = Frame(dec, InvariantMetric.identity(3))
     assert np.allclose(frame.eta, [-3.0, 0.0, 0.0])
     assert frame.c == pytest.approx(3.0)
-    assert np.allclose(frame.xi, frame.eta)
 
 
 def test_u_tensor_defining_identity():
     alg = rotated_heisenberg()
     dec = ReductiveDecomposition(alg, (0,), (1, 2, 3))
     frame = Frame(dec, InvariantMetric.identity(3))
-    u = u_tensor(frame)
+    u = frame.u
     assert np.allclose(u, np.einsum("abc->bac", u), atol=1e-12)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -130,12 +131,11 @@ def test_canonical_data_and_closedness():
     alg = rotated_heisenberg()
     dec = ReductiveDecomposition(alg, (0,), (1, 2, 3))
     metric = InvariantMetric.identity(3)
-    data = canonical_data(dec, metric)
-    frame = data.frame
-    assert np.allclose(data.tc, -frame.lte)
-    assert np.allclose(data.eta, 0.0)  # unimodular
+    frame = Frame(dec, metric)
+    assert np.allclose(frame.eta, 0.0)  # unimodular
     # canonical curvature assembled from the isotropy action
-    assert data.rc.shape == (3, 3, 3, 3)
+    rc = np.einsum("abw,wdc->abcd", frame.k_part, frame.ad_k)
+    assert np.array_equal(frame.rc, rc)
     assert closedness_residual(dec, metric) <= 1e-12
 
 
@@ -176,5 +176,6 @@ def test_killing_restriction_helper():
     alg = milnor(1.0, 2.0, -3.0)
     dec = ReductiveDecomposition(alg, (), (0, 1, 2))
     frame = Frame(dec, InvariantMetric.identity(3))
-    b = frame.killing_m(killing_form(alg))
+    b = frame.killing_m
+    assert np.array_equal(b, frame.frame_g.T @ killing_form(alg) @ frame.frame_g)
     assert np.allclose(b, np.diag([12.0, 6.0, -4.0]))
