@@ -563,7 +563,10 @@ def build(name: str, **params) -> CatalogEntry:
         raise ParamOutOfRange(
             f"{name} is missing parameters {sorted(missing)}"
         )
-    return func(**params)
+    try:
+        return func(**params)
+    except (TypeError, ValueError) as exc:  # a value the builder cannot convert
+        raise ParamOutOfRange(f"{name}: invalid parameter value ({exc})") from exc
 
 
 _DEFAULTS = (

@@ -55,7 +55,7 @@ def primary_class(report) -> str:
 
 def _cmd_classify(args):
     space = load_space(args.space, tol=args.tolerance)
-    report = classify(space.decomposition, space.metric, tol=args.tolerance)
+    report = classify(Frame(space.decomposition, space.metric, args.tolerance))
     payload = {
         "command": "classify",
         "space": space.name or args.space,

@@ -1,14 +1,11 @@
 """Shared numeric defaults.
 
 All comparisons in the package go through a single absolute tolerance.
-The default is 1e-9; it can be overridden per call, via the CLI flag
---tolerance, or globally with the HOMGEO_TOL environment variable
-(read once at import time).
+The default is 1e-9; a space's tolerance is set once, on its Frame
+(Frame(dec, metric, tol)), and the CLI sets it with --tolerance.
 """
 
-import os
-
-DEFAULT_TOL = float(os.environ.get("HOMGEO_TOL", "1e-9"))
+DEFAULT_TOL = 1e-9
 
 # Random sampling (route-equivalence spot checks, random unit pairs) is
 # seeded so results are reproducible; the CLI exposes --seed.

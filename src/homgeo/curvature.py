@@ -23,14 +23,14 @@ from .errors import ConsistencyError, DegeneratePlane, NotCyclic
 from .reductive import Frame, as_frame, foliation_data
 
 
-def levi_civita(dec, metric=None, tol=None) -> np.ndarray:
+def levi_civita(dec, metric=None) -> np.ndarray:
     """Connection coefficients <nabla_{f_a} f_b, f_c>; see Frame.gamma."""
-    return as_frame(dec, metric, tol).gamma
+    return as_frame(dec, metric).gamma
 
 
-def curvature_tensor(dec, metric=None, tol=None) -> np.ndarray:
+def curvature_tensor(dec, metric=None) -> np.ndarray:
     """Lowered curvature R4[a,b,c,d] = <R(f_a,f_b) f_c, f_d>; see Frame.r4."""
-    return as_frame(dec, metric, tol).r4
+    return as_frame(dec, metric).r4
 
 
 def _require_cyclic(frame: Frame) -> None:
@@ -38,13 +38,13 @@ def _require_cyclic(frame: Frame) -> None:
         raise NotCyclic("the projected bracket has a nonzero cyclic sum")
 
 
-def curvature_diagonal_general(dec, metric, x, y, tol=None) -> float:
+def curvature_diagonal_general(dec, metric, x, y) -> float:
     """<R(X,Y)X, Y> from brackets and U alone, for any reductive space.
 
     x, y are frame coordinate vectors.  Inner brackets are full algebra
     brackets (k-components included) before projecting to m.
     """
-    frame = as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     alg = frame.dec.algebra
@@ -67,13 +67,13 @@ def curvature_diagonal_general(dec, metric, x, y, tol=None) -> float:
     )
 
 
-def cyclic_curvature_diagonal(dec, metric, x, y, tol=None) -> float:
+def cyclic_curvature_diagonal(dec, metric, x, y) -> float:
     """<R(X,Y)X, Y> via the structure tensor, valid for cyclic brackets.
 
     x, y are frame coordinate vectors.  Raises NotCyclic when the
     cyclic sum of the projected bracket does not vanish.
     """
-    frame = as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric)
     _require_cyclic(frame)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -82,9 +82,7 @@ def cyclic_curvature_diagonal(dec, metric, x, y, tol=None) -> float:
     yg = frame.g_coords(y)
     bxy = alg.bracket(xg, yg)
     bxy_m = frame.m_part_frame(bxy)
-    bxy_k = bxy.copy()
-    bxy_k[list(frame.dec.m_indices)] = 0.0
-    k_act = frame.m_part_frame(alg.bracket(bxy_k, xg))
+    k_act = frame.m_part_frame(alg.bracket(frame.k_part_g(bxy), xg))
 
     s = frame.s
     sxy = np.einsum("a,b,abc->c", x, y, s)
@@ -94,13 +92,13 @@ def cyclic_curvature_diagonal(dec, metric, x, y, tol=None) -> float:
     return float(k_act @ y - bxy_m @ bxy_m + sxy @ syx - sxx @ syy)
 
 
-def sectional_curvature(dec, metric, x, y, tol=None) -> float:
+def sectional_curvature(dec, metric, x, y) -> float:
     """Sectional curvature of the plane spanned by x and y.
 
     x and y are coordinate vectors in the m-index basis.  Raises
     DegeneratePlane when the span is (numerically) degenerate.
     """
-    frame = as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric)
     xf = frame.frame_coords(x)
     yf = frame.frame_coords(y)
     nx2 = float(xf @ xf)
@@ -112,22 +110,22 @@ def sectional_curvature(dec, metric, x, y, tol=None) -> float:
     return num / area2
 
 
-def ricci_routes(dec, metric=None, tol=None) -> dict:
+def ricci_routes(dec, metric=None) -> dict:
     """Ricci tensor by every applicable route, cross-checked; see Frame.ricci_routes.
 
     The dict is a fresh copy; its matrices are the Frame's read-only
     arrays.
     """
-    return dict(as_frame(dec, metric, tol).ricci_routes)
+    return dict(as_frame(dec, metric).ricci_routes)
 
 
-def ricci_tensor(dec, metric=None, tol=None) -> np.ndarray:
+def ricci_tensor(dec, metric=None) -> np.ndarray:
     """Ricci tensor in frame components, cross-checked across routes."""
-    return as_frame(dec, metric, tol).ricci_routes["trace"]
+    return as_frame(dec, metric).ricci_routes["trace"]
 
 
-def scalar_curvature(dec, metric=None, tol=None) -> float:
-    return float(np.trace(ricci_tensor(dec, metric, tol)))
+def scalar_curvature(dec, metric=None) -> float:
+    return float(np.trace(ricci_tensor(dec, metric)))
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,9 @@ class EinsteinReport:
     is_einstein: bool
 
 
-def einstein_check(dec, metric=None, tol=None) -> EinsteinReport:
+def einstein_check(dec, metric=None) -> EinsteinReport:
     """Best Einstein constant tr(Ric)/n and the max deviation from it."""
-    frame = as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric)
     ric = frame.ricci_routes["trace"]
     n = frame.n
     lam = float(np.trace(ric)) / n
@@ -169,12 +167,12 @@ class XiCurvatureReport:
     radial_residual: float
 
 
-def xi_curvatures(dec, metric=None, tol=None) -> XiCurvatureReport:
+def xi_curvatures(dec, metric=None) -> XiCurvatureReport:
     """Needs a cyclic, non-unimodular space; see XiCurvatureReport."""
-    frame = as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric)
     tol = frame.tol
     _require_cyclic(frame)
-    fol = foliation_data(frame, None)
+    fol = foliation_data(frame)
     n = frame.n
     d = fol.d_basis  # (n, n-1), frame coordinates
     c2 = frame.c ** 2
@@ -221,15 +219,12 @@ def killing_quadratic_via_brackets(frame: Frame, x) -> float:
     x = np.asarray(x, dtype=float)
     alg = frame.dec.algebra
     xg = frame.g_coords(x)
-    m_idx = list(frame.dec.m_indices)
     total = 0.0
     for a in range(frame.n):
         fa = frame.frame_g[:, a]
         inner = alg.bracket(xg, fa)
         term1 = frame.m_part_frame(alg.bracket(xg, inner))
-        inner_k = inner.copy()
-        inner_k[m_idx] = 0.0
-        term2 = frame.m_part_frame(alg.bracket(xg, inner_k))
+        term2 = frame.m_part_frame(alg.bracket(xg, frame.k_part_g(inner)))
         ea = np.zeros(frame.n)
         ea[a] = 1.0
         total += float((term1 + term2) @ ea)

@@ -130,6 +130,8 @@ class Frame:
     ad_k : (dim_k, n, n) ad_k[w, d, c] = <[k_w, f_c], f_d>
     eta : (n,) canonical trace form, eta[a] = -tr ad_{f_a}, which are
         also the frame coordinates of its metric dual xi; c = |eta|
+    tol : the tolerance of every decision made on this space; it is set
+        here and nowhere else
 
     The cached properties below the coordinate helpers are built and
     verified on first access, then shared by every function handed this
@@ -141,6 +143,8 @@ class Frame:
         tol = tol_or_default(tol)
         check_reductive(dec, tol)
         n = dec.dim_m
+        if not isinstance(metric, InvariantMetric):
+            raise InvalidMetric(f"expected an InvariantMetric, got {type(metric).__name__}")
         if metric.dim != n:
             raise InvalidMetric(
                 f"metric is {metric.dim}-dimensional but m has dimension {n}"
@@ -204,6 +208,12 @@ class Frame:
         """m-component of a g-coefficient vector, in frame coordinates."""
         return self.q_inv @ np.asarray(v_g, dtype=float)[list(self.dec.m_indices)]
 
+    def k_part_g(self, v_g) -> np.ndarray:
+        """k-component of a g-coefficient vector, as a g-coefficient vector."""
+        out = np.array(v_g, dtype=float)
+        out[list(self.dec.m_indices)] = 0.0
+        return out
+
     # derived tensors, each built once ----------------------------------
     @cached_property
     def u(self) -> np.ndarray:
@@ -215,6 +225,13 @@ class Frame:
     def s(self) -> np.ndarray:
         """Components of the structure tensor S = (1/2) T^c - U."""
         return _frozen(-0.5 * self.lte - self.u)
+
+    @cached_property
+    def types(self):
+        """Self-checked S1/S2/S3 split of s (a structure.TypeDecomposition)."""
+        from .structure import decompose
+
+        return decompose(self.s, self.tol)
 
     @cached_property
     def rc(self) -> np.ndarray:
@@ -329,9 +346,9 @@ class Frame:
         return MappingProxyType({name: _frozen(m) for name, m in routes.items()})
 
 
-def as_frame(dec, metric=None, tol=None) -> Frame:
+def as_frame(dec, metric=None) -> Frame:
     """dec itself when it is a Frame already, else the Frame of (dec, metric)."""
-    return dec if isinstance(dec, Frame) else Frame(dec, metric, tol)
+    return dec if isinstance(dec, Frame) else Frame(dec, metric)
 
 
 def cyclic_sum(components: np.ndarray) -> np.ndarray:
@@ -339,14 +356,14 @@ def cyclic_sum(components: np.ndarray) -> np.ndarray:
     return components + np.einsum("abc->cab", components) + np.einsum("abc->bca", components)
 
 
-def closedness_residual(dec, metric, tol=None) -> float:
+def closedness_residual(dec, metric=None) -> float:
     """Max of |eta([f_a, f_b]_m)| over frame pairs.
 
     The canonical trace form kills m-brackets on every reductive
     splitting, so this vanishes identically; the residual is exposed
     for verification.
     """
-    frame = as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric)
     return float(np.abs(np.einsum("abc,c->ab", frame.lte, frame.eta)).max())
 
 
@@ -365,21 +382,20 @@ class FoliationData:
     h_mean: np.ndarray
     xi: np.ndarray
     c: float
-    frame: Frame
 
     def h_vector(self, i: int, j: int) -> np.ndarray:
         """h(d_i, d_j) as a frame-coordinate vector."""
         return self.h_coeff[i, j] * self.xi
 
 
-def foliation_data(dec, metric, tol=None) -> FoliationData:
+def foliation_data(dec, metric=None) -> FoliationData:
     """Second fundamental form and mean curvature of the canonical foliation.
 
     Requires a non-unimodular space (c > 0); raises UnimodularInput
     otherwise.  Internal identities (symmetry of h, U(xi,xi) = 0 and
     the trace identity xi = -sum_i U(d_i, d_i)) are verified.
     """
-    frame = as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric)
     tol = frame.tol
     n = frame.n
     if frame.c <= max(tol, 1e-12):
@@ -424,5 +440,4 @@ def foliation_data(dec, metric, tol=None) -> FoliationData:
         h_mean=_frozen(h_mean),
         xi=_frozen(frame.eta.copy()),
         c=frame.c,
-        frame=frame,
     )

@@ -84,10 +84,9 @@ def grading_decomposition(algebra: LieAlgebra, grading: BlockGrading) -> Reducti
     )
 
 
-def _block_killing(algebra, grading, killing, tol):
+def _block_killing(algebra, grading, tol):
     """Validate the per-block Killing restrictions and return them."""
-    b = killing if killing is not None else killing_form(algebra)
-    b = np.asarray(b, dtype=float)
+    b = killing_form(algebra)
     scale = max(1.0, float(np.abs(b).max()))
     restrictions = []
     for blk, sign in zip(grading.blocks, grading.signs):
@@ -115,8 +114,7 @@ def _block_killing(algebra, grading, killing, tol):
     return restrictions
 
 
-def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam,
-                  killing=None, tol=None) -> InvariantMetric:
+def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam, tol=None) -> InvariantMetric:
     """Block metric with lam[a] times the Killing form on each block."""
     tol = tol_or_default(tol)
     lam = np.asarray(lam, dtype=float)
@@ -124,7 +122,7 @@ def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam,
         raise ParamOutOfRange(
             f"expected {len(grading.blocks)} coefficients, got shape {lam.shape}"
         )
-    restrictions = _block_killing(algebra, grading, killing, tol)
+    restrictions = _block_killing(algebra, grading, tol)
     n = len(grading.m_indices)
     mat = np.zeros((n, n))
     pos = 0
@@ -182,12 +180,8 @@ class CyclicSolutionFamily:
     def metric(self, lam, tol=None) -> InvariantMetric:
         return cyclic_metric(self.algebra, self.grading, lam, tol=tol)
 
-    def decomposition(self) -> ReductiveDecomposition:
-        return grading_decomposition(self.algebra, self.grading)
 
-
-def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading,
-                 killing=None, tol=None) -> CyclicSolutionFamily:
+def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading, tol=None) -> CyclicSolutionFamily:
     """Solve the cyclic condition over a graded block-metric family.
 
     Returns the linear constraints (sum of lam over each active triple,
@@ -196,7 +190,7 @@ def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading,
     chamber margin with a linear program.
     """
     tol = tol_or_default(tol)
-    _block_killing(algebra, grading, killing, tol)
+    _block_killing(algebra, grading, tol)
     nb = len(grading.blocks)
     triples = active_triples(algebra, grading, tol)
 

@@ -22,88 +22,74 @@ brackets directly and cross-checked against the component norms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .config import tol_or_default
 from .errors import ConsistencyError, SlotSymmetryViolation
 from .lie import _frozen, trace_vector
-from .reductive import Frame, InvariantMetric, as_frame, cyclic_sum
+from .reductive import as_frame, cyclic_sum
 
 # the six class booleans, in report order
 CLASS_FIELDS = ("cyclic", "traceless", "traceless_cyclic", "vectorial",
                 "naturally_reductive", "symmetric")
 
 
-def _check_rank3(components) -> np.ndarray:
-    a = np.asarray(components, dtype=float)
-    if a.ndim != 3 or len(set(a.shape)) != 1:
-        raise SlotSymmetryViolation(f"expected cubic rank-3 components, got {a.shape}")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
-class StructureTensor:
-    """Lowered structure tensor, antisymmetric in the last two slots."""
+class _SkewPairTensor:
+    """Cubic rank-3 components, antisymmetric in one pair of slots."""
 
     components: np.ndarray
-    frame: Frame | None = None
+    _swap: ClassVar[str]  # einsum exchanging the antisymmetric slot pair
+    _what: ClassVar[str]  # the defect message
 
     def __post_init__(self):
-        a = _check_rank3(self.components)
-        defect = float(np.abs(a + np.einsum("abc->acb", a)).max()) if a.size else 0.0
+        a = np.asarray(self.components, dtype=float)
+        if a.ndim != 3 or len(set(a.shape)) != 1:
+            raise SlotSymmetryViolation(f"expected cubic rank-3 components, got {a.shape}")
+        defect = float(np.abs(a + np.einsum(self._swap, a)).max()) if a.size else 0.0
         if defect > max(1e-9, 1e-12 * max(1.0, float(np.abs(a).max()))):
-            raise SlotSymmetryViolation(
-                f"structure tensor not antisymmetric in slots 2,3 (defect {defect:.3e})"
-            )
+            raise SlotSymmetryViolation(f"{self._what} (defect {defect:.3e})")
         object.__setattr__(self, "components", _frozen(a))
 
     @property
     def n(self) -> int:
         return self.components.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class StructureTensor(_SkewPairTensor):
+    """Lowered structure tensor, antisymmetric in the last two slots."""
+
+    _swap, _what = "abc->acb", "structure tensor not antisymmetric in slots 2,3"
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.components))
 
 
 @dataclass(frozen=True, eq=False)
-class TorsionTensor:
+class TorsionTensor(_SkewPairTensor):
     """Lowered torsion tensor, antisymmetric in the first two slots."""
 
-    components: np.ndarray
-    frame: Frame | None = None
-
-    def __post_init__(self):
-        a = _check_rank3(self.components)
-        defect = float(np.abs(a + np.einsum("abc->bac", a)).max()) if a.size else 0.0
-        if defect > max(1e-9, 1e-12 * max(1.0, float(np.abs(a).max()))):
-            raise SlotSymmetryViolation(
-                f"torsion tensor not antisymmetric in slots 1,2 (defect {defect:.3e})"
-            )
-        object.__setattr__(self, "components", _frozen(a))
-
-    @property
-    def n(self) -> int:
-        return self.components.shape[0]
+    _swap, _what = "abc->bac", "torsion tensor not antisymmetric in slots 1,2"
 
 
-def homogeneous_structure(dec, metric, tol=None) -> StructureTensor:
+def homogeneous_structure(dec, metric=None) -> StructureTensor:
     """Structure tensor S = (1/2) T^c - U in frame components (Frame.s)."""
-    frame = as_frame(dec, metric, tol)
-    return StructureTensor(frame.s, frame)
+    return StructureTensor(as_frame(dec, metric).s)
 
 
 def structure_to_torsion(s: StructureTensor) -> TorsionTensor:
     """T_{XYZ} = S_{XYZ} - S_{YXZ}."""
     a = s.components
-    return TorsionTensor(a - np.einsum("abc->bac", a), s.frame)
+    return TorsionTensor(a - np.einsum("abc->bac", a))
 
 
 def torsion_to_structure(t: TorsionTensor) -> StructureTensor:
     """2 S_{XYZ} = T_{XYZ} + T_{ZYX} + T_{ZXY}."""
     a = t.components
-    s = 0.5 * (a + np.einsum("abc->cba", a) + np.einsum("abc->bca", a))
-    return StructureTensor(s, t.frame)
+    return StructureTensor(0.5 * (a + np.einsum("abc->cba", a) + np.einsum("abc->bca", a)))
 
 
 def torsion_structure_convert(tensor):
@@ -154,31 +140,15 @@ class TypeDecomposition:
         return self.norms["s1"], self.norms["s2"], self.norms["s3"]
 
 
-def _to_orthonormal(components, metric):
-    """Re-express rank-3 lowered components in an orthonormal frame."""
-    g = np.asarray(metric.matrix if isinstance(metric, InvariantMetric) else metric,
-                   dtype=float)
-    chol = np.linalg.cholesky(g)
-    q = np.linalg.inv(chol).T  # columns: orthonormal vectors in old basis
-    new = np.einsum("ia,jb,kc,ijk->abc", q, q, q, components)
-    return new, q
-
-
-def decompose(s, metric=None, tol=None) -> TypeDecomposition:
+def decompose(s, tol=None) -> TypeDecomposition:
     """Split a structure tensor into its three orthogonal type components.
 
-    Components are assumed orthonormal; pass `metric` (the Gram matrix
-    of the basis the components refer to) to orthonormalize first.  In
-    dimension n < 3 only the vectorial class exists and the remaining
-    components are returned as zeros.
+    Components are taken in an orthonormal basis (a Frame's S is; see
+    Frame.types).  In dimension n < 3 only the vectorial class exists
+    and the remaining components are returned as zeros.
     """
     tol = tol_or_default(tol)
-    if isinstance(s, StructureTensor):
-        a = s.components
-    else:
-        a = StructureTensor(s).components
-    if metric is not None:
-        a, _ = _to_orthonormal(a, metric)
+    a = (s if isinstance(s, StructureTensor) else StructureTensor(s)).components
     n = a.shape[0]
 
     if n <= 1:
@@ -264,7 +234,7 @@ class ClassificationReport:
         return {name: getattr(self, name) for name in CLASS_FIELDS}
 
 
-def classify(dec, metric, tol=None) -> ClassificationReport:
+def classify(dec, metric=None) -> ClassificationReport:
     """Classify a reductive homogeneous space by its structure tensor.
 
     The booleans are decided on the raw bracket data:
@@ -275,21 +245,20 @@ def classify(dec, metric, tol=None) -> ClassificationReport:
       nat. red.:    <[X,Y]_m, Z> is antisymmetric in Y, Z,
       symmetric:    S = 0.
 
-    Each decision is cross-checked against the type-component norms.
+    Each decision is cross-checked against the type-component norms
+    (Frame.types).  The tolerance is the Frame's: pass Frame(dec,
+    metric, tol) as dec to decide at another one.
     """
-    frame = as_frame(dec, metric, tol)
+    frame = as_frame(dec, metric)
     tol = frame.tol
     n = frame.n
     lte = frame.lte
     eta = frame.eta
 
-    s = homogeneous_structure(frame, None)
-    types = decompose(s, tol=tol)
-
     cyc_res = frame.cyclic_residual
     nat_res = float(np.abs(lte + np.einsum("abc->acb", lte)).max())
     trace_res = float(np.abs(eta).max())
-    sym_res = float(np.abs(s.components).max())
+    sym_res = float(np.abs(frame.s).max())
     if n >= 2:
         eye = np.eye(n)
         vect_target = (np.einsum("ac,b->abc", eye, eta)
@@ -312,7 +281,7 @@ def classify(dec, metric, tol=None) -> ClassificationReport:
         vectorial=vectorial,
         naturally_reductive=naturally_reductive,
         symmetric=symmetric,
-        norms=dict(types.norms),
+        norms=dict(frame.types.norms),
         eta=tuple(float(v) for v in
                   -trace_vector(frame.dec.algebra)[list(frame.dec.m_indices)]),
         residuals={
@@ -323,11 +292,11 @@ def classify(dec, metric, tol=None) -> ClassificationReport:
             "symmetric": sym_res,
         },
     )
-    _classify_crosscheck(report, types, s, eta, tol)
+    _classify_crosscheck(report, frame)
     return report
 
 
-def _classify_crosscheck(report, types, s, eta, tol):
+def _classify_crosscheck(report, frame):
     """Bracket-level decisions must match the component-norm picture.
 
     Exact identities tie the two routes together: the cyclic sum of S
@@ -335,14 +304,13 @@ def _classify_crosscheck(report, types, s, eta, tol):
     sqrt(s2^2 + s3^2).  A wide guard band (factor 50) keeps the check
     meaningful without flapping at the threshold.
     """
-    n = s.n
-    cyc_s = cyclic_sum(s.components)
-    if float(np.abs(cyc_s - 3.0 * types.s3).max()) > 1e-10 * max(
-            1.0, float(np.abs(s.components).max())):
+    s, types, n, tol = frame.s, frame.types, frame.n, frame.tol
+    cyc_s = cyclic_sum(s)
+    if float(np.abs(cyc_s - 3.0 * types.s3).max()) > 1e-10 * max(1.0, float(np.abs(s).max())):
         raise ConsistencyError("cyclic sum of S does not equal 3 S3")
     if n >= 2:
-        gap = float(np.abs(contract_12(s.components) - eta).max())
-        if gap > max(tol, 1e-11 * max(1.0, float(np.abs(s.components).max()))):
+        gap = float(np.abs(contract_12(s) - frame.eta).max())
+        if gap > max(tol, 1e-11 * max(1.0, float(np.abs(s).max()))):
             raise ConsistencyError(
                 f"c12(S) disagrees with the canonical trace form (gap {gap:.3e})"
             )
@@ -352,9 +320,9 @@ def _classify_crosscheck(report, types, s, eta, tol):
         (report.traceless, types.norms["s1"]),
         (report.vectorial, np.hypot(types.norms["s2"], types.norms["s3"])),
         (report.naturally_reductive, np.hypot(types.norms["s1"], types.norms["s2"])),
-        (report.symmetric, float(np.linalg.norm(s.components))),
+        (report.symmetric, float(np.linalg.norm(s))),
     ]
-    scale = max(1.0, float(np.abs(s.components).max())) * n ** 1.5
+    scale = max(1.0, float(np.abs(s).max())) * n ** 1.5
     for decided, norm in checks:
         if decided and norm > 50.0 * tol * scale:
             raise ConsistencyError(

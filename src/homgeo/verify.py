@@ -29,7 +29,6 @@ from .lie import killing_form, trace_vector
 from .reductive import Frame, InvariantMetric, closedness_residual, foliation_data
 from .spectrum import flat_section_witness, solve_cyclic, theta_split
 from .structure import (
-    StructureTensor,
     TorsionTensor,
     classify,
     contract_12,
@@ -104,7 +103,7 @@ def _is_abelian(algebra, tol) -> bool:
 
 
 def _check_classification(entry, frame, rng, tol):
-    report = classify(entry.decomposition, entry.metric, tol=max(tol, 1e-8))
+    report = classify(Frame(entry.decomposition, entry.metric, max(tol, 1e-8)))
     bad = entry.expected.mismatches(report, tol=max(tol, 1e-8))
     if bad:
         got = {k: report.booleans()[k] for k in bad if k != "eta"}
@@ -168,7 +167,7 @@ def _check_scaling_covariance(entry, frame, rng, tol):
 
 
 def _check_closedness(entry, frame, rng, tol):
-    res = closedness_residual(frame, None)
+    res = closedness_residual(frame)
     return [_result("closedness", res, 1e-10)]
 
 
@@ -179,21 +178,21 @@ def _check_trace_form(entry, frame, rng, tol):
 
 
 def _check_structure_tensor(entry, frame, rng, tol):
-    s = homogeneous_structure(frame, None)
+    s = homogeneous_structure(frame)
     scale = max(1.0, float(np.abs(s.components).max()))
     t = structure_to_torsion(s)
     round_trip = float(np.abs(torsion_to_structure(t).components
                               - s.components).max())
     eta_gap = float(np.abs(contract_12(s.components) - frame.eta).max())
 
-    d = decompose(s)
+    d = frame.types
     parts = {"s1": d.s1, "s2": d.s2, "s3": d.s3}
     recon = float(np.abs(d.s1 + d.s2 + d.s3 - s.components).max())
     idem = 0.0
     for slot, comp in parts.items():
         if float(np.abs(comp).max()) <= 1e-14 * scale:
             continue
-        again = decompose(StructureTensor(comp))
+        again = decompose(comp)
         own = getattr(again, slot)
         others = [getattr(again, k) for k in parts if k != slot]
         idem = max(idem, float(np.abs(own - comp).max()),
@@ -205,7 +204,7 @@ def _check_structure_tensor(entry, frame, rng, tol):
 def _check_foliation(entry, frame, rng, tol):
     if _is_unimodular(entry.algebra, max(tol, 1e-10)):
         return []
-    fol = foliation_data(frame, None)
+    fol = foliation_data(frame)
     n = frame.n
     res = float(np.abs(fol.h_mean + fol.xi / (n - 1)).max())
     out = [_result("foliation_mean_curvature", res, 1e-12 * max(1.0, frame.c))]

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import homgeo
 from homgeo.catalog import build
 from homgeo.curvature import curvature_tensor, einstein_check, levi_civita, ricci_routes
-from homgeo.errors import ConsistencyError
-from homgeo.reductive import Frame
-from homgeo.structure import homogeneous_structure
+from homgeo.errors import ConsistencyError, InvalidMetric
+from homgeo.reductive import Frame, as_frame
+from homgeo.structure import classify, homogeneous_structure
 from homgeo.verify import run_all
 
 
@@ -20,7 +21,8 @@ def test_derived_tensors_are_shared():
     frame = milnor_frame()
     assert curvature_tensor(frame) is curvature_tensor(frame)
     assert levi_civita(frame) is frame.gamma
-    assert homogeneous_structure(frame, None).components is frame.s
+    assert homogeneous_structure(frame).components is frame.s
+    assert classify(frame).norms == frame.types.norms
     assert einstein_check(frame).ricci is frame.ricci_routes["trace"]
 
 
@@ -67,3 +69,36 @@ def test_failing_ricci_routes_fails_its_check(monkeypatch):
     results = _run_with_failing(monkeypatch, "ricci_routes")
     assert not results["ricci_routes"].passed
     assert "ConsistencyError" in results["ricci_routes"].detail
+
+
+READERS = ("levi_civita", "curvature_tensor", "ricci_routes", "ricci_tensor",
+           "scalar_curvature", "einstein_check", "xi_curvatures", "classify",
+           "homogeneous_structure", "closedness_residual", "foliation_data")
+PLANE_READERS = ("curvature_diagonal_general", "cyclic_curvature_diagonal",
+                 "sectional_curvature")
+
+
+@pytest.mark.parametrize("name", READERS + PLANE_READERS)
+def test_readers_take_no_tolerance(name):
+    # a space's tolerance is set on its Frame and nowhere else
+    frame = milnor_frame()
+    plane = np.eye(3)[:2] if name in PLANE_READERS else ()
+    with pytest.raises(TypeError):
+        getattr(homgeo, name)(frame, None, *plane, tol=10.0)
+
+
+def test_frame_tolerance_decides():
+    entry = build("milnor3", lam=(1, 2, -3))
+    assert not classify(Frame(entry.decomposition, entry.metric)).symmetric
+    assert classify(Frame(entry.decomposition, entry.metric, 10.0)).symmetric
+    with pytest.raises(TypeError):
+        as_frame(entry.decomposition, entry.metric, tol=10.0)
+
+
+def test_missing_metric_is_invalid():
+    dec = build("milnor3", lam=(1, 2, -3)).decomposition
+    calls = (lambda: Frame(dec, None), lambda: Frame(dec, np.eye(3)),
+             lambda: classify(dec), lambda: curvature_tensor(dec))
+    for call in calls:
+        with pytest.raises(InvalidMetric):
+            call()

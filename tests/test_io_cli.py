@@ -287,6 +287,13 @@ def test_cli_catalog_errors(capsys):
     code = main(["catalog", "build", "milnor3", "--params", "[1, 2]"])
     assert code == 1
     assert "JSON object" in capsys.readouterr().err
+    for name, params in [("milnor3", '{"lam": 5}'), ("milnor3", '{"lam": "abc"}'),
+                         ("milnor3", '{"lam": [1, 2, null]}'),
+                         ("so2_heisenberg", '{"lam3": [1]}')]:
+        code = main(["catalog", "build", name, "--params", params])
+        err = capsys.readouterr().err
+        assert code == 1, params
+        assert err.startswith("error: ParamOutOfRange") and "Traceback" not in err
 
 
 def test_cli_verify_all(capsys):

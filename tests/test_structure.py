@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homgeo.catalog import build
+from homgeo.curvature import ricci_tensor
 from homgeo.errors import SlotSymmetryViolation
-from homgeo.lie import build_lie_algebra
+from homgeo.lie import build_lie_algebra, change_basis
 from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition
 from homgeo.structure import (
     StructureTensor,
@@ -120,17 +122,23 @@ def test_dimension_two_is_vectorial(seed):
     assert np.abs(d.s3).max() == 0.0
 
 
-def test_decompose_with_gram_matrix():
-    # lowering the same tensor in a skewed basis must not change norms
-    a = random_structure(4, 7)
-    rng = np.random.default_rng(8)
-    p = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-    skewed = np.einsum("ia,jb,kc,ijk->abc", p, p, p, a)
-    gram = p.T @ p
-    d_plain = decompose(a)
-    d_skew = decompose(skewed, metric=gram)
+@pytest.mark.parametrize("name, params", [("milnor3", {"lam": (1.0, 2.0, -3.0)}),
+                                          ("g", {"alpha": (0.5, 1.0, 2.0)})])
+def test_basis_change_keeps_geometry(name, params):
+    # the same space in a non-orthogonal basis, with the metric p^T g p
+    entry = build(name, **params)
+    n = entry.algebra.dim
+    p = np.random.default_rng(8).standard_normal((n, n)) + 3.0 * np.eye(n)
+    dec = ReductiveDecomposition(change_basis(entry.algebra, p), (), tuple(range(n)))
+    g = InvariantMetric(p.T @ entry.metric.matrix @ p)
+    before = classify(entry.decomposition, entry.metric)
+    after = classify(dec, g)
+    assert after.booleans() == before.booleans()
     for k in ("s1", "s2", "s3"):
-        assert d_plain.norms[k] == pytest.approx(d_skew.norms[k], abs=1e-8)
+        assert after.norms[k] == pytest.approx(before.norms[k], abs=1e-8)
+    assert np.allclose(np.linalg.eigvalsh(ricci_tensor(dec, g)),
+                       np.linalg.eigvalsh(ricci_tensor(entry.decomposition, entry.metric)),
+                       rtol=0, atol=1e-8)
 
 
 def test_homogeneous_structure_values():
