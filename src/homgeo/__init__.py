@@ -62,7 +62,6 @@ from .structure import (
     decompose,
     homogeneous_structure,
     structure_to_torsion,
-    torsion_structure_convert,
     torsion_to_structure,
     trace_form,
 )

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import tol_or_default
+from .config import CATALOG_TOL, DEFAULT_TOL
 from .errors import ConsistencyError, ParamOutOfRange, UnknownEntry
 from .lie import (
     LieAlgebra,
@@ -28,11 +28,11 @@ from .lie import (
 )
 from .reductive import InvariantMetric, ReductiveDecomposition
 from .spectrum import BlockGrading, cyclic_metric, grading_decomposition
-from .structure import CLASS_FIELDS
+from .structure import _ClassBooleans
 
 
 @dataclass(frozen=True)
-class ExpectedClass:
+class ExpectedClass(_ClassBooleans):
     """Class booleans a builder promises, plus the trace form on m."""
 
     cyclic: bool
@@ -43,9 +43,8 @@ class ExpectedClass:
     symmetric: bool
     eta: tuple
 
-    def mismatches(self, report, tol=None) -> list:
+    def mismatches(self, report, tol=DEFAULT_TOL) -> list:
         """Names of fields on which a ClassificationReport disagrees."""
-        tol = tol_or_default(tol)
         bad = [name for name, want in self.booleans().items()
                if report.booleans()[name] != want]
         eta = np.asarray(self.eta, dtype=float)
@@ -54,9 +53,6 @@ class ExpectedClass:
                 tol, 1e-9 * max(1.0, float(np.abs(eta).max()))):
             bad.append("eta")
         return bad
-
-    def booleans(self) -> dict:
-        return {name: getattr(self, name) for name in CLASS_FIELDS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +76,13 @@ def _near(x, y) -> bool:
     return abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
 
+def _coefficients(values) -> list:
+    """A coefficient list as floats; a string is not one."""
+    if isinstance(values, str):
+        raise ParamOutOfRange(f"expected a list of coefficients, got {values!r}")
+    return [float(v) for v in values]
+
+
 # --- metric Lie groups ------------------------------------------------
 
 
@@ -89,7 +92,7 @@ def milnor3(lam) -> CatalogEntry:
     Brackets [e1,e2] = lam[0] e0, [e2,e0] = lam[1] e1,
     [e0,e1] = lam[2] e2 with the identity metric.
     """
-    lam = [float(v) for v in lam]
+    lam = _coefficients(lam)
     if len(lam) != 3:
         raise ParamOutOfRange(f"expected three coefficients, got {len(lam)}")
     l1, l2, l3 = lam
@@ -125,7 +128,7 @@ def g_solvable(alpha) -> CatalogEntry:
     Constant negative curvature when all coefficients agree; cyclic for
     every choice.
     """
-    alpha = [float(v) for v in alpha]
+    alpha = _coefficients(alpha)
     if not alpha:
         raise ParamOutOfRange("need at least one scaling coefficient")
     n = len(alpha) + 1
@@ -275,13 +278,13 @@ def b4_product(alpha: float, c: float, sign: int) -> CatalogEntry:
     +1 gives the round sphere factor, -1 the hyperbolic one.
     """
     alpha, c = float(alpha), float(c)
-    sign = int(sign)
     if _near(alpha, 0.0):
         raise ParamOutOfRange("the plane scale must be nonzero")
     if c <= 0:
         raise ParamOutOfRange(f"the surface scale must be positive, got {c}")
     if sign not in (-1, 1):
-        raise ParamOutOfRange(f"sign must be +1 or -1, got {sign}")
+        raise ParamOutOfRange(f"sign must be +1 or -1, got {sign!r}")
+    sign = int(sign)
     alg = build_lie_algebra(5, {
         (0, 1): {1: alpha},
         (3, 4): {2: float(sign) * c},
@@ -322,8 +325,8 @@ def _real_coords(matrices) -> np.ndarray:
     return np.array(cols).T
 
 
-def _algebra_from_matrices(matrices, labels, tol) -> LieAlgebra:
-    """Structure constants of a closed list of complex matrices."""
+def _algebra_from_matrices(matrices, labels) -> LieAlgebra:
+    """Structure constants of a closed list of complex matrices, at CATALOG_TOL."""
     dim = len(matrices)
     basis = _real_coords(matrices)
     tensor = np.zeros((dim, dim, dim))
@@ -340,7 +343,7 @@ def _algebra_from_matrices(matrices, labels, tol) -> LieAlgebra:
             tensor[i, j, :] = coeff
             tensor[j, i, :] = -coeff
     tensor = np.round(tensor, 12)
-    return from_tensor(tensor, basis_labels=labels, tol=tol)
+    return from_tensor(tensor, basis_labels=labels, tol=CATALOG_TOL)
 
 
 def _conjugation_matrix(matrices, z) -> np.ndarray:
@@ -384,12 +387,12 @@ def su21_model():
         i_ * (e[1][2] - e[2][1]),
     ]
     labels = ("k1", "k2", "a1", "a2", "b1", "b2", "c1", "c2")
-    alg = _algebra_from_matrices(matrices, labels, tol=1e-8)
+    alg = _algebra_from_matrices(matrices, labels)
 
     b = killing_form(alg)
     expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
                            for x in matrices])
-    if float(np.abs(b - expected_b).max()) > 1e-8:
+    if float(np.abs(b - expected_b).max()) > CATALOG_TOL:
         raise ConsistencyError("Killing form does not match six times the trace form")
 
     omega = np.exp(2j * np.pi / 3.0)
@@ -443,12 +446,12 @@ def sp11_model():
         _quat_block(zero, -qk, qk, zero),
     ]
     labels = ("k1", "k2", "k3", "k4", "v1", "v2", "h1", "h2", "h3", "h4")
-    alg = _algebra_from_matrices(matrices, labels, tol=1e-8)
+    alg = _algebra_from_matrices(matrices, labels)
 
     b = killing_form(alg)
     expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
                            for x in matrices])
-    if float(np.abs(b - expected_b).max()) > 1e-8:
+    if float(np.abs(b - expected_b).max()) > CATALOG_TOL:
         raise ConsistencyError("Killing form does not match six times the trace form")
 
     uq = _quat(np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0), 0.0, 0.0)

@@ -160,7 +160,7 @@ def _cmd_curvature(args):
 def _cmd_solve_cyclic(args):
     algebra = load_algebra(args.algebra, tol=args.tolerance)
     grading = load_grading(args.grading)
-    family = solve_cyclic(algebra, grading, tol=args.tolerance)
+    family = solve_cyclic(algebra, grading)
     payload = {
         "command": "solve-cyclic",
         "blocks": [list(b) for b in grading.blocks],

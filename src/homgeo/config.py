@@ -1,8 +1,11 @@
 """Shared numeric defaults.
 
-All comparisons in the package go through a single absolute tolerance.
-The default is 1e-9; a space's tolerance is set once, on its Frame
-(Frame(dec, metric, tol)), and the CLI sets it with --tolerance.
+All comparisons in the package go through a single absolute tolerance,
+set in two places.  An algebra keeps the tolerance it was built with
+(build_lie_algebra(..., tol), load_algebra(path, tol)), and every
+algebra-level function checks at it.  A space's tolerance is set once,
+on its Frame (Frame(dec, metric, tol)).  The CLI sets both with
+--tolerance; the default is 1e-9.
 """
 
 DEFAULT_TOL = 1e-9
@@ -14,11 +17,3 @@ DEFAULT_SEED = 1729
 # Numerically extracted catalog data (matrix realizations) is compared
 # at a slightly looser tolerance than hand-entered constants.
 CATALOG_TOL = 1e-8
-
-
-def tol_or_default(tol=None):
-    return DEFAULT_TOL if tol is None else float(tol)
-
-
-def seed_or_default(seed=None):
-    return DEFAULT_SEED if seed is None else int(seed)

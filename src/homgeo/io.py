@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOL
 from .errors import ParseError
 from .lie import LieAlgebra, build_lie_algebra
 from .reductive import InvariantMetric, ReductiveDecomposition
@@ -63,7 +64,7 @@ def _sub(location: str, field: str) -> str:
 # --- algebras -----------------------------------------------------------
 
 
-def algebra_from_dict(data, tol=None, location: str = "algebra") -> LieAlgebra:
+def algebra_from_dict(data, tol=DEFAULT_TOL, location: str = "algebra") -> LieAlgebra:
     data = _as_object(data, location)
     if "dim" not in data:
         raise ParseError("missing field 'dim'", location=location)
@@ -212,7 +213,7 @@ class SpaceFile:
     name: str | None
 
 
-def space_from_dict(data, tol=None) -> SpaceFile:
+def space_from_dict(data, tol=DEFAULT_TOL) -> SpaceFile:
     data = _as_object(data, "")
     for key in ("algebra", "decomposition", "metric"):
         if key not in data:
@@ -274,7 +275,7 @@ def _load_json(path: str):
                          location=f"{path}:{exc.lineno}:{exc.colno}") from exc
 
 
-def load_algebra(path: str, tol=None) -> LieAlgebra:
+def load_algebra(path: str, tol=DEFAULT_TOL) -> LieAlgebra:
     data = _load_json(path)
     data = _as_object(data, "")
     # allow either a bare algebra document or a space file
@@ -283,7 +284,7 @@ def load_algebra(path: str, tol=None) -> LieAlgebra:
     return algebra_from_dict(data, tol=tol, location="")
 
 
-def load_space(path: str, tol=None) -> SpaceFile:
+def load_space(path: str, tol=DEFAULT_TOL) -> SpaceFile:
     return space_from_dict(_load_json(path), tol=tol)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import tol_or_default
+from .config import DEFAULT_TOL
 from .errors import (
     ConsistencyError,
     IndexOutOfRange,
@@ -42,7 +42,8 @@ class LieAlgebra:
 
     brackets holds the canonical sparse form {(i, j): {k: coeff}} with
     i < j; pairs absent from it bracket to zero.  tensor is the dense
-    equivalent with both orientations filled in.
+    equivalent with both orientations filled in.  tol is the tolerance
+    Jacobi was validated at; every algebra-level check reads it.
     """
 
     dim: int
@@ -50,6 +51,7 @@ class LieAlgebra:
     brackets: dict
     tensor: np.ndarray
     jacobi_defect: float
+    tol: float
 
     def bracket(self, x, y) -> np.ndarray:
         """Bracket of two coefficient vectors, as a coefficient vector."""
@@ -60,15 +62,15 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, nonzero_pairs={nz})"
 
 
-def build_lie_algebra(dim, brackets, basis_labels=None, tol=None) -> LieAlgebra:
+def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieAlgebra:
     """Construct and validate a LieAlgebra.
 
     brackets maps an index pair (i, j) with i != j to {k: coefficient}.
     Pairs given with i > j are normalized by antisymmetry.  Raises
     IndexOutOfRange for bad indices and JacobiViolation if the Jacobi
-    identity fails beyond tolerance.
+    identity fails beyond tol, which the algebra keeps.
     """
-    tol = tol_or_default(tol)
+    tol = float(tol)
     dim = int(dim)
     if dim < 0:
         raise IndexOutOfRange(f"dim must be nonnegative, got {dim}")
@@ -116,29 +118,29 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=None) -> LieAlgebra:
         raise JacobiViolation(
             f"Jacobi identity fails with residual {defect:.3e} (tol {tol:.1e})"
         )
-    return LieAlgebra(dim, basis_labels, canon, _frozen(tensor), defect)
+    return LieAlgebra(dim, basis_labels, canon, _frozen(tensor), defect, tol)
 
 
-def _sparse_from_tensor(tensor, chop=0.0):
+def _sparse_from_tensor(tensor):
     dim = tensor.shape[0]
     out = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             row = {k: float(tensor[i, j, k]) for k in range(dim)
-                   if abs(tensor[i, j, k]) > chop}
+                   if abs(tensor[i, j, k]) > 0.0}
             if row:
                 out[(i, j)] = row
     return out
 
 
-def from_tensor(tensor, basis_labels=None, tol=None, chop=0.0) -> LieAlgebra:
+def from_tensor(tensor, basis_labels=None, tol=DEFAULT_TOL) -> LieAlgebra:
     """Build a LieAlgebra from a dense antisymmetric bracket tensor."""
     tensor = np.asarray(tensor, dtype=float)
     skew = float(np.abs(tensor + np.transpose(tensor, (1, 0, 2))).max()) if tensor.size else 0.0
-    if skew > tol_or_default(tol):
+    if skew > tol:
         raise IndexOutOfRange(f"bracket tensor not antisymmetric (defect {skew:.3e})")
     return build_lie_algebra(
-        tensor.shape[0], _sparse_from_tensor(tensor, chop=chop), basis_labels, tol
+        tensor.shape[0], _sparse_from_tensor(tensor), basis_labels, tol
     )
 
 
@@ -165,14 +167,14 @@ def trace_vector(algebra: LieAlgebra) -> np.ndarray:
     return np.einsum("imm->i", algebra.tensor)
 
 
-def unimodular_kernel(algebra: LieAlgebra, tol=None):
+def unimodular_kernel(algebra: LieAlgebra):
     """Kernel of X -> tr(ad_X).
 
     Returns (is_unimodular, basis) where basis columns span the kernel;
     for a unimodular algebra that is the whole algebra.  The kernel has
     codimension at most one and is always an ideal, which is verified.
     """
-    tol = tol_or_default(tol)
+    tol = algebra.tol
     tau = trace_vector(algebra)
     if algebra.dim == 0:
         return True, np.zeros((0, 0))
@@ -208,8 +210,9 @@ def derivation_residual(algebra: LieAlgebra, matrix) -> float:
     return float(np.abs(lhs - rhs).max()) if c.size else 0.0
 
 
-def derivation(algebra: LieAlgebra, matrix, tol=None) -> Derivation:
-    tol = tol_or_default(tol)
+def derivation(algebra: LieAlgebra, matrix) -> Derivation:
+    """Validate matrix as a derivation, at the algebra's tolerance."""
+    tol = algebra.tol
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (algebra.dim, algebra.dim):
         raise IndexOutOfRange(
@@ -223,16 +226,16 @@ def derivation(algebra: LieAlgebra, matrix, tol=None) -> Derivation:
     return Derivation(_frozen(matrix), defect)
 
 
-def semidirect_sum(deriv, algebra: LieAlgebra, tol=None,
-                   new_label="dt") -> LieAlgebra:
+def semidirect_sum(deriv, algebra: LieAlgebra, new_label="dt") -> LieAlgebra:
     """One-dimensional extension of an algebra by a derivation.
 
     The new generator sits at index 0 and acts by [d/dt, X] = D X; the
     original basis shifts up by one.  Raises NotADerivation when D is
-    not a derivation (the only obstruction to Jacobi here).
+    not a derivation (the only obstruction to Jacobi here).  The result
+    keeps the algebra's tolerance.
     """
     if not isinstance(deriv, Derivation):
-        deriv = derivation(algebra, deriv, tol)
+        deriv = derivation(algebra, deriv)
     d = deriv.matrix
     n = algebra.dim
     brackets = {}
@@ -243,17 +246,17 @@ def semidirect_sum(deriv, algebra: LieAlgebra, tol=None,
     for (i, j), row in algebra.brackets.items():
         brackets[(i + 1, j + 1)] = {k + 1: v for k, v in row.items()}
     labels = (new_label,) + algebra.basis_labels
-    return build_lie_algebra(n + 1, brackets, labels, tol)
+    return build_lie_algebra(n + 1, brackets, labels, algebra.tol)
 
 
-def change_basis(algebra: LieAlgebra, p, tol=None, chop=1e-13) -> LieAlgebra:
-    """Re-express an algebra in the basis given by the columns of p."""
+def change_basis(algebra: LieAlgebra, p) -> LieAlgebra:
+    """Re-express an algebra in the basis given by the columns of p, at its tol."""
     p = np.asarray(p, dtype=float)
     pinv = np.linalg.inv(p)
     vec = np.einsum("ai,bj,abk->ijk", p, p, algebra.tensor)
     new = np.einsum("mk,ijk->ijm", pinv, vec)
     scale = max(1.0, float(np.abs(new).max()))
-    new[np.abs(new) < chop * scale] = 0.0
+    new[np.abs(new) < 1e-13 * scale] = 0.0  # rotation roundoff
     return build_lie_algebra(
-        algebra.dim, _sparse_from_tensor(new), algebra.basis_labels, tol
+        algebra.dim, _sparse_from_tensor(new), algebra.basis_labels, algebra.tol
     )

@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy.linalg
 
-from .config import tol_or_default
+from .config import DEFAULT_TOL
 from .errors import (
     ConsistencyError,
     IndexOutOfRange,
@@ -70,9 +70,8 @@ class ReductiveReport:
         return max(self.kk_residual, self.km_residual)
 
 
-def check_reductive(dec: ReductiveDecomposition, tol=None) -> ReductiveReport:
+def check_reductive(dec: ReductiveDecomposition, tol=DEFAULT_TOL) -> ReductiveReport:
     """Verify [k,k] in k and [k,m] in m; raise NotReductive otherwise."""
-    tol = tol_or_default(tol)
     c = dec.algebra.tensor
     k, m = list(dec.k_indices), list(dec.m_indices)
     kk = 0.0
@@ -139,8 +138,7 @@ class Frame:
     read-only.  r4 and ricci_routes also set r4_defect and ricci_gap.
     """
 
-    def __init__(self, dec: ReductiveDecomposition, metric: InvariantMetric, tol=None):
-        tol = tol_or_default(tol)
+    def __init__(self, dec: ReductiveDecomposition, metric: InvariantMetric, tol=DEFAULT_TOL):
         check_reductive(dec, tol)
         n = dec.dim_m
         if not isinstance(metric, InvariantMetric):

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .config import tol_or_default
 from .errors import (
     ConsistencyError,
     DegenerateKillingForm,
@@ -84,8 +83,9 @@ def grading_decomposition(algebra: LieAlgebra, grading: BlockGrading) -> Reducti
     )
 
 
-def _block_killing(algebra, grading, tol):
+def _block_killing(algebra, grading):
     """Validate the per-block Killing restrictions and return them."""
+    tol = algebra.tol
     b = killing_form(algebra)
     scale = max(1.0, float(np.abs(b).max()))
     restrictions = []
@@ -114,15 +114,14 @@ def _block_killing(algebra, grading, tol):
     return restrictions
 
 
-def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam, tol=None) -> InvariantMetric:
+def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam) -> InvariantMetric:
     """Block metric with lam[a] times the Killing form on each block."""
-    tol = tol_or_default(tol)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(grading.blocks),):
         raise ParamOutOfRange(
             f"expected {len(grading.blocks)} coefficients, got shape {lam.shape}"
         )
-    restrictions = _block_killing(algebra, grading, tol)
+    restrictions = _block_killing(algebra, grading)
     n = len(grading.m_indices)
     mat = np.zeros((n, n))
     pos = 0
@@ -133,13 +132,12 @@ def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam, tol=None) -> 
     return InvariantMetric(mat)
 
 
-def active_triples(algebra: LieAlgebra, grading: BlockGrading, tol=None) -> list:
+def active_triples(algebra: LieAlgebra, grading: BlockGrading) -> list:
     """Unordered block triples (with repeats) coupled by the bracket.
 
     {a, b, c} is active when some bracket of a block-a vector with a
     block-b vector has a component in block c, in any arrangement.
     """
-    tol = tol_or_default(tol)
     c = algebra.tensor
     scale = max(1.0, float(np.abs(c).max()))
     nb = len(grading.blocks)
@@ -151,7 +149,7 @@ def active_triples(algebra: LieAlgebra, grading: BlockGrading, tol=None) -> list
             sub = c[np.ix_(ia, ib)]
             for d in range(nb):
                 leak = float(np.abs(sub[:, :, list(grading.blocks[d])]).max())
-                if leak > tol * scale:
+                if leak > algebra.tol * scale:
                     found.add(tuple(sorted((a, b, d))))
     return sorted(found)
 
@@ -177,22 +175,19 @@ class CyclicSolutionFamily:
     sample: np.ndarray | None
     description: str
 
-    def metric(self, lam, tol=None) -> InvariantMetric:
-        return cyclic_metric(self.algebra, self.grading, lam, tol=tol)
 
-
-def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading, tol=None) -> CyclicSolutionFamily:
+def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading) -> CyclicSolutionFamily:
     """Solve the cyclic condition over a graded block-metric family.
 
     Returns the linear constraints (sum of lam over each active triple,
     with multiplicity), a basis of their kernel, and the feasibility of
     the positivity chamber lam_a * eps_a > 0, decided by maximizing the
-    chamber margin with a linear program.
+    chamber margin with a linear program.  Every decision is made at the
+    algebra's tolerance.
     """
-    tol = tol_or_default(tol)
-    _block_killing(algebra, grading, tol)
+    _block_killing(algebra, grading)
     nb = len(grading.blocks)
-    triples = active_triples(algebra, grading, tol)
+    triples = active_triples(algebra, grading)
 
     rows = np.zeros((len(triples), nb))
     for r, trip in enumerate(triples):
@@ -283,7 +278,7 @@ class Order3Split:
     j_matrix: np.ndarray
 
 
-def theta_split(algebra: LieAlgebra, theta, tol=None) -> Order3Split:
+def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
     """Split the algebra under an order-3 automorphism theta.
 
     Validates theta^3 = 1 and theta != 1 (NotOrder3) and that theta
@@ -292,7 +287,7 @@ def theta_split(algebra: LieAlgebra, theta, tol=None) -> Order3Split:
     operator J = (2 theta + 1)/sqrt(3) squares to -1 and commutes with
     every ad of k, both of which are verified.
     """
-    tol = tol_or_default(tol)
+    tol = algebra.tol
     theta = np.asarray(theta, dtype=float)
     dim = algebra.dim
     if theta.shape != (dim, dim):
@@ -342,7 +337,7 @@ def theta_split(algebra: LieAlgebra, theta, tol=None) -> Order3Split:
     )
 
 
-def flat_section_witness(algebra: LieAlgebra, eigen_list, tol=None) -> tuple[int, int]:
+def flat_section_witness(algebra: LieAlgebra, eigen_list) -> tuple[int, int]:
     """First commuting pair among eigenvectors of a symmetric derivation.
 
     eigen_list holds (eigenvalue, vector) pairs, the vector given either
@@ -353,7 +348,7 @@ def flat_section_witness(algebra: LieAlgebra, eigen_list, tol=None) -> tuple[int
     with trace-free data (the eigenvalues sum to zero); anything else
     means the input was inconsistent.
     """
-    tol = tol_or_default(tol)
+    tol = algebra.tol
     lams = []
     vecs = []
     for lam, vec in eigen_list:

@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import tol_or_default
+from .config import DEFAULT_TOL
 from .errors import ConsistencyError, SlotSymmetryViolation
 from .lie import _frozen, trace_vector
 from .reductive import as_frame, cyclic_sum
@@ -34,6 +34,13 @@ from .reductive import as_frame, cyclic_sum
 # the six class booleans, in report order
 CLASS_FIELDS = ("cyclic", "traceless", "traceless_cyclic", "vectorial",
                 "naturally_reductive", "symmetric")
+
+
+class _ClassBooleans:
+    """booleans() over CLASS_FIELDS, shared by reports and expectations."""
+
+    def booleans(self) -> dict:
+        return {name: getattr(self, name) for name in CLASS_FIELDS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,34 +99,21 @@ def torsion_to_structure(t: TorsionTensor) -> StructureTensor:
     return StructureTensor(0.5 * (a + np.einsum("abc->cba", a) + np.einsum("abc->bca", a)))
 
 
-def torsion_structure_convert(tensor):
-    """Convert between torsion and structure presentations (either way)."""
-    if isinstance(tensor, StructureTensor):
-        return structure_to_torsion(tensor)
-    if isinstance(tensor, TorsionTensor):
-        return torsion_to_structure(tensor)
-    raise SlotSymmetryViolation(
-        "expected a StructureTensor or TorsionTensor, got "
-        + type(tensor).__name__
-    )
-
-
 def contract_12(s_components: np.ndarray) -> np.ndarray:
     """c12(S)(Z) = sum_a S_{a a Z}."""
     return np.einsum("aax->x", s_components)
 
 
-def trace_form(t: TorsionTensor, tol=None) -> np.ndarray:
+def trace_form(t: TorsionTensor) -> np.ndarray:
     """Trace form eta(X) = tr T_X of a torsion tensor.
 
     Asserts the identity eta = c12(S) for the converted structure
-    tensor before returning.
+    tensor, at DEFAULT_TOL, before returning.
     """
-    tol = tol_or_default(tol)
     eta = np.einsum("xaa->x", t.components)
     via_s = contract_12(torsion_to_structure(t).components)
     gap = float(np.abs(eta - via_s).max()) if eta.size else 0.0
-    if gap > max(tol, 1e-12 * max(1.0, float(np.abs(t.components).max()))):
+    if gap > max(DEFAULT_TOL, 1e-12 * max(1.0, float(np.abs(t.components).max()))):
         raise ConsistencyError(
             f"trace form disagrees with the structure contraction (gap {gap:.3e})"
         )
@@ -140,14 +134,13 @@ class TypeDecomposition:
         return self.norms["s1"], self.norms["s2"], self.norms["s3"]
 
 
-def decompose(s, tol=None) -> TypeDecomposition:
+def decompose(s, tol=DEFAULT_TOL) -> TypeDecomposition:
     """Split a structure tensor into its three orthogonal type components.
 
     Components are taken in an orthonormal basis (a Frame's S is; see
     Frame.types).  In dimension n < 3 only the vectorial class exists
     and the remaining components are returned as zeros.
     """
-    tol = tol_or_default(tol)
     a = (s if isinstance(s, StructureTensor) else StructureTensor(s)).components
     n = a.shape[0]
 
@@ -204,7 +197,7 @@ def _decomposition_selfcheck(a, dec):
 
 
 @dataclass(frozen=True, eq=False)
-class ClassificationReport:
+class ClassificationReport(_ClassBooleans):
     """Class membership booleans plus the norms and residuals behind them.
 
     traceless_cyclic means a nonvanishing structure tensor lying in the
@@ -229,9 +222,6 @@ class ClassificationReport:
             "norms": {k: float(v) for k, v in self.norms.items()},
             "eta": [float(v) for v in self.eta],
         }
-
-    def booleans(self) -> dict:
-        return {name: getattr(self, name) for name in CLASS_FIELDS}
 
 
 def classify(dec, metric=None) -> ClassificationReport:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import default_entries, sp11_model, su21_model
-from .config import seed_or_default, tol_or_default
+from .catalog import build, default_entries, sp11_model, su21_model
+from .config import DEFAULT_SEED, DEFAULT_TOL
 from .curvature import (
     curvature_diagonal_general,
     cyclic_curvature_diagonal,
@@ -102,9 +102,10 @@ def _is_abelian(algebra, tol) -> bool:
 # --- per-entry checks ---------------------------------------------------
 
 
-def _check_classification(entry, frame, rng, tol):
-    report = classify(Frame(entry.decomposition, entry.metric, max(tol, 1e-8)))
-    bad = entry.expected.mismatches(report, tol=max(tol, 1e-8))
+def _check_classification(entry, frame, rng):
+    tol = max(frame.tol, 1e-8)
+    report = classify(Frame(entry.decomposition, entry.metric, tol))
+    bad = entry.expected.mismatches(report, tol)
     if bad:
         got = {k: report.booleans()[k] for k in bad if k != "eta"}
         return [CheckResult("classification", False,
@@ -113,12 +114,12 @@ def _check_classification(entry, frame, rng, tol):
                         "labels and trace form match the catalog")]
 
 
-def _check_curvature_symmetries(entry, frame, rng, tol):
+def _check_curvature_symmetries(entry, frame, rng):
     scale = max(1.0, float(np.abs(frame.r4).max()))
     return [_result("curvature_symmetries", frame.r4_defect, 1e-10 * scale)]
 
 
-def _check_diagonal_routes(entry, frame, rng, tol):
+def _check_diagonal_routes(entry, frame, rng):
     n = frame.n
     r4 = frame.r4
     worst = 0.0
@@ -136,13 +137,13 @@ def _check_diagonal_routes(entry, frame, rng, tol):
     return [_result("diagonal_routes", worst, 1e-8)]
 
 
-def _check_ricci_routes(entry, frame, rng, tol):
+def _check_ricci_routes(entry, frame, rng):
     keys = sorted(frame.ricci_routes)
     return [CheckResult("ricci_routes", True,
                         f"routes {keys} agree within {frame.ricci_gap:.3e}")]
 
 
-def _check_killing_identity(entry, frame, rng, tol):
+def _check_killing_identity(entry, frame, rng):
     b_full = killing_form(entry.algebra)
     worst = 0.0
     for _ in range(10):
@@ -155,7 +156,7 @@ def _check_killing_identity(entry, frame, rng, tol):
     return [_result("killing_identity", worst, 1e-9)]
 
 
-def _check_scaling_covariance(entry, frame, rng, tol):
+def _check_scaling_covariance(entry, frame, rng):
     x, y = np.eye(frame.n)[:2]
     base = sectional_curvature(frame, None, x, y)
     worst = 0.0
@@ -166,18 +167,18 @@ def _check_scaling_covariance(entry, frame, rng, tol):
     return [_result("scaling_covariance", worst, 1e-9 * max(1.0, abs(base)))]
 
 
-def _check_closedness(entry, frame, rng, tol):
+def _check_closedness(entry, frame, rng):
     res = closedness_residual(frame)
     return [_result("closedness", res, 1e-10)]
 
 
-def _check_trace_form(entry, frame, rng, tol):
+def _check_trace_form(entry, frame, rng):
     eta2 = trace_form(TorsionTensor(-frame.lte))
     res = float(np.abs(eta2 - frame.eta).max())
     return [_result("canonical_trace_form", res, 1e-10 * max(1.0, frame.c))]
 
 
-def _check_structure_tensor(entry, frame, rng, tol):
+def _check_structure_tensor(entry, frame, rng):
     s = homogeneous_structure(frame)
     scale = max(1.0, float(np.abs(s.components).max()))
     t = structure_to_torsion(s)
@@ -201,8 +202,8 @@ def _check_structure_tensor(entry, frame, rng, tol):
     return [_result("structure_decomposition", res, 1e-10 * scale)]
 
 
-def _check_foliation(entry, frame, rng, tol):
-    if _is_unimodular(entry.algebra, max(tol, 1e-10)):
+def _check_foliation(entry, frame, rng):
+    if _is_unimodular(entry.algebra, max(frame.tol, 1e-10)):
         return []
     fol = foliation_data(frame)
     n = frame.n
@@ -222,8 +223,8 @@ def _check_foliation(entry, frame, rng, tol):
     return out
 
 
-def _check_einstein_obstruction(entry, frame, rng, tol):
-    guard = max(tol, 1e-10)
+def _check_einstein_obstruction(entry, frame, rng):
+    guard = max(frame.tol, 1e-10)
     if not (entry.expected.cyclic
             and _is_unimodular(entry.algebra, guard)
             and not _is_abelian(entry.algebra, guard)):
@@ -234,7 +235,7 @@ def _check_einstein_obstruction(entry, frame, rng, tol):
         f"Einstein deviation {rep.deviation:.6g}")]
 
 
-def _check_grading_relations(entry, frame, rng, tol):
+def _check_grading_relations(entry, frame, rng):
     if entry.grading is None:
         return []
     alg = entry.algebra
@@ -292,7 +293,7 @@ _ENTRY_CHECKS = (
 # --- model-level checks -------------------------------------------------
 
 
-def _model_checks(tol):
+def _model_checks():
     results = []
 
     alg, grading, theta = su21_model()
@@ -328,8 +329,6 @@ def _model_checks(tol):
         "models::sp11_cyclic_family", bool(ray_ok),
         f"{fam2.description}, feasible {fam2.feasible}"))
 
-    from .catalog import build
-
     gentry = build("g", alpha=(0.5, 1.0, 2.0))
     eigen = [(0.5, 1), (1.0, 2), (2.0, 3)]
     pair = flat_section_witness(gentry.algebra, eigen)
@@ -342,14 +341,13 @@ def _model_checks(tol):
 # --- runner -------------------------------------------------------------
 
 
-def run_all(tol=None, seed=None, entries=None) -> VerificationReport:
+def run_all(tol=DEFAULT_TOL, seed=DEFAULT_SEED, entries=None) -> VerificationReport:
     """Run every invariant check over the catalog entries.
 
     Results are sorted by check name; a HomgeoError inside a check is
     reported as a failure of that check rather than aborting the run.
+    Each entry's checks read the tolerance from the entry's Frame.
     """
-    tol = tol_or_default(tol)
-    seed = seed_or_default(seed)
     if entries is None:
         entries = default_entries()
 
@@ -365,7 +363,7 @@ def run_all(tol=None, seed=None, entries=None) -> VerificationReport:
         for check in _ENTRY_CHECKS:
             name = check.__name__.removeprefix("_check_")
             try:
-                for res in check(entry, frame, rng, tol):
+                for res in check(entry, frame, rng):
                     results.append(CheckResult(
                         f"{entry.label}::{res.name}", res.passed, res.detail))
             except HomgeoError as exc:
@@ -373,7 +371,7 @@ def run_all(tol=None, seed=None, entries=None) -> VerificationReport:
                     f"{entry.label}::{name}", False,
                     f"{type(exc).__name__}: {exc}"))
     try:
-        results.extend(_model_checks(tol))
+        results.extend(_model_checks())
     except HomgeoError as exc:
         results.append(CheckResult("models::suite", False,
                                    f"{type(exc).__name__}: {exc}"))

@@ -4,14 +4,18 @@ Each is imported from the top-level package and called the way the
 benchmark calls it, so a refactor that breaks one fails here.
 """
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+import homgeo
 from homgeo import (
+    ExpectedClass,
     Frame,
     InvariantMetric,
+    LieAlgebra,
     NotCyclic,
     ReductiveDecomposition,
     UnimodularInput,
@@ -105,3 +109,23 @@ def test_run_all_report():
     assert len(report.results) == 176
     for r in report.results:
         assert isinstance(r.name, str) and r.passed is True and isinstance(r.detail, str)
+
+
+def test_tolerance_enters_at_build_points_only():
+    # an algebra keeps the tolerance it was built with and a space the
+    # one its Frame was built with; no algebra-level function takes its
+    # own.  LieAlgebra's tol is the record field build_lie_algebra fills.
+    takes_tol = {
+        name for name in homgeo.__all__
+        if callable(obj := getattr(homgeo, name)) and obj is not LieAlgebra
+        and not (inspect.isclass(obj) and issubclass(obj, Exception))
+        and "tol" in inspect.signature(obj).parameters
+    }
+    if "tol" in inspect.signature(ExpectedClass.mismatches).parameters:
+        takes_tol.add("ExpectedClass.mismatches")
+    assert takes_tol == {
+        "build_lie_algebra", "from_tensor", "load_algebra", "load_space",
+        "Frame", "check_reductive", "decompose", "run_all",
+        "ExpectedClass.mismatches",
+    }
+    assert "tol" in LieAlgebra.__dataclass_fields__

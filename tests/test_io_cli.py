@@ -289,11 +289,16 @@ def test_cli_catalog_errors(capsys):
     assert "JSON object" in capsys.readouterr().err
     for name, params in [("milnor3", '{"lam": 5}'), ("milnor3", '{"lam": "abc"}'),
                          ("milnor3", '{"lam": [1, 2, null]}'),
-                         ("so2_heisenberg", '{"lam3": [1]}')]:
+                         ("so2_heisenberg", '{"lam3": [1]}'),
+                         ("milnor3", '{"lam": "123"}'), ("g", '{"alpha": "12"}'),
+                         ("b4_product", '{"alpha": 1, "c": 1, "sign": 1.7}'),
+                         ("b4_product", '{"alpha": 1, "c": 1, "sign": 0.5}')]:
         code = main(["catalog", "build", name, "--params", params])
         err = capsys.readouterr().err
         assert code == 1, params
         assert err.startswith("error: ParamOutOfRange") and "Traceback" not in err
+    # the error names the value as passed, not a truncated one
+    assert "got 0.5" in err
 
 
 def test_cli_verify_all(capsys):

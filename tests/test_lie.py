@@ -140,6 +140,18 @@ def test_derivation_validation():
     assert derivation_residual(alg, np.diag([1.0, 1.0, 1.0])) == pytest.approx(1.0)
 
 
+def test_derivation_reads_the_algebra_tolerance():
+    d = np.diag([1.0, 1.0, 2.0 + 1e-7])  # defect 1e-7 on [e0, e1] = e2
+    loose = build_lie_algebra(3, {(0, 1): {2: 1.0}}, tol=1e-6)
+    assert loose.tol == 1e-6
+    assert derivation(loose, d).defect == pytest.approx(1e-7)
+    with pytest.raises(NotADerivation):
+        derivation(build_lie_algebra(3, {(0, 1): {2: 1.0}}), d)
+    # algebras built from it keep its tolerance
+    assert semidirect_sum(d, loose).tol == 1e-6
+    assert change_basis(loose, 2.0 * np.eye(3)).tol == 1e-6
+
+
 def test_semidirect_sum_layout():
     alg = build_lie_algebra(2, {(0, 1): {0: 1.0}}, basis_labels=("x", "y"))
     ext = semidirect_sum(np.diag([2.0, 0.0]), alg, new_label="t")

@@ -10,7 +10,7 @@ from homgeo.errors import (
     NotOrder3,
     ParamOutOfRange,
 )
-from homgeo.lie import build_lie_algebra
+from homgeo.lie import build_lie_algebra, from_tensor
 from homgeo.spectrum import (
     BlockGrading,
     active_triples,
@@ -102,8 +102,21 @@ def test_solve_cyclic_two_parameter_cone():
     assert s is not None
     assert abs(s.sum()) <= 1e-9 * np.abs(s).max()
     assert s[0] < 0 and s[1] > 0 and s[2] > 0
-    ev = np.linalg.eigvalsh(fam.metric(s).matrix)
+    ev = np.linalg.eigvalsh(cyclic_metric(alg, grading, s).matrix)
     assert ev.min() > 0
+
+
+def test_solve_cyclic_reads_the_algebra_tolerance():
+    # su(2,1) with a 1e-7 leak from [a1, b1] into a1 passes Jacobi at
+    # 1e-6 (residual 2e-7); the solver then decides at that tolerance too
+    alg, grading, _ = su21_model()
+    c = np.array(alg.tensor)
+    c[2, 4, 2] += 1e-7
+    c[4, 2, 2] -= 1e-7
+    noisy = from_tensor(c, alg.basis_labels, tol=1e-6)
+    fam = solve_cyclic(noisy, grading)
+    assert fam.triples == ((0, 1, 2),)
+    assert fam.dimension == 2 and fam.description == "2-parameter cone"
 
 
 def test_solve_cyclic_ray():

@@ -17,7 +17,6 @@ from homgeo.structure import (
     decompose,
     homogeneous_structure,
     structure_to_torsion,
-    torsion_structure_convert,
     torsion_to_structure,
     trace_form,
 )
@@ -52,8 +51,6 @@ def test_slot_validation():
     with pytest.raises(SlotSymmetryViolation):
         TorsionTensor(good)  # wrong slot pair
     TorsionTensor(random_torsion(3, 1))
-    with pytest.raises(SlotSymmetryViolation):
-        torsion_structure_convert(good)  # bare arrays are ambiguous
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,9 +65,6 @@ def test_conversion_round_trips(n, seed):
     s0 = torsion_to_structure(t0)
     assert np.allclose(structure_to_torsion(s0).components, t0.components,
                        atol=1e-12)
-    # the dispatching converter agrees with the direct calls
-    assert np.allclose(torsion_structure_convert(s).components, t.components)
-    assert np.allclose(torsion_structure_convert(t0).components, s0.components)
 
 
 @settings(max_examples=40, deadline=None)
