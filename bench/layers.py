@@ -1,0 +1,142 @@
+"""Per-layer wall times of the homgeo pipeline on rotated g(alpha) groups.
+
+    python bench/layers.py OUT.json
+
+Times build_lie_algebra, Frame, Frame.r4, ricci_routes and xi_curvatures
+at n = 3, 6, 16, 32 with time.perf_counter, and writes the median, the
+interquartile range and the repeat count of each case to OUT.json, with
+the git SHA, the Python/numpy/scipy versions and the CPU count.
+
+Each case times one layer alone.  The layers a case needs first are built
+outside the timed region: Frame.r4 is the first access on a fresh Frame
+(so it includes the connection and the isotropy term it reads), and
+ricci_routes and xi_curvatures run on a fresh Frame whose r4 is already
+built.  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import homgeo as hg  # noqa: E402
+from homgeo.reductive import Frame  # noqa: E402
+
+SIZES = (3, 6, 16, 32)
+SEED = 5
+MIN_REPEATS = 21
+MIN_SECONDS = 0.3
+
+
+def rotated_solvable(n: int, rng):
+    """Bracket table of g(alpha) in a random orthonormal basis, and alpha.
+
+    g(alpha) has [e0, ei] = alpha_i ei; in the basis e'_a = sum_i q[i,a] e_i
+    the table is dense while the identity metric stays orthonormal.
+    """
+    alpha = rng.uniform(0.5, 2.0, size=n - 1)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diagonal(r))
+    t = (q[1:].T * alpha) @ q[1:]
+    c = np.einsum("a,bd->abd", q[0], t)
+    c = c - np.swapaxes(c, 0, 1)
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            nz = np.flatnonzero(c[a, b])
+            if nz.size:
+                brackets[(a, b)] = {int(d): float(c[a, b, d]) for d in nz}
+    return brackets, alpha
+
+
+def time_case(run, prepare=lambda: None) -> dict:
+    """Median and IQR in ms of run(prepare()) over repeats; prepare is untimed."""
+    for _ in range(2):
+        run(prepare())
+    times = []
+    start = time.perf_counter()
+    while len(times) < MIN_REPEATS or time.perf_counter() - start < MIN_SECONDS:
+        arg = prepare()
+        t0 = time.perf_counter()
+        run(arg)
+        times.append(time.perf_counter() - t0)
+    q25, q50, q75 = np.percentile(np.array(times) * 1e3, [25, 50, 75])
+    return {"median_ms": q50, "iqr_ms": q75 - q25, "repeats": len(times)}
+
+
+def bench_size(n: int) -> dict:
+    brackets, alpha = rotated_solvable(n, np.random.default_rng([SEED, n]))
+    alg = hg.build_lie_algebra(n, brackets)
+    dec = hg.ReductiveDecomposition(alg, (), tuple(range(n)))
+    metric = hg.InvariantMetric.identity(n)
+
+    # the timed pipeline must be right: sum_i K(d_i, xi) = -sum alpha^2
+    got = sum(hg.xi_curvatures(dec, metric).sectional)
+    if abs(got + (alpha ** 2).sum()) > 1e-8 * (alpha ** 2).sum():
+        raise SystemExit(f"n = {n}: sum K(d_i, xi) = {got}, want {-(alpha ** 2).sum()}")
+
+    def frame_with_r4():
+        frame = Frame(dec, metric)
+        frame.r4
+        return frame
+
+    return {
+        "build_lie_algebra": time_case(lambda _: hg.build_lie_algebra(n, brackets)),
+        "Frame": time_case(lambda _: Frame(dec, metric)),
+        "Frame.r4": time_case(lambda frame: frame.r4, lambda: Frame(dec, metric)),
+        "ricci_routes": time_case(hg.ricci_routes, frame_with_r4),
+        "xi_curvatures": time_case(hg.xi_curvatures, frame_with_r4),
+    }
+
+
+def git_sha() -> str:
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python bench/layers.py OUT.json", file=sys.stderr)
+        return 2
+    cases = {}
+    for n in SIZES:
+        for layer, stats in bench_size(n).items():
+            cases[f"{layer}/n={n}"] = stats
+            print(f"{layer:18s} n={n:<3d} median {stats['median_ms']:9.3f} ms  "
+                  f"IQR {stats['iqr_ms']:8.3f} ms  ({stats['repeats']} repeats)")
+    record = {
+        "git_sha": git_sha(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": os.cpu_count(),
+        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "seed": SEED,
+        "cases": cases,
+    }
+    with open(argv[0], "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

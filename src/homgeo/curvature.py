@@ -33,6 +33,11 @@ def curvature_tensor(dec, metric=None) -> np.ndarray:
     return as_frame(dec, metric).r4
 
 
+def _quartic_form(r4: np.ndarray, y) -> np.ndarray:
+    """The matrix M[a,c] = R4[a,b,c,d] y[b] y[d], so R4(x,y,x,y) = x @ M @ x."""
+    return y @ (r4 @ y)
+
+
 def _require_cyclic(frame: Frame) -> None:
     if frame.cyclic_residual > frame.tol:
         raise NotCyclic("the projected bracket has a nonzero cyclic sum")
@@ -106,7 +111,7 @@ def sectional_curvature(dec, metric, x, y) -> float:
     area2 = nx2 * ny2 - float(xf @ yf) ** 2
     if area2 <= max(frame.tol, 1e-12) * max(1.0, nx2, ny2):
         raise DegeneratePlane("x and y do not span a nondegenerate plane")
-    num = float(np.einsum("a,b,c,d,abcd->", xf, yf, xf, yf, frame.r4))
+    num = float(xf @ _quartic_form(frame.r4, yf) @ xf)
     return num / area2
 
 
@@ -190,21 +195,16 @@ def xi_curvatures(dec, metric=None) -> XiCurvatureReport:
     umb_defect = float(np.abs(a_matrix - kappa * np.eye(n - 1)).max())
     umbilical = umb_defect <= max(tol, 1e-10 * max(1.0, c2))
 
-    r4 = frame.r4
-    sectional = []
-    radial = 0.0
-    for i in range(n - 1):
-        x = d[:, i]
-        num = float(np.einsum("a,b,c,d,abcd->", x, frame.eta, x, frame.eta, r4))
-        sectional.append(num / c2)
-        bx = ad_xi @ x  # [xi, x]_m in frame coordinates
-        radial = max(radial, abs(num + float(bx @ bx)))
+    # num[i] = R4(d_i, xi, d_i, xi); column i of bx is [xi, d_i]_m
+    num = np.sum(d * (_quartic_form(frame.r4, frame.eta) @ d), axis=0)
+    bx = ad_xi @ d
+    radial = float(np.abs(num + np.sum(bx * bx, axis=0)).max())
     return XiCurvatureReport(
         c=frame.c,
         a_matrix=a_matrix,
         kappa=kappa,
         umbilical=umbilical,
-        sectional=tuple(sectional),
+        sectional=tuple(float(v) for v in num / c2),
         radial_residual=radial,
     )
 

@@ -12,6 +12,7 @@ their own error types once the document parses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,13 @@ def _as_int(value, location: str) -> int:
 def _as_real(value, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", location=location)
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the float range
+        real = math.inf
+    if not math.isfinite(real):  # json also reads NaN and Infinity
+        raise ParseError(f"expected a finite number, got {value!r}", location=location)
+    return real
 
 
 def _as_object(value, location: str) -> dict:

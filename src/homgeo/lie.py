@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     JacobiViolation,
     NotADerivation,
+    ParamOutOfRange,
 )
 
 
@@ -29,9 +30,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _pullback(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """out[a,b,k] = sum_ij p[i,a] p[j,b] tensor[i,j,k]: both lower slots along p.
+
+    Two matrix products, one per slot; the last slot is left as it is.
+    """
+    dim, n = p.shape
+    last = tensor.shape[2]
+    half = (p.T @ tensor.reshape(dim, dim * last)).reshape(n, dim, last)
+    return p.T @ half
+
+
 def jacobi_residual(tensor: np.ndarray) -> float:
     """Max-abs residual of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]."""
-    t = np.einsum("jkl,ilm->ijkm", tensor, tensor)
+    dim = tensor.shape[0]
+    # t[i,j,k,m] = sum_l c[j,k,l] c[i,l,m] = [e_i, [e_j, e_k]]
+    t = (tensor.reshape(dim * dim, dim) @ tensor).reshape(dim, dim, dim, dim)
     jac = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
     return float(np.abs(jac).max()) if tensor.size else 0.0
 
@@ -91,7 +105,7 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieA
             if not 0 <= idx < dim:
                 raise IndexOutOfRange(f"bracket index {idx} outside basis 0..{dim - 1}")
         if i == j:
-            if any(abs(float(v)) > tol for v in out.values()):
+            if any(not abs(float(v)) <= tol for v in out.values()):
                 raise IndexOutOfRange(f"nonzero bracket [e{i}, e{i}] is inconsistent")
             continue
         sign = 1.0
@@ -112,6 +126,10 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieA
         for k, v in row.items():
             tensor[i, j, k] = v
             tensor[j, i, k] = -v
+    finite = np.isfinite(tensor)
+    if not finite.all():  # a NaN Jacobi residual would compare false against tol
+        i, j, _ = np.argwhere(~finite)[0]
+        raise ParamOutOfRange(f"bracket [e{i}, e{j}] has a non-finite coefficient")
 
     defect = jacobi_residual(tensor)
     if defect > tol:
@@ -253,8 +271,7 @@ def change_basis(algebra: LieAlgebra, p) -> LieAlgebra:
     """Re-express an algebra in the basis given by the columns of p, at its tol."""
     p = np.asarray(p, dtype=float)
     pinv = np.linalg.inv(p)
-    vec = np.einsum("ai,bj,abk->ijk", p, p, algebra.tensor)
-    new = np.einsum("mk,ijk->ijm", pinv, vec)
+    new = _pullback(algebra.tensor, p) @ pinv.T
     scale = max(1.0, float(np.abs(new).max()))
     new[np.abs(new) < 1e-13 * scale] = 0.0  # rotation roundoff
     return build_lie_algebra(

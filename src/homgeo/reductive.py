@@ -26,7 +26,7 @@ from .errors import (
     NotReductive,
     UnimodularInput,
 )
-from .lie import LieAlgebra, _frozen, killing_form, trace_vector
+from .lie import LieAlgebra, _frozen, _pullback, killing_form, trace_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +99,8 @@ class InvariantMetric:
             raise InvalidMetric(f"metric must be a square matrix, got {mat.shape}")
         if not mat.size:
             raise InvalidMetric("metric must be at least 1x1, got a 0x0 matrix")
+        if not np.isfinite(mat).all():
+            raise InvalidMetric("metric has a non-finite entry")
         sym = float(np.abs(mat - mat.T).max())
         if sym > 1e-12 * max(1.0, float(np.abs(mat).max())):
             raise InvalidMetric(f"metric is not symmetric (defect {sym:.3e})")
@@ -168,9 +170,9 @@ class Frame:
         self.frame_g = frame_g
 
         c = algebra.tensor
-        br = np.einsum("ia,jb,ijk->abk", frame_g, frame_g, c)
-        self.lte = np.einsum("fk,abk->abf", self.q_inv, br[:, :, m_idx])
-        self.k_part = br[:, :, k_idx].copy()
+        br = _pullback(c, frame_g)
+        self.lte = br[:, :, m_idx] @ self.q_inv.T
+        self.k_part = br[:, :, k_idx]
 
         if k_idx:
             adk = np.empty((len(k_idx), n, n))
@@ -234,7 +236,10 @@ class Frame:
     @cached_property
     def rc(self) -> np.ndarray:
         """Canonical curvature rc[a,b,c,d] = <[[f_a,f_b]_k, f_c], f_d>."""
-        return _frozen(np.einsum("abw,wdc->abcd", self.k_part, self.ad_k))
+        n, dim_k = self.n, self.dec.dim_k
+        rc = (self.k_part.reshape(n * n, dim_k)
+              @ np.swapaxes(self.ad_k, 1, 2).reshape(dim_k, n * n))
+        return _frozen(rc.reshape(n, n, n, n))
 
     @cached_property
     def killing_m(self) -> np.ndarray:
@@ -273,11 +278,16 @@ class Frame:
         exchange, first Bianchi identity) are verified; the worst defect
         is kept as r4_defect.
         """
-        lam = np.einsum("abd->adb", self.gamma)  # lam[a] is the matrix of nabla_{f_a}
-        m_term = np.einsum("abe,edc->abdc", self.lte, lam)
-        comm = (np.einsum("ade,bec->abdc", lam, lam)
-                - np.einsum("bde,aec->abdc", lam, lam))
-        r4 = np.einsum("abdc->abcd", m_term - comm) + self.rc
+        n = self.n
+        lam = np.swapaxes(self.gamma, 1, 2)  # lam[a] is the matrix of nabla_{f_a}
+        prod = np.matmul(lam[:, None], lam[None, :])  # prod[a,b] = lam[a] @ lam[b]
+        # r4[a,b,d,c] = sum_e lte[a,b,e] lam[e,d,c] - [lam[a], lam[b]][d,c], then
+        # the last two slots are swapped back and the isotropy term added
+        r4 = (self.lte.reshape(n * n, n) @ lam.reshape(n, n * n)).reshape(n, n, n, n)
+        r4 -= prod
+        r4 += np.swapaxes(prod, 0, 1)
+        del prod  # freed before the checks, whose temporaries can reuse it
+        r4 = np.swapaxes(r4, 2, 3) + self.rc
 
         scale = max(1.0, float(np.abs(r4).max()))
         worst = max(
@@ -419,12 +429,12 @@ def foliation_data(dec, metric=None) -> FoliationData:
     d_basis = np.array(cols).T
 
     u = frame.u
-    u_dd = np.einsum("ai,bj,abc->ijc", d_basis, d_basis, u)
-    h_coeff = np.einsum("ijc,c->ij", u_dd, frame.eta) / c2
+    u_dd = _pullback(u, d_basis)
+    h_coeff = u_dd @ frame.eta / c2
     h_mean = -frame.eta / (n - 1)
 
     sym = float(np.abs(h_coeff - h_coeff.T).max())
-    u_xi = np.einsum("a,b,abc->c", frame.eta, frame.eta, u)
+    u_xi = frame.eta @ (frame.eta @ u)
     trace_id = np.einsum("iic->c", u_dd) + frame.eta
     worst = max(sym, float(np.abs(u_xi).max()) / max(c2, 1.0),
                 float(np.abs(trace_id).max()) / max(frame.c, 1.0))

@@ -32,7 +32,7 @@ from .errors import (
     NotOrder3,
     ParamOutOfRange,
 )
-from .lie import LieAlgebra, killing_form, _frozen
+from .lie import LieAlgebra, _frozen, _pullback, killing_form
 from .reductive import InvariantMetric, ReductiveDecomposition
 
 
@@ -302,8 +302,8 @@ def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
         raise NotOrder3("theta is the identity; the splitting is trivial")
 
     c = algebra.tensor
-    lhs = np.einsum("ai,bj,abk->ijk", theta, theta, c)
-    rhs = np.einsum("ijl,kl->ijk", c, theta)
+    lhs = _pullback(c, theta)
+    rhs = c @ theta.T
     defect = float(np.abs(lhs - rhs).max())
     if defect > max(tol, 1e-10) * max(1.0, float(np.abs(c).max())) * scale ** 2:
         raise NotAutomorphism(

@@ -17,6 +17,7 @@ import numpy as np
 from .catalog import build, default_entries, sp11_model, su21_model
 from .config import DEFAULT_SEED, DEFAULT_TOL
 from .curvature import (
+    _quartic_form,
     curvature_diagonal_general,
     cyclic_curvature_diagonal,
     einstein_check,
@@ -128,7 +129,7 @@ def _check_diagonal_routes(entry, frame, rng):
         y = rng.standard_normal(n)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        from_tensor = float(np.einsum("a,b,c,d,abcd->", x, y, x, y, r4))
+        from_tensor = float(x @ _quartic_form(r4, y) @ x)
         general = curvature_diagonal_general(frame, None, x, y)
         worst = max(worst, abs(from_tensor - general))
         if entry.expected.cyclic:

@@ -76,6 +76,9 @@ def test_algebra_document_round_trip():
     (lambda d: d["brackets"].append({"i": 0, "j": 2, "out": {"x": 1}}), "integer"),
     (lambda d: d["brackets"].append({"i": 0, "j": 2, "out": {"7": 1}}), "range"),
     (lambda d: d["brackets"].append({"i": 0, "j": 9, "out": {}}), "range"),
+    (lambda d: d["brackets"].append({"i": 0, "j": 2, "out": {"1": float("nan")}}), "finite"),
+    (lambda d: d["brackets"].append({"i": 0, "j": 2, "out": {"1": float("-inf")}}), "finite"),
+    (lambda d: d["brackets"].append({"i": 0, "j": 2, "out": {"1": 10 ** 400}}), "finite"),
 ])
 def test_algebra_document_errors(mangle, needle):
     doc = json.loads(json.dumps(MILNOR_DOC))
@@ -100,6 +103,10 @@ def test_metric_document_errors():
         metric_from_dict({"matrix": [[1.0, 0.0]]}, 2)
     with pytest.raises(ParseError):
         metric_from_dict({}, 2)
+    with pytest.raises(ParseError, match="finite"):
+        metric_from_dict({"diag": [1.0, float("nan")]}, 2)
+    with pytest.raises(ParseError, match="finite"):
+        metric_from_dict({"matrix": [[1.0, float("inf")], [0.0, 1.0]]}, 2)
     g = metric_from_dict({"matrix": [[2.0, 1.0], [1.0, 2.0]]}, 2)
     assert g.matrix[0, 1] == 1.0
 
@@ -207,6 +214,23 @@ def test_cli_rejects_empty_m(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: IndexOutOfRange")
+    assert "Traceback" not in err
+
+
+NAN_BRACKET_DOC = milnor_space_doc(1.0, 1.0, float("nan"))
+NAN_METRIC_DOC = milnor_space_doc(1.0, 1.0, 1.0)
+NAN_METRIC_DOC["metric"] = {"diag": [1.0, float("nan"), 1.0]}
+
+
+@pytest.mark.parametrize("doc", [NAN_BRACKET_DOC, NAN_METRIC_DOC],
+                         ids=["bracket", "metric"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, doc):
+    path = write_space(tmp_path, doc)
+    assert "NaN" in open(path).read()
+    code = main(["classify", path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ParseError") and "finite" in err
     assert "Traceback" not in err
 
 

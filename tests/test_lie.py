@@ -6,6 +6,7 @@ from homgeo.errors import (
     IndexOutOfRange,
     JacobiViolation,
     NotADerivation,
+    ParamOutOfRange,
 )
 from homgeo.lie import (
     ad_matrix,
@@ -61,6 +62,14 @@ def test_index_validation():
         build_lie_algebra(2, {(1, 1): {0: 1.0}})
     with pytest.raises(IndexOutOfRange):
         build_lie_algebra(-1, {})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(ParamOutOfRange, match=r"\[e0, e1\] has a non-finite"):
+        build_lie_algebra(3, {(1, 0): {2: bad}})
+    with pytest.raises(IndexOutOfRange):
+        build_lie_algebra(3, {(1, 1): {2: bad}})
 
 
 def test_jacobi_violation_raises():

@@ -73,6 +73,9 @@ def test_metric_validation():
         InvariantMetric(np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(InvalidMetric):
         InvariantMetric.from_diag([])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidMetric, match="non-finite"):
+            InvariantMetric.from_diag([1.0, bad, 1.0])
     dec = ReductiveDecomposition(milnor(1.0, 1.0, 1.0), (), (0, 1, 2))
     with pytest.raises(InvalidMetric):
         Frame(dec, InvariantMetric.from_diag([1.0, -1.0, 1.0]))
