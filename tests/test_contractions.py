@@ -7,6 +7,8 @@ random metric, valid Lie algebras in a random non-orthogonal basis, and
 the catalog spaces with nonempty isotropy.
 """
 
+from functools import cache, partial
+
 import numpy as np
 import pytest
 
@@ -112,32 +114,39 @@ def catalog_frame(name, params):
     return Frame(entry.decomposition, entry.metric)
 
 
-LIE_FRAMES = {f"n{n}-k{dim_k}": lie_frame(n, dim_k, 10 * n + dim_k)
+# builders, not frames, so that a broken contraction fails its own tests
+# rather than the collection of this module
+LIE_SPACES = {f"n{n}-k{dim_k}": partial(lie_frame, n, dim_k, 10 * n + dim_k)
               for n in SIZES[1:] for dim_k in ISOTROPY}
-CURVATURE_FRAMES = {
-    **LIE_FRAMES,
-    **{name: catalog_frame(name, params) for name, params in ISOTROPY_ENTRIES},
+CURVATURE_SPACES = {
+    **LIE_SPACES,
+    **{name: partial(catalog_frame, name, params) for name, params in ISOTROPY_ENTRIES},
 }
-BRACKET_FRAMES = {
-    **{f"raw-n{n}-k{dim_k}": raw_frame(n, dim_k, 100 * n + dim_k)
+BRACKET_SPACES = {
+    **{f"raw-n{n}-k{dim_k}": partial(raw_frame, n, dim_k, 100 * n + dim_k)
        for n in SIZES for dim_k in ISOTROPY},
-    **CURVATURE_FRAMES,
+    **CURVATURE_SPACES,
 }
+
+
+@cache
+def frame_of(name):
+    return BRACKET_SPACES[name]()
 
 
 def test_inputs_are_asymmetric():
-    for frame in LIE_FRAMES.values():
-        metric = frame.metric.matrix
+    for name in LIE_SPACES:
+        metric = frame_of(name).metric.matrix
         assert np.abs(metric - np.diag(np.diagonal(metric))).max() > 0.01
-    frame = BRACKET_FRAMES["raw-n5-k2"]
+    frame = frame_of("raw-n5-k2")
     assert np.abs(frame.lte + np.einsum("abc->acb", frame.lte)).max() > 0.1
     assert np.abs(frame.rc).max() > 0.1
-    assert np.abs(LIE_FRAMES["n5-k2"].ad_k).max() > 0.1
+    assert np.abs(frame_of("n5-k2").ad_k).max() > 0.1
 
 
-@pytest.mark.parametrize("name", sorted(BRACKET_FRAMES))
+@pytest.mark.parametrize("name", sorted(BRACKET_SPACES))
 def test_frame_bracket_projection(name):
-    frame = BRACKET_FRAMES[name]
+    frame = frame_of(name)
     c = frame.dec.algebra.tensor
     k, m = list(frame.dec.k_indices), list(frame.dec.m_indices)
     br = np.einsum("ia,jb,ijk->abk", frame.frame_g, frame.frame_g, c)
@@ -145,15 +154,15 @@ def test_frame_bracket_projection(name):
     assert_close(frame.k_part, br[:, :, k])
 
 
-@pytest.mark.parametrize("name", sorted(BRACKET_FRAMES))
+@pytest.mark.parametrize("name", sorted(BRACKET_SPACES))
 def test_isotropy_curvature(name):
-    frame = BRACKET_FRAMES[name]
+    frame = frame_of(name)
     assert_close(frame.rc, np.einsum("abw,wdc->abcd", frame.k_part, frame.ad_k))
 
 
-@pytest.mark.parametrize("name", sorted(CURVATURE_FRAMES))
+@pytest.mark.parametrize("name", sorted(CURVATURE_SPACES))
 def test_curvature_tensor(name):
-    frame = CURVATURE_FRAMES[name]
+    frame = frame_of(name)
     lam = np.einsum("abd->adb", frame.gamma)
     m_term = np.einsum("abe,edc->abdc", frame.lte, lam)
     comm = (np.einsum("ade,bec->abdc", lam, lam)
@@ -179,9 +188,9 @@ def test_pullback(n):
     assert_close(_pullback(tensor, p), np.einsum("ia,jb,ijk->abk", p, p, tensor))
 
 
-@pytest.mark.parametrize("name", sorted(CURVATURE_FRAMES))
+@pytest.mark.parametrize("name", sorted(CURVATURE_SPACES))
 def test_change_basis(name):
-    alg = CURVATURE_FRAMES[name].dec.algebra
+    alg = frame_of(name).dec.algebra
     rng = np.random.default_rng(alg.dim)
     p = np.eye(alg.dim) + 0.3 * rng.standard_normal((alg.dim, alg.dim))
     vec = np.einsum("ai,bj,abk->ijk", p, p, alg.tensor)
@@ -205,18 +214,18 @@ def test_theta_split_accepts_a_conjugated_automorphism(model):
     assert split.k_basis.shape[1] + split.m_basis.shape[1] == alg.dim
 
 
-@pytest.mark.parametrize("name", sorted(LIE_FRAMES))
+@pytest.mark.parametrize("name", sorted(LIE_SPACES))
 def test_foliation_second_fundamental_form(name):
-    frame = LIE_FRAMES[name]
+    frame = frame_of(name)
     fol = foliation_data(frame)
     d = fol.d_basis
     u_dd = np.einsum("ai,bj,abc->ijc", d, d, frame.u)
     assert_close(fol.h_coeff, np.einsum("ijc,c->ij", u_dd, frame.eta) / frame.c ** 2)
 
 
-@pytest.mark.parametrize("name", sorted(LIE_FRAMES))
+@pytest.mark.parametrize("name", sorted(LIE_SPACES))
 def test_xi_curvatures(name):
-    frame = LIE_FRAMES[name]
+    frame = frame_of(name)
     rep = xi_curvatures(frame)
     d = foliation_data(frame).d_basis
     ad_xi = np.einsum("a,abc->cb", frame.eta, frame.lte)
@@ -229,9 +238,9 @@ def test_xi_curvatures(name):
     assert len(rep.sectional) == frame.n - 1
 
 
-@pytest.mark.parametrize("name", sorted(CURVATURE_FRAMES))
+@pytest.mark.parametrize("name", sorted(CURVATURE_SPACES))
 def test_sectional_curvature(name):
-    frame = CURVATURE_FRAMES[name]
+    frame = frame_of(name)
     rng = np.random.default_rng(frame.n)
     for _ in range(3):
         x, y = rng.standard_normal((2, frame.n))
