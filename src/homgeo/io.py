@@ -130,9 +130,8 @@ def algebra_from_dict(data, tol=DEFAULT_TOL, location: str = "algebra") -> LieAl
 
 def algebra_to_dict(algebra: LieAlgebra) -> dict:
     brackets = [
-        {"i": i, "j": j, "out": {str(k): float(v) for k, v in sorted(row.items())}}
-        for (i, j), row in sorted(algebra.brackets.items())
-        if row
+        {"i": i, "j": j, "out": {str(k): v for k, v in row.items()}}
+        for (i, j), row in algebra.brackets.items()
     ]
     return {
         "dim": algebra.dim,

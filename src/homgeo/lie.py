@@ -1,10 +1,10 @@
 """Finite-dimensional real Lie algebras given by structure constants.
 
-An algebra is stored as the dense tensor c[i, j, k] with
-[e_i, e_j] = sum_k c[i, j, k] e_k, together with the sparse bracket
-table it was built from.  Construction validates the Jacobi identity,
-so every LieAlgebra in circulation is an actual Lie algebra up to the
-tolerance it was built with.
+An algebra is stored only as the dense tensor c[i, j, k] with
+[e_i, e_j] = sum_k c[i, j, k] e_k; its sparse bracket table is read off
+the tensor.  Every constructor ends in one validating step, so every
+LieAlgebra in circulation is an actual Lie algebra, with finite
+coefficients, up to the tolerance it was built with.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _square(matrix, dim: int, what: str) -> np.ndarray:
+    """matrix as a finite dim x dim float array, or IndexOutOfRange/ParamOutOfRange."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (dim, dim):
+        raise IndexOutOfRange(f"{what} matrix must be {dim}x{dim}, got {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ParamOutOfRange(f"{what} matrix has a non-finite entry")
+    return matrix
+
+
 def _pullback(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     """out[a,b,k] = sum_ij p[i,a] p[j,b] tensor[i,j,k]: both lower slots along p.
 
@@ -50,22 +60,35 @@ def jacobi_residual(tensor: np.ndarray) -> float:
     return float(np.abs(jac).max()) if tensor.size else 0.0
 
 
+def _upper(tensor: np.ndarray) -> np.ndarray:
+    """tensor with every entry [e_i, e_j], i >= j, set to zero."""
+    return np.triu(tensor.transpose(2, 0, 1), 1).transpose(1, 2, 0)
+
+
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Immutable Lie algebra over an ordered basis.
 
-    brackets holds the canonical sparse form {(i, j): {k: coeff}} with
-    i < j; pairs absent from it bracket to zero.  tensor is the dense
-    equivalent with both orientations filled in.  tol is the tolerance
-    Jacobi was validated at; every algebra-level check reads it.
+    tensor holds c[i, j, k] with both orientations filled in, exactly
+    antisymmetric and with no -0.0.  tol is the tolerance Jacobi was
+    validated at; every algebra-level check reads it.
     """
 
     dim: int
     basis_labels: tuple[str, ...]
-    brackets: dict
     tensor: np.ndarray
     jacobi_defect: float
     tol: float
+
+    @property
+    def brackets(self) -> dict:
+        """Sparse form {(i, j): {k: coeff}}, i < j, in index order; absent pairs commute."""
+        i, j, k = np.nonzero(self.tensor)
+        nz = (i[i < j], j[i < j], k[i < j])
+        out: dict = {}
+        for a, b, c, v in zip(*(x.tolist() for x in nz), self.tensor[nz].tolist()):
+            out.setdefault((a, b), {})[c] = v
+        return out
 
     def bracket(self, x, y) -> np.ndarray:
         """Bracket of two coefficient vectors, as a coefficient vector."""
@@ -73,7 +96,33 @@ class LieAlgebra:
 
     def __repr__(self):
         nz = len(self.brackets)
-        return f"LieAlgebra(dim={self.dim}, nonzero_pairs={nz})"
+        return f"{type(self).__name__}(dim={self.dim}, nonzero_pairs={nz})"
+
+
+def _algebra(upper: np.ndarray, basis_labels, tol: float) -> LieAlgebra:
+    """The one LieAlgebra constructor; every other one ends here.
+
+    upper[i, j, k] is the coefficient of e_k in [e_i, e_j] for i < j and
+    zero for i >= j.  Checks the labels, finiteness and Jacobi at tol.
+    """
+    dim = upper.shape[0]
+    if basis_labels is None:
+        basis_labels = [f"e{i}" for i in range(dim)]
+    labels = tuple(str(s) for s in basis_labels)
+    if len(labels) != dim:
+        raise IndexOutOfRange(f"got {len(labels)} labels for dimension {dim}")
+    tensor = upper - upper.transpose(1, 0, 2)
+    tensor += 0.0  # -0.0 + 0.0 is 0.0
+    finite = np.isfinite(tensor)
+    if not finite.all():  # a NaN Jacobi residual would compare false against tol
+        i, j, _ = np.argwhere(~finite)[0]
+        raise ParamOutOfRange(f"bracket [e{i}, e{j}] has a non-finite coefficient")
+    defect = jacobi_residual(tensor)
+    if not defect <= tol:
+        raise JacobiViolation(
+            f"Jacobi identity fails with residual {defect:.3e} (tol {tol:.1e})"
+        )
+    return LieAlgebra(dim, labels, _frozen(tensor), defect, tol)
 
 
 def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieAlgebra:
@@ -88,17 +137,7 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieA
     dim = int(dim)
     if dim < 0:
         raise IndexOutOfRange(f"dim must be nonnegative, got {dim}")
-    if basis_labels is None:
-        basis_labels = tuple(f"e{i}" for i in range(dim))
-    else:
-        basis_labels = tuple(str(s) for s in basis_labels)
-        if len(basis_labels) != dim:
-            raise IndexOutOfRange(
-                f"got {len(basis_labels)} labels for dimension {dim}"
-            )
-
-    tensor = np.zeros((dim, dim, dim))
-    canon: dict = {}
+    upper = np.zeros((dim, dim, dim))
     for pair, out in brackets.items():
         i, j = int(pair[0]), int(pair[1])
         for idx in (i, j):
@@ -111,55 +150,26 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieA
         sign = 1.0
         if i > j:
             i, j, sign = j, i, -1.0
-        row = canon.setdefault((i, j), {})
         for k, v in out.items():
             k = int(k)
             if not 0 <= k < dim:
                 raise IndexOutOfRange(f"bracket output index {k} outside basis")
-            row[k] = row.get(k, 0.0) + sign * float(v)
-    canon = {
-        pair: {k: v for k, v in sorted(row.items()) if v != 0.0}
-        for pair, row in sorted(canon.items())
-    }
-    canon = {pair: row for pair, row in canon.items() if row}
-    for (i, j), row in canon.items():
-        for k, v in row.items():
-            tensor[i, j, k] = v
-            tensor[j, i, k] = -v
-    finite = np.isfinite(tensor)
-    if not finite.all():  # a NaN Jacobi residual would compare false against tol
-        i, j, _ = np.argwhere(~finite)[0]
-        raise ParamOutOfRange(f"bracket [e{i}, e{j}] has a non-finite coefficient")
-
-    defect = jacobi_residual(tensor)
-    if defect > tol:
-        raise JacobiViolation(
-            f"Jacobi identity fails with residual {defect:.3e} (tol {tol:.1e})"
-        )
-    return LieAlgebra(dim, basis_labels, canon, _frozen(tensor), defect, tol)
-
-
-def _sparse_from_tensor(tensor):
-    dim = tensor.shape[0]
-    out = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            row = {k: float(tensor[i, j, k]) for k in range(dim)
-                   if abs(tensor[i, j, k]) > 0.0}
-            if row:
-                out[(i, j)] = row
-    return out
+            upper[i, j, k] += sign * float(v)
+    return _algebra(upper, basis_labels, tol)
 
 
 def from_tensor(tensor, basis_labels=None, tol=DEFAULT_TOL) -> LieAlgebra:
-    """Build a LieAlgebra from a dense antisymmetric bracket tensor."""
+    """Build a LieAlgebra from a dense (dim, dim, dim) antisymmetric bracket tensor."""
+    tol = float(tol)
     tensor = np.asarray(tensor, dtype=float)
+    if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
+        raise IndexOutOfRange(f"bracket tensor must be (dim, dim, dim), got {tensor.shape}")
+    if not np.isfinite(tensor).all():
+        raise ParamOutOfRange("bracket tensor has a non-finite entry")
     skew = float(np.abs(tensor + np.transpose(tensor, (1, 0, 2))).max()) if tensor.size else 0.0
-    if skew > tol:
+    if not skew <= tol:
         raise IndexOutOfRange(f"bracket tensor not antisymmetric (defect {skew:.3e})")
-    return build_lie_algebra(
-        tensor.shape[0], _sparse_from_tensor(tensor), basis_labels, tol
-    )
+    return _algebra(_upper(tensor), basis_labels, tol)
 
 
 def ad_matrix(algebra: LieAlgebra, x) -> np.ndarray:
@@ -200,11 +210,9 @@ def unimodular_kernel(algebra: LieAlgebra):
         return True, _frozen(np.eye(algebra.dim))
     basis = scipy.linalg.null_space(tau[None, :])
     proj = basis @ basis.T
-    worst = 0.0
-    for i in range(algebra.dim):
-        for col in basis.T:
-            w = algebra.bracket(np.eye(algebra.dim)[i], col)
-            worst = max(worst, float(np.abs(w - proj @ w).max()))
+    # w[i, :, c] = [e_i, basis_c] must lie in the kernel again
+    w = np.tensordot(algebra.tensor, basis, axes=([1], [0]))
+    worst = float(np.abs(w - proj @ w).max())
     if worst > max(tol, 1e-12):
         raise ConsistencyError(
             f"unimodular kernel failed the ideal check (residual {worst:.3e})"
@@ -231,13 +239,9 @@ def derivation_residual(algebra: LieAlgebra, matrix) -> float:
 def derivation(algebra: LieAlgebra, matrix) -> Derivation:
     """Validate matrix as a derivation, at the algebra's tolerance."""
     tol = algebra.tol
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (algebra.dim, algebra.dim):
-        raise IndexOutOfRange(
-            f"derivation matrix must be {algebra.dim}x{algebra.dim}, got {matrix.shape}"
-        )
+    matrix = _square(matrix, algebra.dim, "derivation")
     defect = derivation_residual(algebra, matrix)
-    if defect > tol:
+    if not defect <= tol:
         raise NotADerivation(
             f"matrix is not a derivation (residual {defect:.3e}, tol {tol:.1e})"
         )
@@ -254,26 +258,21 @@ def semidirect_sum(deriv, algebra: LieAlgebra, new_label="dt") -> LieAlgebra:
     """
     if not isinstance(deriv, Derivation):
         deriv = derivation(algebra, deriv)
-    d = deriv.matrix
     n = algebra.dim
-    brackets = {}
-    for i in range(n):
-        col = {k + 1: float(d[k, i]) for k in range(n) if d[k, i] != 0.0}
-        if col:
-            brackets[(0, i + 1)] = col
-    for (i, j), row in algebra.brackets.items():
-        brackets[(i + 1, j + 1)] = {k + 1: v for k, v in row.items()}
-    labels = (new_label,) + algebra.basis_labels
-    return build_lie_algebra(n + 1, brackets, labels, algebra.tol)
+    upper = np.zeros((n + 1, n + 1, n + 1))
+    upper[0, 1:, 1:] = deriv.matrix.T  # [d/dt, e_i] = sum_k D[k, i] e_k
+    upper[1:, 1:, 1:] = _upper(algebra.tensor)
+    return _algebra(upper, (new_label,) + algebra.basis_labels, algebra.tol)
 
 
 def change_basis(algebra: LieAlgebra, p) -> LieAlgebra:
     """Re-express an algebra in the basis given by the columns of p, at its tol."""
-    p = np.asarray(p, dtype=float)
-    pinv = np.linalg.inv(p)
+    p = _square(p, algebra.dim, "change of basis")
+    try:
+        pinv = np.linalg.inv(p)
+    except np.linalg.LinAlgError:
+        raise ParamOutOfRange("change of basis matrix is singular") from None
     new = _pullback(algebra.tensor, p) @ pinv.T
     scale = max(1.0, float(np.abs(new).max()))
     new[np.abs(new) < 1e-13 * scale] = 0.0  # rotation roundoff
-    return build_lie_algebra(
-        algebra.dim, _sparse_from_tensor(new), algebra.basis_labels, algebra.tol
-    )
+    return _algebra(_upper(new), algebra.basis_labels, algebra.tol)

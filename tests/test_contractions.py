@@ -69,7 +69,7 @@ def raw_frame(n, dim_k, seed):
         ad = np.linalg.solve(g, skew(rng.standard_normal((n, n))))  # ad[l, j]
         c[w, m, m] = ad.T
         c[m, w, m] = -ad.T
-    alg = LieAlgebra(dim, tuple(f"e{i}" for i in range(dim)), {}, c, 0.0, 1e-9)
+    alg = LieAlgebra(dim, tuple(f"e{i}" for i in range(dim)), c, 0.0, 1e-9)
     dec = ReductiveDecomposition(alg, tuple(range(dim_k)), tuple(range(dim_k, dim)))
     return Frame(dec, InvariantMetric(g))
 

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from homgeo.catalog import default_entries
 from homgeo.errors import (
     ConsistencyError,
     IndexOutOfRange,
@@ -9,6 +12,8 @@ from homgeo.errors import (
     ParamOutOfRange,
 )
 from homgeo.lie import (
+    Derivation,
+    LieAlgebra,
     ad_matrix,
     build_lie_algebra,
     change_basis,
@@ -209,3 +214,88 @@ def test_unimodular_kernel_is_ideal():
     assert not uni
     assert basis.shape == (3, 2)
     assert np.abs(basis[0, :]).max() <= 1e-12
+
+
+def test_algebra_stores_only_the_tensor():
+    names = [f.name for f in fields(LieAlgebra)]
+    assert names == ["dim", "basis_labels", "tensor", "jacobi_defect", "tol"]
+    assert repr(milnor(1.0, 2.0, -3.0)) == "LieAlgebra(dim=3, nonzero_pairs=3)"
+
+
+@pytest.mark.parametrize("table, expected", [
+    ({(0, 1): {2: 1.0}, (1, 0): {2: 0.25}}, {(0, 1): {2: 0.75}}),  # orientations sum
+    ({(0, 1): {2: 1.0}, (1, 0): {2: 1.0}}, {}),  # a pair that cancels is absent
+    ({(0, 1): {2: -0.0}}, {}),  # so is a -0.0 coefficient
+    ({(2, 0): {1: 2.0}}, {(0, 2): {1: -2.0}}),  # only (j, i) given
+    ({(1, 2): {1: 3.0, 0: 1.0}, (0, 1): {1: 0.0}}, {(1, 2): {0: 1.0, 1: 3.0}}),
+])
+def test_brackets_view_is_canonical(table, expected):
+    alg = build_lie_algebra(3, table)
+    assert alg.brackets == expected
+    for row in alg.brackets.values():
+        assert list(row) == sorted(row)
+    assert list(alg.brackets) == sorted(alg.brackets)
+    assert not np.signbit(alg.tensor[alg.tensor == 0.0]).any()
+
+
+def test_every_constructor_output_is_canonical():
+    alg = milnor(1.0, 2.0, -3.0)
+    p = np.random.default_rng(7).standard_normal((3, 3))
+    cases = [(e.label, e.algebra) for e in default_entries()] + [
+        ("change_basis", change_basis(alg, p)),
+        ("semidirect_sum", semidirect_sum(np.diag([1.0, 1.0, 2.0]), milnor(0.0, 0.0, 1.0))),
+        ("from_tensor", from_tensor(alg.tensor + 1e-12 * np.eye(3)[:, :, None])),
+        ("from_tensor -0.0", from_tensor(np.where(alg.tensor == 0.0, -0.0, alg.tensor))),
+    ]
+    for label, alg in cases:
+        c = alg.tensor
+        assert np.array_equal(c, -c.transpose(1, 0, 2)), label
+        assert not np.diagonal(c, axis1=0, axis2=1).any(), label
+        assert not np.signbit(c[c == 0.0]).any(), label
+        again = build_lie_algebra(alg.dim, alg.brackets, alg.basis_labels)
+        assert again.tensor.tobytes() == c.tobytes(), label
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 4), (3, 3), (2, 2, 2, 2)], ids=str)
+def test_from_tensor_rejects_non_cubic_shapes(shape):
+    t = np.zeros(shape)
+    if shape == (2, 2, 3):
+        t[0, 1, 2], t[1, 0, 2] = 1.0, -1.0  # [e0, e1] = e2 outside the basis
+    with pytest.raises(IndexOutOfRange):
+        from_tensor(t)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("where", [(0, 1, 2), (1, 0, 2), (0, 0, 1)], ids=str)
+def test_from_tensor_rejects_non_finite_entries(bad, where):
+    t = np.zeros((3, 3, 3))
+    t[where] = bad
+    with pytest.raises(ParamOutOfRange):
+        from_tensor(t)
+
+
+def test_change_basis_validates_its_matrix():
+    alg = milnor(0.0, 0.0, 1.0)
+    with pytest.raises(IndexOutOfRange):
+        change_basis(alg, np.eye(2))
+    for bad in (float("nan"), float("inf")):
+        p = np.eye(3)
+        p[1, 2] = bad
+        with pytest.raises(ParamOutOfRange):
+            change_basis(alg, p)
+    with pytest.raises(ParamOutOfRange, match="singular"):
+        change_basis(alg, np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
+def test_derivation_rejects_non_finite_matrices():
+    alg = milnor(0.0, 0.0, 1.0)
+    with pytest.raises(ParamOutOfRange):
+        derivation(alg, np.full((3, 3), np.nan))
+    d = np.diag([1.0, 1.0, 2.0])
+    d[0, 1] = np.inf
+    with pytest.raises(ParamOutOfRange):
+        derivation(alg, d)
+    # an unvalidated Derivation still meets the finiteness check on the way in
+    with pytest.raises(ParamOutOfRange):
+        semidirect_sum(Derivation(np.full((3, 3), np.nan), 0.0), alg)
+

@@ -1,0 +1,107 @@
+"""Write a fixed set of homgeo CLI outputs to a directory, for diffing.
+
+    python tools/cli_snapshot.py OUTDIR
+
+Writes, from the checkout this script sits in:
+
+- the 15 default catalog entries as space files (spaces/<label>.json,
+  with the label's brackets, commas and spaces turned into underscores);
+- classify and curvature --format json on each, at --tolerance 1e-9
+  and 1e-6;
+- verify-all --format json at both tolerances;
+- solve-cyclic --format json on the su(2,1) and sp(1,1) models with
+  their gradings, at both tolerances;
+- two catalog build --format json outputs, away from the defaults;
+- exit_codes.txt: one line per command with its exit code.
+
+Each output file holds the command's stdout followed by its stderr, so
+an error message is compared too.  Two checkouts give the same CLI
+behaviour on these inputs when `diff -r` finds no difference between
+their snapshots.  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS
+is set.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from homgeo import cli, default_entries  # noqa: E402
+from homgeo.io import dump_space, grading_to_dict  # noqa: E402
+
+TOLERANCES = ("1e-9", "1e-6")
+CATALOG_BUILDS = (
+    ("so2_heisenberg", {"lam3": 2.5}),
+    ("r_heisenberg", {"alpha": -0.5, "lam3": 2.0}),
+)
+SOLVE_CYCLIC = ("su21_a3ii", "sp11_a3iii")
+
+
+def slug(label: str) -> str:
+    """A catalog label as a file name: g(alpha=[1.0, -1.0]) -> g_alpha=_1.0_-1.0_."""
+    return re.sub(r"[^A-Za-z0-9.=-]+", "_", label)
+
+
+def run(out: Path, name: str, argv: list[str], codes: list[str]) -> None:
+    """Run the CLI in-process on argv and write its output to out/name."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    (out / name).write_text(stdout.getvalue() + stderr.getvalue(), encoding="utf-8")
+    codes.append(f"{name} {code}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__, file=sys.stderr)
+        return 1
+    out = Path(args[0])
+    spaces = out / "spaces"
+    spaces.mkdir(parents=True, exist_ok=True)
+    codes: list[str] = []
+
+    for entry in default_entries():
+        label = slug(entry.label)
+        path = spaces / f"{label}.json"
+        dump_space(str(path), entry.decomposition, entry.metric,
+                   grading=entry.grading, name=entry.label)
+        for tol in TOLERANCES:
+            for command in ("classify", "curvature"):
+                run(out, f"{command}__{label}__{tol}.json",
+                    [command, str(path), "--format", "json", "--tolerance", tol],
+                    codes)
+        if entry.grading is not None and entry.name in SOLVE_CYCLIC:
+            grading = spaces / f"{label}.grading.json"
+            grading.write_text(json.dumps(grading_to_dict(entry.grading)) + "\n",
+                               encoding="utf-8")
+            for tol in TOLERANCES:
+                run(out, f"solve-cyclic__{label}__{tol}.json",
+                    ["solve-cyclic", str(path), "--grading", str(grading),
+                     "--format", "json", "--tolerance", tol], codes)
+
+    for tol in TOLERANCES:
+        run(out, f"verify-all__{tol}.json",
+            ["verify-all", "--format", "json", "--tolerance", tol], codes)
+    for name, params in CATALOG_BUILDS:
+        run(out, f"catalog-build__{name}.json",
+            ["catalog", "build", name, "--params", json.dumps(params),
+             "--format", "json"], codes)
+
+    (out / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+    print(f"{len(codes)} outputs in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
