@@ -229,7 +229,7 @@ class Derivation:
 
 
 def derivation_residual(algebra: LieAlgebra, matrix) -> float:
-    d = np.asarray(matrix, dtype=float)
+    d = _square(matrix, algebra.dim, "derivation")
     c = algebra.tensor
     lhs = np.einsum("ml,ijl->ijm", d, c)
     rhs = np.einsum("li,ljm->ijm", d, c) + np.einsum("lj,ilm->ijm", d, c)
@@ -239,7 +239,6 @@ def derivation_residual(algebra: LieAlgebra, matrix) -> float:
 def derivation(algebra: LieAlgebra, matrix) -> Derivation:
     """Validate matrix as a derivation, at the algebra's tolerance."""
     tol = algebra.tol
-    matrix = _square(matrix, algebra.dim, "derivation")
     defect = derivation_residual(algebra, matrix)
     if not defect <= tol:
         raise NotADerivation(

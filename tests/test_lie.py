@@ -247,12 +247,12 @@ def test_every_constructor_output_is_canonical():
         ("from_tensor", from_tensor(alg.tensor + 1e-12 * np.eye(3)[:, :, None])),
         ("from_tensor -0.0", from_tensor(np.where(alg.tensor == 0.0, -0.0, alg.tensor))),
     ]
-    for label, alg in cases:
-        c = alg.tensor
+    for label, out in cases:
+        c = out.tensor
         assert np.array_equal(c, -c.transpose(1, 0, 2)), label
         assert not np.diagonal(c, axis1=0, axis2=1).any(), label
         assert not np.signbit(c[c == 0.0]).any(), label
-        again = build_lie_algebra(alg.dim, alg.brackets, alg.basis_labels)
+        again = build_lie_algebra(out.dim, out.brackets, out.basis_labels)
         assert again.tensor.tobytes() == c.tobytes(), label
 
 
@@ -291,6 +291,10 @@ def test_derivation_rejects_non_finite_matrices():
     alg = milnor(0.0, 0.0, 1.0)
     with pytest.raises(ParamOutOfRange):
         derivation(alg, np.full((3, 3), np.nan))
+    with pytest.raises(ParamOutOfRange):
+        derivation_residual(alg, np.full((3, 3), np.nan))
+    with pytest.raises(IndexOutOfRange):
+        derivation_residual(alg, np.eye(2))
     d = np.diag([1.0, 1.0, 2.0])
     d[0, 1] = np.inf
     with pytest.raises(ParamOutOfRange):
