@@ -2,16 +2,20 @@
 
     python bench/layers.py OUT.json
 
-Times build_lie_algebra, Frame, Frame.r4, ricci_routes and xi_curvatures
-at n = 3, 6, 16, 32 with time.perf_counter, and writes the median, the
-interquartile range and the repeat count of each case to OUT.json, with
-the git SHA, the Python/numpy/scipy versions and the CPU count.
+Times build_lie_algebra, Frame, Frame.r4, classify, ricci_routes and
+xi_curvatures at n = 3, 6, 16, 32, and solve_cyclic on the su(2,1) and
+sp(1,1) models with their catalog gradings, with time.perf_counter.
+Writes the median, the interquartile range and the repeat count of each
+case to OUT.json, with the git SHA, the Python/numpy/scipy versions and
+the CPU count.
 
 Each case times one layer alone.  The layers a case needs first are built
 outside the timed region: Frame.r4 is the first access on a fresh Frame
 (so it includes the connection and the isotropy term it reads), and
 ricci_routes and xi_curvatures run on a fresh Frame whose r4 is already
-built.  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
+built.  classify is the user call on (dec, metric), so it includes
+building its Frame.  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS
+is set.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import homgeo as hg  # noqa: E402
+from homgeo.catalog import sp11_model, su21_model  # noqa: E402
 from homgeo.reductive import Frame  # noqa: E402
 
 SIZES = (3, 6, 16, 32)
@@ -97,9 +102,23 @@ def bench_size(n: int) -> dict:
         "build_lie_algebra": time_case(lambda _: hg.build_lie_algebra(n, brackets)),
         "Frame": time_case(lambda _: Frame(dec, metric)),
         "Frame.r4": time_case(lambda frame: frame.r4, lambda: Frame(dec, metric)),
+        "classify": time_case(lambda _: hg.classify(dec, metric)),
         "ricci_routes": time_case(hg.ricci_routes, frame_with_r4),
         "xi_curvatures": time_case(hg.xi_curvatures, frame_with_r4),
     }
+
+
+def bench_models() -> dict:
+    """solve_cyclic on each 3-symmetric model: a 2-parameter cone and a ray."""
+    cases = {}
+    for name, model, dimension in (("su21_model", su21_model, 2),
+                                   ("sp11_model", sp11_model, 1)):
+        alg, grading, _ = model()
+        if hg.solve_cyclic(alg, grading).dimension != dimension:
+            raise SystemExit(f"{name}: the cyclic family is not {dimension}-dimensional")
+        cases[f"solve_cyclic/{name}"] = time_case(
+            lambda _: hg.solve_cyclic(alg, grading))
+    return cases
 
 
 def git_sha() -> str:
@@ -118,10 +137,11 @@ def main(argv=None) -> int:
         return 2
     cases = {}
     for n in SIZES:
-        for layer, stats in bench_size(n).items():
-            cases[f"{layer}/n={n}"] = stats
-            print(f"{layer:18s} n={n:<3d} median {stats['median_ms']:9.3f} ms  "
-                  f"IQR {stats['iqr_ms']:8.3f} ms  ({stats['repeats']} repeats)")
+        cases.update((f"{layer}/n={n}", stats) for layer, stats in bench_size(n).items())
+    cases.update(bench_models())
+    for case, stats in cases.items():
+        print(f"{case:26s} median {stats['median_ms']:9.3f} ms  "
+              f"IQR {stats['iqr_ms']:8.3f} ms  ({stats['repeats']} repeats)")
     record = {
         "git_sha": git_sha(),
         "python": platform.python_version(),

@@ -1,17 +1,22 @@
 """Concrete homogeneous spaces with known classification labels.
 
-Each builder returns a CatalogEntry: the algebra, a reductive
-splitting, an invariant metric, and the expected class booleans that
-verification compares against classify.  Entries cover metric Lie
-groups (empty isotropy), two Heisenberg presentations with rotational
-isotropy, two product examples, and the two rank-one quotients whose
-block metrics realize the 3-symmetric cyclic families.
+Each builder returns a CatalogEntry: a reductive splitting (which holds
+the algebra), an invariant metric, and the expected class booleans that
+verification compares against classify.  A builder states each boolean
+as one rule over its parameter domain, and `_entry` is the only place
+that turns those rules into an ExpectedClass and a CatalogEntry.
+Entries cover metric Lie groups (empty isotropy), two Heisenberg
+presentations with rotational isotropy, two product examples, and the
+two rank-one quotients whose block metrics realize the 3-symmetric
+cyclic families.  Both quotients come from complex matrix models
+through `_matrix_model`, and their entries through `_block_entry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from inspect import signature
 
 import numpy as np
 
@@ -37,11 +42,15 @@ class ExpectedClass(_ClassBooleans):
 
     cyclic: bool
     traceless: bool
-    traceless_cyclic: bool
     vectorial: bool
     naturally_reductive: bool
     symmetric: bool
     eta: tuple
+
+    @property
+    def traceless_cyclic(self) -> bool:
+        """Traceless and cyclic with S != 0, as classify decides it."""
+        return self.traceless and self.cyclic and not self.symmetric
 
     def mismatches(self, report, tol=DEFAULT_TOL) -> list:
         """Names of fields on which a ClassificationReport disagrees."""
@@ -59,7 +68,6 @@ class ExpectedClass(_ClassBooleans):
 class CatalogEntry:
     name: str
     params: dict
-    algebra: LieAlgebra
     decomposition: ReductiveDecomposition
     metric: InvariantMetric
     expected: ExpectedClass
@@ -67,20 +75,40 @@ class CatalogEntry:
     grading: BlockGrading | None = None
 
     @property
+    def algebra(self) -> LieAlgebra:
+        return self.decomposition.algebra
+
+    @property
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
         return f"{self.name}({inner})"
+
+
+def _entry(name, params, dec, metric, provenance, eta, *, cyclic, traceless,
+           vectorial=False, naturally_reductive=False, symmetric=False,
+           grading=None) -> CatalogEntry:
+    """A catalog entry with its expected class booleans and trace form."""
+    expected = ExpectedClass(cyclic, traceless, vectorial, naturally_reductive,
+                             symmetric, tuple(eta))
+    return CatalogEntry(name, params, dec, metric, expected, provenance, grading)
 
 
 def _near(x, y) -> bool:
     return abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
 
+def _real(value) -> float:
+    """A parameter as a float; a bool or a string is not a number."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ParamOutOfRange(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _coefficients(values) -> list:
     """A coefficient list as floats; a string is not one."""
     if isinstance(values, str):
         raise ParamOutOfRange(f"expected a list of coefficients, got {values!r}")
-    return [float(v) for v in values]
+    return [_real(v) for v in values]
 
 
 # --- metric Lie groups ------------------------------------------------
@@ -97,28 +125,15 @@ def milnor3(lam) -> CatalogEntry:
         raise ParamOutOfRange(f"expected three coefficients, got {len(lam)}")
     l1, l2, l3 = lam
     alg = build_lie_algebra(3, {(1, 2): {0: l1}, (2, 0): {1: l2}, (0, 1): {2: l3}})
-    dec = ReductiveDecomposition(alg, (), (0, 1, 2))
-    total = l1 + l2 + l3
     abelian = all(_near(v, 0.0) for v in lam)
-    cyclic = _near(total, 0.0)
-    expected = ExpectedClass(
-        cyclic=cyclic,
-        traceless=True,
-        traceless_cyclic=cyclic and not abelian,
-        vectorial=abelian,
-        naturally_reductive=_near(l1, l2) and _near(l2, l3),
-        symmetric=abelian,
-        eta=(0.0, 0.0, 0.0),
-    )
-    return CatalogEntry(
-        name="milnor3",
-        params={"lam": lam},
-        algebra=alg,
-        decomposition=dec,
-        metric=InvariantMetric.identity(3),
-        expected=expected,
-        provenance="unimodular three-dimensional metric Lie group with "
-                   "bracket-diagonal orthonormal frame",
+    return _entry(
+        "milnor3", {"lam": lam}, ReductiveDecomposition(alg, (), (0, 1, 2)),
+        InvariantMetric.identity(3),
+        "unimodular three-dimensional metric Lie group with "
+        "bracket-diagonal orthonormal frame",
+        (0.0, 0.0, 0.0),
+        cyclic=_near(l1 + l2 + l3, 0.0), traceless=True, vectorial=abelian,
+        naturally_reductive=_near(l1, l2) and _near(l2, l3), symmetric=abelian,
     )
 
 
@@ -132,30 +147,18 @@ def g_solvable(alpha) -> CatalogEntry:
     if not alpha:
         raise ParamOutOfRange("need at least one scaling coefficient")
     n = len(alpha) + 1
-    brackets = {(0, i): {i: alpha[i - 1]} for i in range(1, n)}
-    alg = build_lie_algebra(n, brackets)
-    dec = ReductiveDecomposition(alg, (), tuple(range(n)))
+    alg = build_lie_algebra(n, {(0, i): {i: alpha[i - 1]} for i in range(1, n)})
     total = float(sum(alpha))
     abelian = all(_near(v, 0.0) for v in alpha)
-    traceless = _near(total, 0.0)
-    expected = ExpectedClass(
-        cyclic=True,
-        traceless=traceless,
-        traceless_cyclic=traceless and not abelian,
+    return _entry(
+        "g", {"alpha": alpha}, ReductiveDecomposition(alg, (), tuple(range(n))),
+        InvariantMetric.identity(n),
+        "solvable group with one generator scaling an abelian "
+        "normal subgroup; hyperbolic space when the scales agree",
+        (-total,) + (0.0,) * (n - 1),
+        cyclic=True, traceless=_near(total, 0.0),
         vectorial=all(_near(v, alpha[0]) for v in alpha),
-        naturally_reductive=abelian,
-        symmetric=abelian,
-        eta=(-total,) + (0.0,) * (n - 1),
-    )
-    return CatalogEntry(
-        name="g",
-        params={"alpha": alpha},
-        algebra=alg,
-        decomposition=dec,
-        metric=InvariantMetric.identity(n),
-        expected=expected,
-        provenance="solvable group with one generator scaling an abelian "
-                   "normal subgroup; hyperbolic space when the scales agree",
+        naturally_reductive=abelian, symmetric=abelian,
     )
 
 
@@ -175,36 +178,23 @@ def _so2_heisenberg_algebra(lam3: float) -> LieAlgebra:
 
 def so2_heisenberg(lam3: float) -> CatalogEntry:
     """Heisenberg group written with its rotation isotropy."""
-    lam3 = float(lam3)
+    lam3 = _real(lam3)
     if lam3 <= 0:
         raise ParamOutOfRange(f"central coefficient must be positive, got {lam3}")
     alg = _so2_heisenberg_algebra(lam3)
-    dec = ReductiveDecomposition(alg, (0,), (1, 2, 3))
-    expected = ExpectedClass(
-        cyclic=True,
-        traceless=True,
-        traceless_cyclic=True,
-        vectorial=False,
-        naturally_reductive=False,
-        symmetric=False,
-        eta=(0.0, 0.0, 0.0),
-    )
-    return CatalogEntry(
-        name="so2_heisenberg",
-        params={"lam3": lam3},
-        algebra=alg,
-        decomposition=dec,
-        metric=InvariantMetric.identity(3),
-        expected=expected,
-        provenance="Heisenberg group presented as a quotient of its "
-                   "rotation-extended isometry group",
+    return _entry(
+        "so2_heisenberg", {"lam3": lam3}, ReductiveDecomposition(alg, (0,), (1, 2, 3)),
+        InvariantMetric.identity(3),
+        "Heisenberg group presented as a quotient of its "
+        "rotation-extended isometry group",
+        (0.0, 0.0, 0.0),
+        cyclic=True, traceless=True,
     )
 
 
 def r_heisenberg(alpha: float, lam3: float) -> CatalogEntry:
     """Solvable extension of the rotation-framed Heisenberg presentation."""
-    alpha = float(alpha)
-    lam3 = float(lam3)
+    alpha, lam3 = _real(alpha), _real(lam3)
     if _near(alpha, 0.0):
         raise ParamOutOfRange("the extension scale must be nonzero")
     if lam3 <= 0:
@@ -213,25 +203,13 @@ def r_heisenberg(alpha: float, lam3: float) -> CatalogEntry:
     d2 = np.diag([0.0, alpha, alpha, 2.0 * alpha])
     d2[0, 3] = alpha * lam3
     alg = semidirect_sum(derivation(base, d2), base, new_label="t")
-    dec = ReductiveDecomposition(alg, (1,), (0, 2, 3, 4))
-    expected = ExpectedClass(
-        cyclic=True,
-        traceless=False,
-        traceless_cyclic=False,
-        vectorial=False,
-        naturally_reductive=False,
-        symmetric=False,
-        eta=(-4.0 * alpha, 0.0, 0.0, 0.0),
-    )
-    return CatalogEntry(
-        name="r_heisenberg",
-        params={"alpha": alpha, "lam3": lam3},
-        algebra=alg,
-        decomposition=dec,
-        metric=InvariantMetric.identity(4),
-        expected=expected,
-        provenance="one-dimensional solvable extension of the "
-                   "rotation-framed Heisenberg presentation",
+    return _entry(
+        "r_heisenberg", {"alpha": alpha, "lam3": lam3},
+        ReductiveDecomposition(alg, (1,), (0, 2, 3, 4)), InvariantMetric.identity(4),
+        "one-dimensional solvable extension of the "
+        "rotation-framed Heisenberg presentation",
+        (-4.0 * alpha, 0.0, 0.0, 0.0),
+        cyclic=True, traceless=False,
     )
 
 
@@ -240,7 +218,7 @@ def r_heisenberg(alpha: float, lam3: float) -> CatalogEntry:
 
 def b2_product(rho: float, sigma: float, lam: float) -> CatalogEntry:
     """Two commuting diagonal generators acting on an abelian plane."""
-    rho, sigma, lam = float(rho), float(sigma), float(lam)
+    rho, sigma, lam = _real(rho), _real(sigma), _real(lam)
     if _near(rho + sigma, 0.0):
         raise ParamOutOfRange("the diagonal scales must not cancel")
     if lam <= 0:
@@ -249,25 +227,13 @@ def b2_product(rho: float, sigma: float, lam: float) -> CatalogEntry:
         (0, 2): {2: rho}, (0, 3): {3: sigma},
         (1, 2): {2: lam}, (1, 3): {3: -lam},
     })
-    dec = ReductiveDecomposition(alg, (), (0, 1, 2, 3))
-    expected = ExpectedClass(
-        cyclic=True,
-        traceless=False,
-        traceless_cyclic=False,
-        vectorial=False,
-        naturally_reductive=False,
-        symmetric=False,
-        eta=(-(rho + sigma), 0.0, 0.0, 0.0),
-    )
-    return CatalogEntry(
-        name="b2_product",
-        params={"rho": rho, "sigma": sigma, "lam": lam},
-        algebra=alg,
-        decomposition=dec,
-        metric=InvariantMetric.identity(4),
-        expected=expected,
-        provenance="four-dimensional solvable group with two commuting "
-                   "diagonal generators on an abelian plane",
+    return _entry(
+        "b2_product", {"rho": rho, "sigma": sigma, "lam": lam},
+        ReductiveDecomposition(alg, (), (0, 1, 2, 3)), InvariantMetric.identity(4),
+        "four-dimensional solvable group with two commuting "
+        "diagonal generators on an abelian plane",
+        (-(rho + sigma), 0.0, 0.0, 0.0),
+        cyclic=True, traceless=False,
     )
 
 
@@ -277,12 +243,12 @@ def b4_product(alpha: float, c: float, sign: int) -> CatalogEntry:
     The surface factor is presented with its rotation isotropy; sign
     +1 gives the round sphere factor, -1 the hyperbolic one.
     """
-    alpha, c = float(alpha), float(c)
+    alpha, c = _real(alpha), _real(c)
     if _near(alpha, 0.0):
         raise ParamOutOfRange("the plane scale must be nonzero")
     if c <= 0:
         raise ParamOutOfRange(f"the surface scale must be positive, got {c}")
-    if sign not in (-1, 1):
+    if _real(sign) not in (-1, 1):
         raise ParamOutOfRange(f"sign must be +1 or -1, got {sign!r}")
     sign = int(sign)
     alg = build_lie_algebra(5, {
@@ -291,50 +257,39 @@ def b4_product(alpha: float, c: float, sign: int) -> CatalogEntry:
         (2, 3): {4: c},
         (2, 4): {3: -c},
     }, basis_labels=("e0", "f1", "u", "f2", "f3"))
-    dec = ReductiveDecomposition(alg, (2,), (0, 1, 3, 4))
-    expected = ExpectedClass(
-        cyclic=True,
-        traceless=False,
-        traceless_cyclic=False,
-        vectorial=False,
-        naturally_reductive=False,
-        symmetric=False,
-        eta=(-alpha, 0.0, 0.0, 0.0),
-    )
-    return CatalogEntry(
-        name="b4_product",
-        params={"alpha": alpha, "c": c, "sign": sign},
-        algebra=alg,
-        decomposition=dec,
-        metric=InvariantMetric.identity(4),
-        expected=expected,
-        provenance="product of a hyperbolic plane group with a "
-                   "constant-curvature surface carrying rotation isotropy",
+    return _entry(
+        "b4_product", {"alpha": alpha, "c": c, "sign": sign},
+        ReductiveDecomposition(alg, (2,), (0, 1, 3, 4)), InvariantMetric.identity(4),
+        "product of a hyperbolic plane group with a "
+        "constant-curvature surface carrying rotation isotropy",
+        (-alpha, 0.0, 0.0, 0.0),
+        cyclic=True, traceless=False,
     )
 
 
 # --- rank-one quotients with block metrics ----------------------------
 
 
-def _real_coords(matrices) -> np.ndarray:
-    """Stack complex matrices into real column vectors."""
-    cols = []
-    for m in matrices:
-        flat = np.asarray(m).ravel()
-        cols.append(np.concatenate([flat.real, flat.imag]))
-    return np.array(cols).T
+def _real_coords(matrix) -> np.ndarray:
+    """A complex matrix as one real vector: real parts, then imaginary parts."""
+    flat = np.asarray(matrix).ravel()
+    return np.concatenate([flat.real, flat.imag])
 
 
-def _algebra_from_matrices(matrices, labels) -> LieAlgebra:
-    """Structure constants of a closed list of complex matrices, at CATALOG_TOL."""
+def _matrix_model(matrices, labels, z, grading):
+    """Algebra, grading, and order-3 automorphism of a complex matrix model.
+
+    The structure constants of the closed list of matrices are built at
+    CATALOG_TOL and checked against Killing = 6 tr; theta is the real
+    matrix of X -> z X z^{-1} on their span.
+    """
     dim = len(matrices)
-    basis = _real_coords(matrices)
+    basis = np.array([_real_coords(m) for m in matrices]).T
     tensor = np.zeros((dim, dim, dim))
     for i in range(dim):
         for j in range(i + 1, dim):
-            target = matrices[i] @ matrices[j] - matrices[j] @ matrices[i]
-            vec = np.concatenate([target.ravel().real, target.ravel().imag])
-            coeff, res, _, _ = np.linalg.lstsq(basis, vec, rcond=None)
+            vec = _real_coords(matrices[i] @ matrices[j] - matrices[j] @ matrices[i])
+            coeff = np.linalg.lstsq(basis, vec, rcond=None)[0]
             remainder = float(np.linalg.norm(basis @ coeff - vec))
             if remainder > 1e-9 * max(1.0, float(np.linalg.norm(vec))):
                 raise ConsistencyError(
@@ -342,23 +297,22 @@ def _algebra_from_matrices(matrices, labels) -> LieAlgebra:
                 )
             tensor[i, j, :] = coeff
             tensor[j, i, :] = -coeff
-    tensor = np.round(tensor, 12)
-    return from_tensor(tensor, basis_labels=labels, tol=CATALOG_TOL)
+    alg = from_tensor(np.round(tensor, 12), basis_labels=labels, tol=CATALOG_TOL)
 
+    expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
+                           for x in matrices])
+    if float(np.abs(killing_form(alg) - expected_b).max()) > CATALOG_TOL:
+        raise ConsistencyError("Killing form does not match six times the trace form")
 
-def _conjugation_matrix(matrices, z) -> np.ndarray:
-    """Real matrix of X -> z X z^{-1} on the span of the basis."""
-    basis = _real_coords(matrices)
     zinv = np.linalg.inv(z)
     cols = []
     for m in matrices:
-        t = z @ m @ zinv
-        vec = np.concatenate([t.ravel().real, t.ravel().imag])
-        coeff, _, _, _ = np.linalg.lstsq(basis, vec, rcond=None)
+        vec = _real_coords(z @ m @ zinv)
+        coeff = np.linalg.lstsq(basis, vec, rcond=None)[0]
         if float(np.linalg.norm(basis @ coeff - vec)) > 1e-9:
             raise ConsistencyError("conjugation does not preserve the span")
         cols.append(coeff)
-    return np.array(cols).T
+    return alg, grading, np.array(cols).T
 
 
 @lru_cache(maxsize=None)
@@ -369,38 +323,26 @@ def su21_model():
     blocks mixing the coordinate axes pairwise.  The Killing form is
     negative definite on the first block and positive on the others.
     """
-    e = [[np.zeros((3, 3), dtype=complex) for _ in range(3)] for _ in range(3)]
-    for r in range(3):
-        for s in range(3):
-            m = np.zeros((3, 3), dtype=complex)
-            m[r, s] = 1.0
-            e[r][s] = m
+    def e(r, s):  # the complex matrix unit E_rs
+        return np.outer(np.eye(3)[r], np.eye(3)[s]).astype(complex)
+
     i_ = 1j
     matrices = [
-        i_ * e[0][0] - i_ * e[2][2],
-        i_ * e[1][1] - i_ * e[2][2],
-        e[0][1] - e[1][0],
-        i_ * (e[0][1] + e[1][0]),
-        e[0][2] + e[2][0],
-        i_ * (e[0][2] - e[2][0]),
-        e[1][2] + e[2][1],
-        i_ * (e[1][2] - e[2][1]),
+        i_ * e(0, 0) - i_ * e(2, 2),
+        i_ * e(1, 1) - i_ * e(2, 2),
+        e(0, 1) - e(1, 0),
+        i_ * (e(0, 1) + e(1, 0)),
+        e(0, 2) + e(2, 0),
+        i_ * (e(0, 2) - e(2, 0)),
+        e(1, 2) + e(2, 1),
+        i_ * (e(1, 2) - e(2, 1)),
     ]
-    labels = ("k1", "k2", "a1", "a2", "b1", "b2", "c1", "c2")
-    alg = _algebra_from_matrices(matrices, labels)
-
-    b = killing_form(alg)
-    expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
-                           for x in matrices])
-    if float(np.abs(b - expected_b).max()) > CATALOG_TOL:
-        raise ConsistencyError("Killing form does not match six times the trace form")
-
     omega = np.exp(2j * np.pi / 3.0)
-    z = np.diag([1.0 + 0j, omega, np.conj(omega)])
-    theta = _conjugation_matrix(matrices, z)
-
-    grading = BlockGrading(blocks=((2, 3), (4, 5), (6, 7)), signs=(-1, 1, 1))
-    return alg, grading, theta
+    return _matrix_model(
+        matrices, ("k1", "k2", "a1", "a2", "b1", "b2", "c1", "c2"),
+        np.diag([1.0 + 0j, omega, np.conj(omega)]),
+        BlockGrading(blocks=((2, 3), (4, 5), (6, 7)), signs=(-1, 1, 1)),
+    )
 
 
 def _quat(x, y, z, w) -> np.ndarray:
@@ -410,12 +352,7 @@ def _quat(x, y, z, w) -> np.ndarray:
 
 
 def _quat_block(q11, q12, q21, q22) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    out[0:2, 0:2] = q11
-    out[0:2, 2:4] = q12
-    out[2:4, 0:2] = q21
-    out[2:4, 2:4] = q22
-    return out
+    return np.block([[q11, q12], [q21, q22]])
 
 
 @lru_cache(maxsize=None)
@@ -445,21 +382,26 @@ def sp11_model():
         _quat_block(zero, -qj, qj, zero),
         _quat_block(zero, -qk, qk, zero),
     ]
-    labels = ("k1", "k2", "k3", "k4", "v1", "v2", "h1", "h2", "h3", "h4")
-    alg = _algebra_from_matrices(matrices, labels)
-
-    b = killing_form(alg)
-    expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
-                           for x in matrices])
-    if float(np.abs(b - expected_b).max()) > CATALOG_TOL:
-        raise ConsistencyError("Killing form does not match six times the trace form")
-
     uq = _quat(np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0), 0.0, 0.0)
-    z = _quat_block(uq, zero, zero, one)
-    theta = _conjugation_matrix(matrices, z)
+    return _matrix_model(
+        matrices, ("k1", "k2", "k3", "k4", "v1", "v2", "h1", "h2", "h3", "h4"),
+        _quat_block(uq, zero, zero, one),
+        BlockGrading(blocks=((4, 5), (6, 7, 8, 9)), signs=(-1, 1)),
+    )
 
-    grading = BlockGrading(blocks=((4, 5), (6, 7, 8, 9)), signs=(-1, 1))
-    return alg, grading, theta
+
+def _block_entry(name, params, model, lam, provenance) -> CatalogEntry:
+    """A model's quotient with lam[a] times the Killing form on block a.
+
+    Every such entry is traceless cyclic with a vanishing trace form.
+    """
+    alg, grading, _ = model()
+    return _entry(
+        name, params, grading_decomposition(alg, grading),
+        cyclic_metric(alg, grading, lam), provenance,
+        (0.0,) * len(grading.m_indices),
+        cyclic=True, traceless=True, grading=grading,
+    )
 
 
 def su21_a3ii(lam: float, mu: float) -> CatalogEntry:
@@ -469,31 +411,13 @@ def su21_a3ii(lam: float, mu: float) -> CatalogEntry:
     three blocks of m; the coefficients sum to zero, which makes every
     member of the family cyclic.
     """
-    lam, mu = float(lam), float(mu)
+    lam, mu = _real(lam), _real(mu)
     if lam <= 0 or mu <= 0:
         raise ParamOutOfRange("both block coefficients must be positive")
-    alg, grading, _ = su21_model()
-    dec = grading_decomposition(alg, grading)
-    metric = cyclic_metric(alg, grading, [-(lam + mu), lam, mu])
-    expected = ExpectedClass(
-        cyclic=True,
-        traceless=True,
-        traceless_cyclic=True,
-        vectorial=False,
-        naturally_reductive=False,
-        symmetric=False,
-        eta=(0.0,) * 6,
-    )
-    return CatalogEntry(
-        name="su21_a3ii",
-        params={"lam": lam, "mu": mu},
-        algebra=alg,
-        decomposition=dec,
-        metric=metric,
-        expected=expected,
-        provenance="torus quotient of the special unitary group of "
-                   "signature (2,1) with a three-block metric",
-        grading=grading,
+    return _block_entry(
+        "su21_a3ii", {"lam": lam, "mu": mu}, su21_model, [-(lam + mu), lam, mu],
+        "torus quotient of the special unitary group of "
+        "signature (2,1) with a three-block metric",
     )
 
 
@@ -503,46 +427,32 @@ def sp11_a3iii(mu: float) -> CatalogEntry:
     The cyclic family is the single ray with coefficient -2 mu on the
     compact block and mu on the noncompact one.
     """
-    mu = float(mu)
+    mu = _real(mu)
     if mu <= 0:
         raise ParamOutOfRange(f"the ray parameter must be positive, got {mu}")
-    alg, grading, _ = sp11_model()
-    dec = grading_decomposition(alg, grading)
-    metric = cyclic_metric(alg, grading, [-2.0 * mu, mu])
-    expected = ExpectedClass(
-        cyclic=True,
-        traceless=True,
-        traceless_cyclic=True,
-        vectorial=False,
-        naturally_reductive=False,
-        symmetric=False,
-        eta=(0.0,) * 6,
-    )
-    return CatalogEntry(
-        name="sp11_a3iii",
-        params={"mu": mu},
-        algebra=alg,
-        decomposition=dec,
-        metric=metric,
-        expected=expected,
-        provenance="quotient of the rank-one symplectic unitary group of "
-                   "signature (1,1) by its four-dimensional isotropy",
-        grading=grading,
+    return _block_entry(
+        "sp11_a3iii", {"mu": mu}, sp11_model, [-2.0 * mu, mu],
+        "quotient of the rank-one symplectic unitary group of "
+        "signature (1,1) by its four-dimensional isotropy",
     )
 
 
 # --- registry ----------------------------------------------------------
 
 
+# each builder with its parameter names, read from its signature once
 _BUILDERS = {
-    "milnor3": (milnor3, ("lam",)),
-    "g": (g_solvable, ("alpha",)),
-    "so2_heisenberg": (so2_heisenberg, ("lam3",)),
-    "r_heisenberg": (r_heisenberg, ("alpha", "lam3")),
-    "b2_product": (b2_product, ("rho", "sigma", "lam")),
-    "b4_product": (b4_product, ("alpha", "c", "sign")),
-    "su21_a3ii": (su21_a3ii, ("lam", "mu")),
-    "sp11_a3iii": (sp11_a3iii, ("mu",)),
+    name: (func, tuple(signature(func).parameters))
+    for name, func in {
+        "milnor3": milnor3,
+        "g": g_solvable,
+        "so2_heisenberg": so2_heisenberg,
+        "r_heisenberg": r_heisenberg,
+        "b2_product": b2_product,
+        "b4_product": b4_product,
+        "su21_a3ii": su21_a3ii,
+        "sp11_a3iii": sp11_a3iii,
+    }.items()
 }
 
 

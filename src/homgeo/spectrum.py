@@ -17,7 +17,7 @@ flat sections in diagonalizable metric Lie groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -85,6 +85,7 @@ def grading_decomposition(algebra: LieAlgebra, grading: BlockGrading) -> Reducti
 
 def _block_killing(algebra, grading):
     """Validate the per-block Killing restrictions and return them."""
+    grading.k_indices(algebra.dim)  # IndexOutOfRange for an index outside the algebra
     tol = algebra.tol
     b = killing_form(algebra)
     scale = max(1.0, float(np.abs(b).max()))
@@ -102,10 +103,7 @@ def _block_killing(algebra, grading):
             )
         restrictions.append(sub)
     # cross-block orthogonality keeps the family block diagonal
-    for (i, bi), (j, bj) in combinations_with_replacement(
-            enumerate(grading.blocks), 2):
-        if i == j:
-            continue
+    for bi, bj in combinations(grading.blocks, 2):
         off = float(np.abs(b[np.ix_(bi, bj)]).max())
         if off > max(tol, 1e-10) * scale:
             raise ParamOutOfRange(
@@ -138,6 +136,7 @@ def active_triples(algebra: LieAlgebra, grading: BlockGrading) -> list:
     {a, b, c} is active when some bracket of a block-a vector with a
     block-b vector has a component in block c, in any arrangement.
     """
+    grading.k_indices(algebra.dim)  # IndexOutOfRange for an index outside the algebra
     c = algebra.tensor
     scale = max(1.0, float(np.abs(c).max()))
     nb = len(grading.blocks)

@@ -1,7 +1,10 @@
+from dataclasses import fields
+from itertools import product
+
 import numpy as np
 import pytest
 
-from homgeo.catalog import build, default_entries, list_entries
+from homgeo.catalog import CatalogEntry, ExpectedClass, build, default_entries, list_entries
 from homgeo.errors import ParamOutOfRange, UnknownEntry
 from homgeo.io import space_from_dict, space_to_dict
 from homgeo.reductive import Frame
@@ -24,14 +27,41 @@ def test_listing():
     assert list_entries() == ALL_NAMES
 
 
+# points away from the defaults, reaching every branch of each builder's
+# expected-class rules: abelian, zero-sum, equal-coefficient and generic
+GRID = (
+    [("milnor3", {"lam": lam}) for lam in product((-1.0, 0.0, 1.0, 2.0), repeat=3)]
+    + [("g", {"alpha": alpha}) for alpha in [
+        (1.0,), (2.0,), (-1.0,), (1.0, 1.0), (1.0, -1.0), (0.5, 1.0, 2.0),
+        (1.0, 1.0, -2.0), (0.0, 0.0), (3.0, 3.0, 3.0)]]
+    + [("so2_heisenberg", {"lam3": v}) for v in (0.25, 2.0, 7.5)]
+    + [("r_heisenberg", {"alpha": a, "lam3": v})
+       for a, v in [(-0.5, 2.0), (3.0, 0.5), (-2.0, 1.0)]]
+    + [("b2_product", {"rho": r, "sigma": s, "lam": v})
+       for r, s, v in [(1.0, -3.0, 0.5), (-2.0, 0.5, 2.0), (0.5, 0.5, 3.0)]]
+    + [("b4_product", {"alpha": a, "c": c, "sign": sign})
+       for a, c in [(-0.5, 2.0), (2.0, 0.5)] for sign in (1, -1)]
+    + [("su21_a3ii", {"lam": v, "mu": w}) for v, w in [(0.5, 2.0), (3.0, 0.25), (2.0, 2.0)]]
+    + [("sp11_a3iii", {"mu": v}) for v in (0.25, 0.75, 4.0)]
+)
+
+
 def test_default_entries_match_expected_labels():
     entries = default_entries()
     assert len(entries) == 15
     labels = [e.label for e in entries]
     assert len(set(labels)) == len(labels)
-    for entry in entries:
+    assert len(GRID) == 92
+    for entry in entries + [build(name, **params) for name, params in GRID]:
         report = classify(entry.decomposition, entry.metric)
         assert entry.expected.mismatches(report) == [], entry.label
+
+
+def test_derived_fields_are_not_stored():
+    stored = {f.name for cls in (ExpectedClass, CatalogEntry) for f in fields(cls)}
+    assert not {"traceless_cyclic", "algebra"} & stored
+    for entry in default_entries():
+        assert entry.algebra is entry.decomposition.algebra
 
 
 def test_expected_eta_against_frame():

@@ -285,6 +285,22 @@ def test_cli_solve_cyclic(tmp_path, capsys):
     assert payload["triples"] == [[0, 1, 2]]
 
 
+@pytest.mark.parametrize("blocks", [[[2, 3], [4, 5], [6, 99]], [[2, 3], [4, 5], [-2, -1]]],
+                         ids=["large", "negative"])
+def test_cli_solve_cyclic_rejects_grading_outside_the_algebra(tmp_path, capsys, blocks):
+    alg, _, _ = su21_model()
+    alg_path = tmp_path / "su21_algebra.json"
+    alg_path.write_text(json.dumps({"algebra": algebra_to_dict(alg)}))
+    grading_path = tmp_path / "bad_grading.json"
+    grading_path.write_text(json.dumps({"blocks": blocks, "signs": [-1, 1, 1]}))
+    code = main(["solve-cyclic", str(alg_path), "--grading", str(grading_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: IndexOutOfRange")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_catalog(tmp_path, capsys):
     code = main(["catalog", "list"])
     out = capsys.readouterr().out
@@ -315,6 +331,8 @@ def test_cli_catalog_errors(capsys):
                          ("milnor3", '{"lam": [1, 2, null]}'),
                          ("so2_heisenberg", '{"lam3": [1]}'),
                          ("milnor3", '{"lam": "123"}'), ("g", '{"alpha": "12"}'),
+                         ("so2_heisenberg", '{"lam3": true}'), ("g", '{"alpha": [true]}'),
+                         ("b4_product", '{"alpha": 1, "c": 1, "sign": true}'),
                          ("b4_product", '{"alpha": 1, "c": 1, "sign": 1.7}'),
                          ("b4_product", '{"alpha": 1, "c": 1, "sign": 0.5}')]:
         code = main(["catalog", "build", name, "--params", params])

@@ -82,6 +82,24 @@ def test_degenerate_killing_rejected():
         cyclic_metric(alg, BlockGrading(((0,),), (1,)), [1.0])
 
 
+# blocks past the end of su(2,1), and negative blocks numpy would wrap to 6 and 7
+OUTSIDE_GRADINGS = [
+    BlockGrading(((2, 3), (4, 5), (6, 99)), (-1, 1, 1)),
+    BlockGrading(((2, 3), (4, 5), (-2, -1)), (-1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("grading", OUTSIDE_GRADINGS, ids=["large", "negative"])
+def test_grading_indices_checked_against_the_algebra(grading):
+    alg, _, _ = su21_model()
+    with pytest.raises(IndexOutOfRange):
+        cyclic_metric(alg, grading, [-2.0, 1.0, 1.0])
+    with pytest.raises(IndexOutOfRange):
+        active_triples(alg, grading)
+    with pytest.raises(IndexOutOfRange):
+        solve_cyclic(alg, grading)
+
+
 def test_active_triples():
     su_alg, su_grading, _ = su21_model()
     assert active_triples(su_alg, su_grading) == [(0, 1, 2)]

@@ -11,11 +11,17 @@ Writes, from the checkout this script sits in:
 - verify-all --format json at both tolerances;
 - solve-cyclic --format json on the su(2,1) and sp(1,1) models with
   their gradings, at both tolerances;
-- two catalog build --format json outputs, away from the defaults;
+- solve-cyclic --format json on the su(2,1) space with two gradings
+  whose indices fall outside the algebra (one too large, one negative);
+- catalog build --format json for each of the 8 builders at two points
+  away from the defaults, and for five parameter sets it must refuse:
+  an unknown parameter, a missing one, and a boolean in place of a
+  number for a scalar, a list entry and the b4_product sign;
 - exit_codes.txt: one line per command with its exit code.
 
 Each output file holds the command's stdout followed by its stderr, so
-an error message is compared too.  Two checkouts give the same CLI
+an error message is compared too.  An exception that escapes the CLI is
+written as `uncaught <type>: <message>`, with exit code `uncaught`.  Two checkouts give the same CLI
 behaviour on these inputs when `diff -r` finds no difference between
 their snapshots.  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS
 is set.
@@ -41,8 +47,31 @@ from homgeo.io import dump_space, grading_to_dict  # noqa: E402
 
 TOLERANCES = ("1e-9", "1e-6")
 CATALOG_BUILDS = (
+    ("milnor3", {"lam": [0.0, 0.0, 0.0]}),
+    ("milnor3", {"lam": [-1.0, 2.0, 0.5]}),
+    ("g", {"alpha": [1.0, 1.0, -2.0]}),
+    ("g", {"alpha": [0.5, -3.0]}),
     ("so2_heisenberg", {"lam3": 2.5}),
+    ("so2_heisenberg", {"lam3": 0.25}),
     ("r_heisenberg", {"alpha": -0.5, "lam3": 2.0}),
+    ("r_heisenberg", {"alpha": 3.0, "lam3": 0.5}),
+    ("b2_product", {"rho": 1.0, "sigma": -3.0, "lam": 0.5}),
+    ("b2_product", {"rho": -2.0, "sigma": 0.5, "lam": 2.0}),
+    ("b4_product", {"alpha": -0.5, "c": 2.0, "sign": -1}),
+    ("b4_product", {"alpha": 2.0, "c": 0.5, "sign": 1}),
+    ("su21_a3ii", {"lam": 0.5, "mu": 2.0}),
+    ("su21_a3ii", {"lam": 3.0, "mu": 0.25}),
+    ("sp11_a3iii", {"mu": 0.75}),
+    ("sp11_a3iii", {"mu": 2.5}),
+    ("milnor3", {"lam": [1.0, 1.0, 1.0], "extra": 2}),
+    ("r_heisenberg", {"alpha": 1.0}),
+    ("so2_heisenberg", {"lam3": True}),
+    ("g", {"alpha": [True]}),
+    ("b4_product", {"alpha": 1.0, "c": 1.0, "sign": True}),
+)
+BAD_GRADINGS = (
+    ("large", {"blocks": [[2, 3], [4, 5], [6, 99]], "signs": [-1, 1, 1]}),
+    ("negative", {"blocks": [[2, 3], [4, 5], [-2, -1]], "signs": [-1, 1, 1]}),
 )
 SOLVE_CYCLIC = ("su21_a3ii", "sp11_a3iii")
 
@@ -56,7 +85,11 @@ def run(out: Path, name: str, argv: list[str], codes: list[str]) -> None:
     """Run the CLI in-process on argv and write its output to out/name."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a crash is an output to compare, not the end
+            print(f"uncaught {type(exc).__name__}: {exc}", file=stderr)
+            code = "uncaught"
     (out / name).write_text(stdout.getvalue() + stderr.getvalue(), encoding="utf-8")
     codes.append(f"{name} {code}")
 
@@ -89,12 +122,19 @@ def main(argv=None) -> int:
                 run(out, f"solve-cyclic__{label}__{tol}.json",
                     ["solve-cyclic", str(path), "--grading", str(grading),
                      "--format", "json", "--tolerance", tol], codes)
+            if entry.name == "su21_a3ii":
+                for which, doc in BAD_GRADINGS:
+                    bad = spaces / f"{label}.grading-{which}.json"
+                    bad.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+                    run(out, f"solve-cyclic__{label}__grading-{which}.json",
+                        ["solve-cyclic", str(path), "--grading", str(bad),
+                         "--format", "json"], codes)
 
     for tol in TOLERANCES:
         run(out, f"verify-all__{tol}.json",
             ["verify-all", "--format", "json", "--tolerance", tol], codes)
-    for name, params in CATALOG_BUILDS:
-        run(out, f"catalog-build__{name}.json",
+    for i, (name, params) in enumerate(CATALOG_BUILDS):
+        run(out, f"catalog-build__{i:02d}_{name}.json",
             ["catalog", "build", name, "--params", json.dumps(params),
              "--format", "json"], codes)
 
