@@ -21,10 +21,10 @@ Writes, from the checkout this script sits in:
 
 Each output file holds the command's stdout followed by its stderr, so
 an error message is compared too.  An exception that escapes the CLI is
-written as `uncaught <type>: <message>`, with exit code `uncaught`.  Two checkouts give the same CLI
-behaviour on these inputs when `diff -r` finds no difference between
-their snapshots.  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS
-is set.
+written as `uncaught <type>: <message>`, with exit code `uncaught`.
+Two checkouts give the same CLI behaviour on these inputs when `diff -r`
+finds no difference between their snapshots.  OpenBLAS runs one thread
+unless OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
