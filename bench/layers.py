@@ -2,20 +2,25 @@
 
     python bench/layers.py OUT.json
 
-Times build_lie_algebra, Frame, Frame.r4, classify, ricci_routes and
-xi_curvatures at n = 3, 6, 16, 32, and solve_cyclic on the su(2,1) and
-sp(1,1) models with their catalog gradings, with time.perf_counter.
+Times build_lie_algebra, Frame, Frame.types, Frame.r4, classify,
+ricci_routes, xi_curvatures and the whole pipeline at n = 3, 6, 16, 32,
+and solve_cyclic on the su(2,1) and sp(1,1) models with their catalog
+gradings, with time.perf_counter.
 Writes the median, the interquartile range and the repeat count of each
 case to OUT.json, with the git SHA, the Python/numpy/scipy versions and
 the CPU count.
 
 Each case times one layer alone.  The layers a case needs first are built
-outside the timed region: Frame.r4 is the first access on a fresh Frame
-(so it includes the connection and the isotropy term it reads), and
-ricci_routes and xi_curvatures run on a fresh Frame whose r4 is already
-built.  classify is the user call on (dec, metric), so it includes
-building its Frame.  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS
-is set.
+outside the timed region: Frame.types and Frame.r4 are the first access
+on a fresh Frame (so r4 includes the connection and the isotropy term it
+reads), and ricci_routes and xi_curvatures run on a fresh Frame whose r4
+is already built.  classify is the user call on (dec, metric), so it
+includes building its Frame; pipeline is the five user calls classify,
+curvature_tensor, ricci_routes, einstein_check and xi_curvatures on one
+space, which share one Frame.  Both get a fresh metric object on every
+repeat, since consecutive calls on the same (dec, metric) objects reuse
+the last Frame built.  OpenBLAS runs one thread unless
+OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
@@ -98,13 +103,25 @@ def bench_size(n: int) -> dict:
         frame.r4
         return frame
 
+    def fresh_metric():
+        return hg.InvariantMetric(metric.matrix)
+
+    def pipeline(g):
+        hg.classify(dec, g)
+        hg.curvature_tensor(dec, g)
+        hg.ricci_routes(dec, g)
+        hg.einstein_check(dec, g)
+        hg.xi_curvatures(dec, g)
+
     return {
         "build_lie_algebra": time_case(lambda _: hg.build_lie_algebra(n, brackets)),
         "Frame": time_case(lambda _: Frame(dec, metric)),
+        "Frame.types": time_case(lambda frame: frame.types, lambda: Frame(dec, metric)),
         "Frame.r4": time_case(lambda frame: frame.r4, lambda: Frame(dec, metric)),
-        "classify": time_case(lambda _: hg.classify(dec, metric)),
+        "classify": time_case(lambda g: hg.classify(dec, g), fresh_metric),
         "ricci_routes": time_case(hg.ricci_routes, frame_with_r4),
         "xi_curvatures": time_case(hg.xi_curvatures, frame_with_r4),
+        "pipeline": time_case(pipeline, fresh_metric),
     }
 
 

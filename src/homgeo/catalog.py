@@ -98,10 +98,13 @@ def _near(x, y) -> bool:
 
 
 def _real(value) -> float:
-    """A parameter as a float; a bool or a string is not a number."""
+    """A parameter as a finite float; a bool or a string is not a number."""
     if isinstance(value, (bool, np.bool_, str)):
         raise ParamOutOfRange(f"expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not np.isfinite(value):
+        raise ParamOutOfRange(f"expected a finite number, got {value!r}")
+    return value
 
 
 def _coefficients(values) -> list:

@@ -7,7 +7,9 @@ with positive sectional curvature.
 
 The tensor and the Ricci routes are built once per space as Frame.r4
 and Frame.ricci_routes; the functions here read them off the Frame of
-(dec, metric), or off a Frame passed as dec.  Two independent diagonal
+(dec, metric), or off a Frame passed as dec.  Consecutive calls on the
+same dec and metric objects share that Frame (reductive.as_frame keeps
+the last one), so they build the tensor once.  Two independent diagonal
 formulas (one general, one for cyclic brackets) and several Ricci
 routes, which must agree or raise ConsistencyError, guard the tensor
 assembly against sign slips.

@@ -5,8 +5,10 @@ coordinate splitting g = k + m given by two index sets, and an inner
 product on m.  Reductivity means [k, k] in k and [k, m] in m; the
 metric must be symmetric positive definite and ad_k-invariant.  All
 tensor components downstream are taken in an orthonormal frame of m,
-built once per (decomposition, metric) pair by Frame, which also
-caches every tensor derived from the bracket data.
+built by Frame, which also caches every tensor derived from the bracket
+data.  as_frame turns a (decomposition, metric) call into a Frame:
+consecutive calls on the same two objects share one, and it keeps at
+most one.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class Frame:
 
     The cached properties below the coordinate helpers are built and
     verified on first access, then shared by every function handed this
-    Frame in place of (dec, metric); their arrays and mappings are
+    Frame, directly or through as_frame; their arrays and mappings are
     read-only.  r4 and ricci_routes also set r4_defect and ricci_gap.
     """
 
@@ -286,17 +288,21 @@ class Frame:
         r4 = (self.lte.reshape(n * n, n) @ lam.reshape(n, n * n)).reshape(n, n, n, n)
         r4 -= prod
         r4 += np.swapaxes(prod, 0, 1)
-        del prod  # freed before the checks, whose temporaries can reuse it
         r4 = np.swapaxes(r4, 2, 3) + self.rc
 
-        scale = max(1.0, float(np.abs(r4).max()))
-        worst = max(
-            float(np.abs(r4 + np.einsum("abcd->bacd", r4)).max()),
-            float(np.abs(r4 + np.einsum("abcd->abdc", r4)).max()),
-            float(np.abs(r4 - np.einsum("abcd->cdab", r4)).max()),
-            float(np.abs(r4 + np.einsum("abcd->bcad", r4)
-                         + np.einsum("abcd->cabd", r4)).max()),
-        )
+        # every check runs over all entries in one n^4 buffer, prod's memory
+        buf = prod
+        scale = max(1.0, float(np.abs(r4, out=buf).max()))
+        defects = []
+        for combine, axes in ((np.add, (1, 0, 2, 3)),        # R(X,Y) = -R(Y,X)
+                              (np.add, (0, 1, 3, 2)),        # R(X,Y) skew-adjoint
+                              (np.subtract, (2, 3, 0, 1))):  # pair exchange
+            combine(r4, r4.transpose(axes), out=buf)
+            defects.append(float(np.abs(buf, out=buf).max()))
+        np.add(r4, r4.transpose(1, 2, 0, 3), out=buf)  # first Bianchi identity
+        np.add(buf, r4.transpose(2, 0, 1, 3), out=buf)
+        defects.append(float(np.abs(buf, out=buf).max()))
+        worst = max(defects)
         if worst > 1e-10 * scale:
             raise ConsistencyError(
                 f"curvature tensor fails its algebraic symmetries ({worst:.3e})"
@@ -354,9 +360,30 @@ class Frame:
         return MappingProxyType({name: _frozen(m) for name, m in routes.items()})
 
 
+# The Frame the last (dec, metric) call built.  It holds both objects, so
+# their identities cannot be recycled while it is here.
+_last_frame = None
+
+
 def as_frame(dec, metric=None) -> Frame:
-    """dec itself when it is a Frame already, else the Frame of (dec, metric)."""
-    return dec if isinstance(dec, Frame) else Frame(dec, metric)
+    """dec itself when it is a Frame already, else the Frame of (dec, metric).
+
+    Consecutive calls on the same dec object and the same metric object
+    share one Frame: the last Frame built here is kept in a single slot
+    and returned while both objects match by identity.  Both are frozen
+    and their arrays read-only, so a shared Frame holds exactly what a
+    fresh one would.  A Frame passed in is returned as it is and never
+    kept, and the slot holds at most one Frame.
+    """
+    global _last_frame
+    if isinstance(dec, Frame):
+        return dec
+    last = _last_frame  # read once: another thread may replace it
+    if last is not None and last.dec is dec and last.metric is metric:
+        return last
+    frame = Frame(dec, metric)
+    _last_frame = frame
+    return frame
 
 
 def cyclic_sum(components: np.ndarray) -> np.ndarray:

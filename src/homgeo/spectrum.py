@@ -119,6 +119,8 @@ def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam) -> InvariantM
         raise ParamOutOfRange(
             f"expected {len(grading.blocks)} coefficients, got shape {lam.shape}"
         )
+    if not np.isfinite(lam).all():
+        raise ParamOutOfRange(f"coefficients must be finite, got {lam.tolist()}")
     restrictions = _block_killing(algebra, grading)
     n = len(grading.m_indices)
     mat = np.zeros((n, n))

@@ -1,13 +1,28 @@
-"""A Frame builds each derived tensor once, shares it, and never caches a failure."""
+"""A Frame builds each derived tensor once, shares it, and never caches a failure.
+
+Consecutive (dec, metric) calls on the same two objects share one Frame.
+"""
+
+import gc
+import sys
+import threading
+import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import homgeo
 from homgeo.catalog import build
-from homgeo.curvature import curvature_tensor, einstein_check, levi_civita, ricci_routes
+from homgeo.curvature import (
+    curvature_tensor,
+    einstein_check,
+    levi_civita,
+    ricci_routes,
+    xi_curvatures,
+)
 from homgeo.errors import ConsistencyError, InvalidMetric
-from homgeo.reductive import Frame, as_frame
+from homgeo.reductive import Frame, InvariantMetric, as_frame
 from homgeo.structure import classify, homogeneous_structure
 from homgeo.verify import run_all
 
@@ -102,3 +117,127 @@ def test_missing_metric_is_invalid():
     for call in calls:
         with pytest.raises(InvalidMetric):
             call()
+
+
+# --- consecutive (dec, metric) calls share one Frame --------------------
+
+
+def g_space():
+    """A fresh cyclic, non-unimodular space: every reader below applies."""
+    entry = build("g", alpha=(0.5, 1.0, 2.0))
+    return entry.decomposition, entry.metric
+
+
+def count_builds(monkeypatch, fail=None):
+    """Count Frame builds and first accesses of r4 and ricci_routes.
+
+    With fail set, that property raises after counting its attempt.
+    """
+    counts = {"Frame": 0, "r4": 0, "ricci_routes": 0}
+    init = Frame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["Frame"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Frame, "__init__", counting_init)
+    for name in ("r4", "ricci_routes"):
+        def counted(self, name=name, func=Frame.__dict__[name].func):
+            counts[name] += 1
+            if name == fail:
+                raise ConsistencyError(f"injected failure in Frame.{name}")
+            return func(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Frame, name)
+        monkeypatch.setattr(Frame, name, prop)
+    return counts
+
+
+def pipeline(dec, metric):
+    """The five public calls of one space, in the benchmark's order."""
+    return (homgeo.classify(dec, metric), curvature_tensor(dec, metric),
+            ricci_routes(dec, metric), einstein_check(dec, metric),
+            xi_curvatures(dec, metric))
+
+
+def test_one_space_is_built_once(monkeypatch):
+    dec, g = g_space()
+    counts = count_builds(monkeypatch)
+    pipeline(dec, g)
+    assert counts == {"Frame": 1, "r4": 1, "ricci_routes": 1}
+
+
+def test_alternating_metrics_match_fresh_frames():
+    dec, a = g_space()
+    b = InvariantMetric.from_diag([1.0, 2.0, 3.0, 4.0])
+    for metric in (a, b, a):
+        fresh = Frame(dec, metric)
+        assert np.array_equal(curvature_tensor(dec, metric), fresh.r4)
+        assert np.array_equal(einstein_check(dec, metric).ricci,
+                              einstein_check(fresh).ricci)
+        assert homgeo.classify(dec, metric).norms == homgeo.classify(fresh).norms
+
+
+def test_dropped_metrics_never_share_a_frame():
+    # each metric dies before the next is made, so the allocator is free to
+    # hand the next one the same id(); only identity can tell them apart
+    dec, _ = g_space()
+    for i in range(200):
+        metric = InvariantMetric.from_diag([1.0 + 0.01 * i, 1.0, 2.0, 0.5])
+        got = levi_civita(dec, metric)
+        assert np.array_equal(got, Frame(dec, metric).gamma), i
+        del metric, got
+
+
+def test_a_passed_frame_is_not_kept():
+    entry = build("milnor3", lam=(1, 2, -3))
+    dec, g = entry.decomposition, entry.metric
+    assert classify(Frame(dec, g, 10.0)).symmetric
+    assert not classify(dec, g).symmetric
+
+
+def test_the_slot_lets_dropped_objects_go():
+    dec, g = g_space()
+    classify(dec, g)
+    dead = weakref.ref(dec)
+    del dec, g
+    classify(*g_space())
+    gc.collect()
+    assert dead() is None
+
+
+def test_a_failure_is_not_kept(monkeypatch):
+    dec, g = g_space()
+    counts = count_builds(monkeypatch, fail="r4")
+    for _ in range(3):
+        with pytest.raises(ConsistencyError, match="injected"):
+            curvature_tensor(dec, g)
+    assert counts["Frame"] == 1
+    assert counts["r4"] == 3
+
+
+def test_threads_get_the_frame_of_their_own_objects():
+    spaces = [g_space() for _ in range(4)]
+    start = threading.Barrier(len(spaces), timeout=60)
+    bad = []
+
+    def work(dec, g):
+        start.wait()
+        for _ in range(300):
+            frame = as_frame(dec, g)
+            if frame.dec is not dec or frame.metric is not g:
+                bad.append(frame)
+
+    threads = [threading.Thread(target=work, args=space) for space in spaces]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not bad

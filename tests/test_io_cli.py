@@ -341,6 +341,15 @@ def test_cli_catalog_errors(capsys):
         assert err.startswith("error: ParamOutOfRange") and "Traceback" not in err
     # the error names the value as passed, not a truncated one
     assert "got 0.5" in err
+    # JSON's NaN and Infinity are refused as parameters, before any arithmetic
+    for name, params in [("sp11_a3iii", '{"mu": NaN}'),
+                         ("su21_a3ii", '{"lam": Infinity, "mu": 1}'),
+                         ("so2_heisenberg", '{"lam3": -Infinity}'),
+                         ("milnor3", '{"lam": [1, NaN, 2]}')]:
+        code = main(["catalog", "build", name, "--params", params])
+        err = capsys.readouterr().err
+        assert code == 1, params
+        assert err.startswith("error: ParamOutOfRange: expected a finite number"), err
 
 
 def test_cli_verify_all(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,15 @@ def test_cyclic_metric_values():
     assert np.abs(g.matrix[:2, 2:]).max() == 0.0
     with pytest.raises(ParamOutOfRange):
         cyclic_metric(alg, grading, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cyclic_metric_rejects_non_finite_coefficients(bad):
+    alg, grading, _ = su21_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ParamOutOfRange, match="finite"):
+            cyclic_metric(alg, grading, [-1.0, bad, 1.0])
 
 
 def test_cyclic_metric_sign_declaration_checked():

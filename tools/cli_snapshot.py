@@ -14,9 +14,11 @@ Writes, from the checkout this script sits in:
 - solve-cyclic --format json on the su(2,1) space with two gradings
   whose indices fall outside the algebra (one too large, one negative);
 - catalog build --format json for each of the 8 builders at two points
-  away from the defaults, and for five parameter sets it must refuse:
-  an unknown parameter, a missing one, and a boolean in place of a
-  number for a scalar, a list entry and the b4_product sign;
+  away from the defaults, and for nine parameter sets it must refuse:
+  an unknown parameter, a missing one, a boolean in place of a number
+  for a scalar, a list entry and the b4_product sign, and JSON's NaN or
+  Infinity for a scalar of each 3-symmetric model, another scalar and a
+  list entry;
 - exit_codes.txt: one line per command with its exit code.
 
 Each output file holds the command's stdout followed by its stderr, so
@@ -68,6 +70,10 @@ CATALOG_BUILDS = (
     ("so2_heisenberg", {"lam3": True}),
     ("g", {"alpha": [True]}),
     ("b4_product", {"alpha": 1.0, "c": 1.0, "sign": True}),
+    ("sp11_a3iii", {"mu": float("nan")}),
+    ("su21_a3ii", {"lam": float("inf"), "mu": 1.0}),
+    ("so2_heisenberg", {"lam3": -float("inf")}),
+    ("milnor3", {"lam": [1.0, float("nan"), 2.0]}),
 )
 BAD_GRADINGS = (
     ("large", {"blocks": [[2, 3], [4, 5], [6, 99]], "signs": [-1, 1, 1]}),
