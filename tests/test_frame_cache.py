@@ -156,7 +156,7 @@ def count_builds(monkeypatch, fail=None):
 
 def pipeline(dec, metric):
     """The five public calls of one space, in the benchmark's order."""
-    return (homgeo.classify(dec, metric), curvature_tensor(dec, metric),
+    return (classify(dec, metric), curvature_tensor(dec, metric),
             ricci_routes(dec, metric), einstein_check(dec, metric),
             xi_curvatures(dec, metric))
 
@@ -176,7 +176,7 @@ def test_alternating_metrics_match_fresh_frames():
         assert np.array_equal(curvature_tensor(dec, metric), fresh.r4)
         assert np.array_equal(einstein_check(dec, metric).ricci,
                               einstein_check(fresh).ricci)
-        assert homgeo.classify(dec, metric).norms == homgeo.classify(fresh).norms
+        assert classify(dec, metric).norms == classify(fresh).norms
 
 
 def test_dropped_metrics_never_share_a_frame():
