@@ -3,9 +3,12 @@
     python bench/layers.py OUT.json
 
 Times build_lie_algebra, Frame, Frame.types, Frame.r4, classify,
-ricci_routes, xi_curvatures and the whole pipeline at n = 3, 6, 16, 32,
-and solve_cyclic on the su(2,1) and sp(1,1) models with their catalog
-gradings, with time.perf_counter.
+ricci_routes, xi_curvatures, one curvature_diagonal_general call and
+the whole pipeline at n = 3, 6, 16, 32; solve_cyclic on the su(2,1) and
+sp(1,1) models with their catalog gradings; one
+curvature_diagonal_general call on the su21_a3ii catalog space; and
+each per-entry check of verify.run_all, summed over the default catalog
+entries; all with time.perf_counter.
 Writes the median, the interquartile range and the repeat count of each
 case to OUT.json, with the git SHA, the Python/numpy/scipy versions and
 the CPU count.
@@ -19,7 +22,12 @@ includes building its Frame; pipeline is the five user calls classify,
 curvature_tensor, ricci_routes, einstein_check and xi_curvatures on one
 space, which share one Frame.  Both get a fresh metric object on every
 repeat, since consecutive calls on the same (dec, metric) objects reuse
-the last Frame built.  OpenBLAS runs one thread unless
+the last Frame built.  curvature_diagonal_general gets one pair of
+frame vectors and a Frame whose U is built.  A verify/<check> case
+runs that check on every default entry, on fresh Frames whose r4 and
+ricci_routes are built, each with its own seeded generator, outside the
+timed region; tensors a check reads beyond those (the type split, say)
+are built inside it, as in run_all.  OpenBLAS runs one thread unless
 OPENBLAS_NUM_THREADS is set.
 """
 
@@ -42,6 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import homgeo as hg  # noqa: E402
+from homgeo import verify  # noqa: E402
 from homgeo.catalog import sp11_model, su21_model  # noqa: E402
 from homgeo.reductive import Frame  # noqa: E402
 
@@ -106,6 +115,9 @@ def bench_size(n: int) -> dict:
     def fresh_metric():
         return hg.InvariantMetric(metric.matrix)
 
+    plane = Frame(dec, metric)
+    x, y = np.random.default_rng([SEED, n, 1]).standard_normal((2, n))
+
     def pipeline(g):
         hg.classify(dec, g)
         hg.curvature_tensor(dec, g)
@@ -121,6 +133,8 @@ def bench_size(n: int) -> dict:
         "classify": time_case(lambda g: hg.classify(dec, g), fresh_metric),
         "ricci_routes": time_case(hg.ricci_routes, frame_with_r4),
         "xi_curvatures": time_case(hg.xi_curvatures, frame_with_r4),
+        "curvature_diagonal_general": time_case(
+            lambda _: hg.curvature_diagonal_general(plane, None, x, y)),
         "pipeline": time_case(pipeline, fresh_metric),
     }
 
@@ -135,6 +149,38 @@ def bench_models() -> dict:
             raise SystemExit(f"{name}: the cyclic family is not {dimension}-dimensional")
         cases[f"solve_cyclic/{name}"] = time_case(
             lambda _: hg.solve_cyclic(alg, grading))
+    return cases
+
+
+def bench_su21_diagonal() -> dict:
+    """One curvature_diagonal_general call on su21_a3ii: n = 6, dim k = 2."""
+    entry = next(e for e in hg.default_entries() if e.name == "su21_a3ii")
+    frame = Frame(entry.decomposition, entry.metric)
+    x, y = np.random.default_rng([SEED, 21]).standard_normal((2, frame.n))
+    return {"curvature_diagonal_general/su21_a3ii": time_case(
+        lambda _: hg.curvature_diagonal_general(frame, None, x, y))}
+
+
+def bench_checks() -> dict:
+    """Each verify entry check, summed over the default catalog entries."""
+    entries = hg.default_entries()
+
+    def prepared():
+        frames = []
+        for pos, entry in enumerate(entries):
+            frame = Frame(entry.decomposition, entry.metric)
+            frame.r4
+            frame.ricci_routes
+            frames.append((entry, frame, np.random.default_rng(SEED + 101 * pos)))
+        return frames
+
+    cases = {}
+    for check in verify._ENTRY_CHECKS:
+        def run(frames, check=check):
+            for entry, frame, rng in frames:
+                if not all(r.passed for r in check(entry, frame, rng)):
+                    raise SystemExit(f"{check.__name__} fails on {entry.label}")
+        cases[f"verify/{check.__name__.removeprefix('_check_')}"] = time_case(run, prepared)
     return cases
 
 
@@ -156,8 +202,10 @@ def main(argv=None) -> int:
     for n in SIZES:
         cases.update((f"{layer}/n={n}", stats) for layer, stats in bench_size(n).items())
     cases.update(bench_models())
+    cases.update(bench_su21_diagonal())
+    cases.update(bench_checks())
     for case, stats in cases.items():
-        print(f"{case:26s} median {stats['median_ms']:9.3f} ms  "
+        print(f"{case:40s} median {stats['median_ms']:9.3f} ms  "
               f"IQR {stats['iqr_ms']:8.3f} ms  ({stats['repeats']} repeats)")
     record = {
         "git_sha": git_sha(),

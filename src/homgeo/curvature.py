@@ -36,8 +36,18 @@ def curvature_tensor(dec, metric=None) -> np.ndarray:
 
 
 def _quartic_form(r4: np.ndarray, y) -> np.ndarray:
-    """The matrix M[a,c] = R4[a,b,c,d] y[b] y[d], so R4(x,y,x,y) = x @ M @ x."""
-    return y @ (r4 @ y)
+    """The matrix M[a,c] = R4[a,b,c,d] y[b] y[d], so R4(x,y,x,y) = x @ M @ x.
+
+    y may be a stack of vectors along leading axes; M then has one
+    matrix per row of y.
+    """
+    y = y[..., None, None, :]  # broadcasts over the slots a, b of r4
+    return (y @ (r4 @ y[..., None])[..., 0])[..., 0, :]
+
+
+def _float_or_rows(value):
+    """A float for one vector's result, the (s,) array for a stack's."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _require_cyclic(frame: Frame) -> None:
@@ -45,11 +55,13 @@ def _require_cyclic(frame: Frame) -> None:
         raise NotCyclic("the projected bracket has a nonzero cyclic sum")
 
 
-def curvature_diagonal_general(dec, metric, x, y) -> float:
+def curvature_diagonal_general(dec, metric, x, y):
     """<R(X,Y)X, Y> from brackets and U alone, for any reductive space.
 
-    x, y are frame coordinate vectors.  Inner brackets are full algebra
-    brackets (k-components included) before projecting to m.
+    x, y are frame coordinate vectors of shape (n,), which gives a
+    float, or stacks of shape (s, n), which give the (s,) array of the
+    row pairs' values.  Inner brackets are full algebra brackets
+    (k-components included) before projecting to m.
     """
     frame = as_frame(dec, metric)
     x = np.asarray(x, dtype=float)
@@ -62,23 +74,25 @@ def curvature_diagonal_general(dec, metric, x, y) -> float:
     xxy = frame.m_part_frame(alg.bracket(xg, bxy))
     yyx = frame.m_part_frame(alg.bracket(yg, alg.bracket(yg, xg)))
     u = frame.u
-    uxy = np.einsum("a,b,abc->c", x, y, u)
-    uxx = np.einsum("a,b,abc->c", x, x, u)
-    uyy = np.einsum("a,b,abc->c", y, y, u)
-    return float(
-        -0.75 * bxy_m @ bxy_m
-        - 0.5 * (xxy @ y)
-        - 0.5 * (yyx @ x)
-        + uxy @ uxy
-        - uxx @ uyy
-    )
+    uxy = np.einsum("...a,...b,abc->...c", x, y, u)
+    uxx = np.einsum("...a,...b,abc->...c", x, x, u)
+    uyy = np.einsum("...a,...b,abc->...c", y, y, u)
+    # the inner products of the formula, summed over the last axis at once
+    return _float_or_rows((
+        -0.75 * bxy_m * bxy_m
+        - 0.5 * (xxy * y + yyx * x)
+        + uxy * uxy
+        - uxx * uyy
+    ).sum(axis=-1))
 
 
-def cyclic_curvature_diagonal(dec, metric, x, y) -> float:
+def cyclic_curvature_diagonal(dec, metric, x, y):
     """<R(X,Y)X, Y> via the structure tensor, valid for cyclic brackets.
 
-    x, y are frame coordinate vectors.  Raises NotCyclic when the
-    cyclic sum of the projected bracket does not vanish.
+    x, y are frame coordinate vectors of shape (n,), which gives a
+    float, or stacks of shape (s, n), which give the (s,) array of the
+    row pairs' values.  Raises NotCyclic when the cyclic sum of the
+    projected bracket does not vanish.
     """
     frame = as_frame(dec, metric)
     _require_cyclic(frame)
@@ -92,11 +106,12 @@ def cyclic_curvature_diagonal(dec, metric, x, y) -> float:
     k_act = frame.m_part_frame(alg.bracket(frame.k_part_g(bxy), xg))
 
     s = frame.s
-    sxy = np.einsum("a,b,abc->c", x, y, s)
-    syx = np.einsum("a,b,abc->c", y, x, s)
-    sxx = np.einsum("a,b,abc->c", x, x, s)
-    syy = np.einsum("a,b,abc->c", y, y, s)
-    return float(k_act @ y - bxy_m @ bxy_m + sxy @ syx - sxx @ syy)
+    sxy = np.einsum("...a,...b,abc->...c", x, y, s)
+    syx = np.einsum("...a,...b,abc->...c", y, x, s)
+    sxx = np.einsum("...a,...b,abc->...c", x, x, s)
+    syy = np.einsum("...a,...b,abc->...c", y, y, s)
+    return _float_or_rows(
+        (k_act * y - bxy_m * bxy_m + sxy * syx - sxx * syy).sum(axis=-1))
 
 
 def sectional_curvature(dec, metric, x, y) -> float:
@@ -211,23 +226,20 @@ def xi_curvatures(dec, metric=None) -> XiCurvatureReport:
     )
 
 
-def killing_quadratic_via_brackets(frame: Frame, x) -> float:
+def killing_quadratic_via_brackets(frame: Frame, x):
     """B(X,X) assembled from brackets over an m-frame alone.
 
     B(X,X) = sum_a <[X,[X,f_a]]_m, f_a> + <[X, [X,f_a]_k], f_a>, which
     lets verification compare the Killing form against raw brackets
-    without a basis of k.
+    without a basis of k.  x is a frame coordinate vector of shape (n,),
+    which gives a float, or a stack of shape (s, n), which gives the
+    (s,) array of the rows' values.
     """
     x = np.asarray(x, dtype=float)
     alg = frame.dec.algebra
-    xg = frame.g_coords(x)
-    total = 0.0
-    for a in range(frame.n):
-        fa = frame.frame_g[:, a]
-        inner = alg.bracket(xg, fa)
-        term1 = frame.m_part_frame(alg.bracket(xg, inner))
-        term2 = frame.m_part_frame(alg.bracket(xg, frame.k_part_g(inner)))
-        ea = np.zeros(frame.n)
-        ea[a] = 1.0
-        total += float((term1 + term2) @ ea)
-    return total
+    xg = frame.g_coords(x)[..., None, :]  # against all n frame vectors f_a
+    inner = alg.bracket(xg, frame.frame_g.T)  # inner[..., a, :] = [X, f_a]
+    term1 = frame.m_part_frame(alg.bracket(xg, inner))
+    term2 = frame.m_part_frame(alg.bracket(xg, frame.k_part_g(inner)))
+    # <v_a, f_a> is the a-th frame coordinate of v_a: sum the diagonals
+    return _float_or_rows(np.einsum("...aa->...", term1 + term2))

@@ -91,8 +91,12 @@ class LieAlgebra:
         return out
 
     def bracket(self, x, y) -> np.ndarray:
-        """Bracket of two coefficient vectors, as a coefficient vector."""
-        return np.einsum("i,j,ijk->k", x, y, self.tensor)
+        """Bracket of two coefficient vectors, as a coefficient vector.
+
+        x and y may also be stacks of vectors along leading axes, which
+        broadcast against each other; the bracket is taken row by row.
+        """
+        return np.einsum("...i,...j,ijk->...k", x, y, self.tensor)
 
     def __repr__(self):
         nz = len(self.brackets)

@@ -18,7 +18,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -126,7 +125,9 @@ class Frame:
 
     Attributes
     ----------
-    q : (n, n) columns express frame vectors in the m-index basis
+    q : (n, n) columns express frame vectors in the m-index basis; it is
+        the transposed inverse of the metric's Cholesky factor, and
+        q.T @ metric @ q = I is checked (ConsistencyError otherwise)
     frame_g : (dim_g, n) frame vectors as algebra coefficient vectors
     lte : (n, n, n) lte[a,b,c] = <[f_a, f_b]_m, f_c>
     k_part : (n, n, dim_k) k-components of [f_a, f_b]
@@ -160,8 +161,15 @@ class Frame:
         self.metric = metric
         self.tol = tol
         self.n = n
-        self.q = scipy.linalg.solve_triangular(chol, np.eye(n), lower=True).T
+        self.q = np.linalg.inv(chol).T
         self.q_inv = chol.T
+        ortho = float(np.abs(self.q.T @ metric.matrix @ self.q - np.eye(n)).max())
+        ortho_bound = 1e-12 * n * float(np.abs(chol).max()) * float(np.abs(self.q).max())
+        if ortho > ortho_bound:
+            raise ConsistencyError(
+                f"frame is not orthonormal for the metric (residual {ortho:.3e}, "
+                f"bound {ortho_bound:.1e})"
+            )
         algebra = dec.algebra
         dim = algebra.dim
         m_idx = list(dec.m_indices)
@@ -203,18 +211,33 @@ class Frame:
         """m-index basis coordinates -> frame coordinates."""
         return self.q_inv @ np.asarray(v_m, dtype=float)
 
+    # g_coords, m_part_frame and k_part_g take one vector or a stack of
+    # vectors along leading axes, and act row by row
     def g_coords(self, v_frame):
-        return self.frame_g @ np.asarray(v_frame, dtype=float)
+        """Frame coordinates -> algebra coefficient vector."""
+        return np.asarray(v_frame, dtype=float) @ self.frame_g.T
 
     def m_part_frame(self, v_g) -> np.ndarray:
         """m-component of a g-coefficient vector, in frame coordinates."""
-        return self.q_inv @ np.asarray(v_g, dtype=float)[list(self.dec.m_indices)]
+        return np.asarray(v_g, dtype=float) @ self._m_proj
 
     def k_part_g(self, v_g) -> np.ndarray:
         """k-component of a g-coefficient vector, as a g-coefficient vector."""
-        out = np.array(v_g, dtype=float)
-        out[list(self.dec.m_indices)] = 0.0
-        return out
+        return np.asarray(v_g, dtype=float) * self._k_mask
+
+    @cached_property
+    def _m_proj(self) -> np.ndarray:
+        """(dim_g, n): v_g @ _m_proj is the m-part of v_g in frame coordinates."""
+        proj = np.zeros((self.dec.algebra.dim, self.n))
+        proj[list(self.dec.m_indices)] = self.q_inv.T
+        return _frozen(proj)
+
+    @cached_property
+    def _k_mask(self) -> np.ndarray:
+        """(dim_g,): 1 on the k indices, 0 on the m indices."""
+        mask = np.ones(self.dec.algebra.dim)
+        mask[list(self.dec.m_indices)] = 0.0
+        return _frozen(mask)
 
     # derived tensors, each built once ----------------------------------
     @cached_property

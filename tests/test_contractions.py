@@ -1,5 +1,8 @@
 """Each matmul contraction agrees with the einsum that defines it.
 
+The helpers that take a stack of vectors agree, row by row, with their
+one-vector calls as well as with the defining einsum.
+
 The references below are the index formulas written out with np.einsum
 on the same inputs.  Inputs are deliberately asymmetric, so a contraction
 over a transposed index shows up: random reductive bracket tables with a
@@ -12,17 +15,27 @@ from functools import cache, partial
 import numpy as np
 import pytest
 
-from homgeo.catalog import build, sp11_model, su21_model
-from homgeo.curvature import sectional_curvature, xi_curvatures
+from homgeo.catalog import build, default_entries, sp11_model, su21_model
+from homgeo.curvature import (
+    _quartic_form,
+    curvature_diagonal_general,
+    cyclic_curvature_diagonal,
+    killing_quadratic_via_brackets,
+    sectional_curvature,
+    xi_curvatures,
+)
+from homgeo.errors import NotCyclic
 from homgeo.lie import (
     LieAlgebra,
     _pullback,
     build_lie_algebra,
     change_basis,
     jacobi_residual,
+    killing_form,
 )
 from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition, foliation_data
 from homgeo.spectrum import theta_split
+from homgeo.verify import _check_diagonal_routes, _check_killing_identity, _unit_rows
 
 SIZES = (1, 2, 3, 5, 8)
 ISOTROPY = (0, 2)
@@ -248,3 +261,114 @@ def test_sectional_curvature(name):
         area2 = (xf @ xf) * (yf @ yf) - (xf @ yf) ** 2
         want = np.einsum("a,b,c,d,abcd->", xf, yf, xf, yf, frame.r4) / area2
         assert_close(sectional_curvature(frame, None, x, y), want)
+
+
+STACK = 4  # rows in each stack of sample vectors
+
+
+def stack_pair(frame, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((2, STACK, frame.n))
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SPACES))
+def test_bracket_on_stacks(name):
+    alg = frame_of(name).dec.algebra
+    rng = np.random.default_rng(alg.dim)
+    x, y = rng.standard_normal((2, STACK, alg.dim))
+    want = np.einsum("si,sj,ijk->sk", x, y, alg.tensor)
+    got = alg.bracket(x, y)
+    assert_close(got, want)
+    assert_close(got, [alg.bracket(a, b) for a, b in zip(x, y)])
+    # a stack broadcasts against a second stack along new leading axes
+    assert_close(alg.bracket(x[:, None], y), np.einsum("si,tj,ijk->stk", x, y, alg.tensor))
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SPACES))
+def test_frame_helpers_on_stacks(name):
+    frame = frame_of(name)
+    m = list(frame.dec.m_indices)
+    rng = np.random.default_rng(frame.n)
+    v_frame = rng.standard_normal((STACK, frame.n))
+    v_g = rng.standard_normal((STACK, frame.dec.algebra.dim))
+    k_part = v_g.copy()
+    k_part[:, m] = 0.0
+    cases = (
+        (frame.g_coords, v_frame, np.einsum("ia,sa->si", frame.frame_g, v_frame)),
+        (frame.m_part_frame, v_g, np.einsum("ab,sb->sa", frame.q_inv, v_g[:, m])),
+        (frame.k_part_g, v_g, k_part),
+    )
+    for helper, arg, want in cases:
+        got = helper(arg)
+        assert_close(got, want)
+        assert_close(got, [helper(row) for row in arg])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_quartic_form_on_stacks(n):
+    # a tensor with none of R4's symmetries, so a swapped slot shows
+    rng = np.random.default_rng(n)
+    tensor = rng.standard_normal((n, n, n, n))
+    y = rng.standard_normal((STACK, n))
+    got = _quartic_form(tensor, y)
+    assert_close(got, np.einsum("abcd,sb,sd->sac", tensor, y, y))
+    assert_close(got, [_quartic_form(tensor, row) for row in y])
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_SPACES))
+@pytest.mark.parametrize("diagonal", [curvature_diagonal_general, cyclic_curvature_diagonal])
+def test_curvature_diagonals_on_stacks(name, diagonal):
+    frame = frame_of(name)
+    x, y = stack_pair(frame, 2 * frame.n)
+    got = diagonal(frame, None, x, y)
+    assert got.shape == (STACK,)
+    rows = [diagonal(frame, None, a, b) for a, b in zip(x, y)]
+    assert all(type(v) is float for v in rows)
+    assert_close(got, rows)
+    assert_close(got, np.einsum("sa,sb,sc,sd,abcd->s", x, y, x, y, frame.r4))
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SPACES))
+def test_killing_quadratic_on_stacks(name):
+    frame = frame_of(name)
+    x, _ = stack_pair(frame, 3 * frame.n)
+    xg = np.einsum("ia,sa->si", frame.frame_g, x)
+    got = killing_quadratic_via_brackets(frame, x)
+    rows = [killing_quadratic_via_brackets(frame, row) for row in x]
+    assert all(type(v) is float for v in rows)
+    assert_close(got, rows)
+    assert_close(got, np.einsum("si,ij,sj->s", xg, killing_form(frame.dec.algebra), xg))
+
+
+def test_cyclic_diagonal_on_a_stack_needs_a_cyclic_space():
+    frame = frame_of("raw-n3-k2")
+    assert frame.cyclic_residual > frame.tol
+    x, y = stack_pair(frame, 0)
+    with pytest.raises(NotCyclic):
+        cyclic_curvature_diagonal(frame, None, x, y)
+
+
+def test_verify_draws_the_same_samples():
+    """The stacked checks draw what drawing one vector at a time draws.
+
+    _check_diagonal_routes draws 20 pairs (x, then y) and
+    _check_killing_identity 10 vectors; a row-major fill of one stack
+    consumes the generator exactly as the sequential draws do.
+    """
+    for pos, entry in enumerate(default_entries()):
+        frame = Frame(entry.decomposition, entry.metric)
+        rng = np.random.default_rng(1729 + pos)
+        twin = np.random.default_rng(1729 + pos)
+        results = (_check_diagonal_routes(entry, frame, rng)
+                   + _check_killing_identity(entry, frame, rng))
+        assert [r.name for r in results] == ["diagonal_routes", "killing_identity"]
+        assert all(r.passed for r in results)
+        for _ in range(20 * 2 + 10):
+            twin.standard_normal(frame.n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    # the stack holds the sequential draws, each scaled to unit length
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    rows = [twin.standard_normal(3) for _ in range(20 * 2)]
+    want = [r / np.linalg.norm(r) for r in rows]
+    assert_close(_unit_rows(rng, (20, 2, 3)), np.reshape(want, (20, 2, 3)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from homgeo.errors import (
+    ConsistencyError,
     IndexOutOfRange,
     InvalidMetric,
     NotReductive,
@@ -105,6 +106,25 @@ def test_frame_orthonormality_and_coords():
     assert np.allclose(frame.m_part_frame(frame.g_coords(v)), v, atol=1e-12)
     # lowered bracket is antisymmetric in the first two slots
     assert np.allclose(frame.lte, -np.einsum("abc->bac", frame.lte), atol=1e-12)
+
+
+def test_frame_checks_its_inverse_cholesky_factor(monkeypatch):
+    alg = g_solv(1.0, 2.0)
+    dec = ReductiveDecomposition(alg, (), (0, 1, 2))
+    g = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    # a dense metric of condition number 1e8 still passes the check
+    rot, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+    stiff = Frame(dec, InvariantMetric(rot @ np.diag([1e-4, 1.0, 1e4]) @ rot.T))
+    assert np.allclose(stiff.q.T @ stiff.metric.matrix @ stiff.q, np.eye(3), atol=1e-9)
+
+    inv = np.linalg.inv
+    for perturb in (lambda a: a * (1.0 + 1e-8),
+                    lambda a: a + 1e-8 * np.triu(np.ones_like(a), 1)):
+        monkeypatch.setattr(np.linalg, "inv", lambda a, p=perturb: p(inv(a)))
+        with pytest.raises(ConsistencyError, match="not orthonormal"):
+            Frame(dec, InvariantMetric(g))
+    monkeypatch.undo()
+    Frame(dec, InvariantMetric(g))
 
 
 def test_frame_eta_values():

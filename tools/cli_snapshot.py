@@ -8,7 +8,9 @@ Writes, from the checkout this script sits in:
   with the label's brackets, commas and spaces turned into underscores);
 - classify and curvature --format json on each, at --tolerance 1e-9
   and 1e-6;
-- verify-all --format json at both tolerances;
+- verify-all --format json at both tolerances, and at the default
+  tolerance with --seed 1 and --seed 2, so more sample draws are
+  compared;
 - solve-cyclic --format json on the su(2,1) and sp(1,1) models with
   their gradings, at both tolerances;
 - solve-cyclic --format json on the su(2,1) space with two gradings
@@ -80,6 +82,7 @@ BAD_GRADINGS = (
     ("negative", {"blocks": [[2, 3], [4, 5], [-2, -1]], "signs": [-1, 1, 1]}),
 )
 SOLVE_CYCLIC = ("su21_a3ii", "sp11_a3iii")
+VERIFY_SEEDS = ("1", "2")
 
 
 def slug(label: str) -> str:
@@ -139,6 +142,9 @@ def main(argv=None) -> int:
     for tol in TOLERANCES:
         run(out, f"verify-all__{tol}.json",
             ["verify-all", "--format", "json", "--tolerance", tol], codes)
+    for seed in VERIFY_SEEDS:
+        run(out, f"verify-all__seed{seed}.json",
+            ["verify-all", "--format", "json", "--seed", seed], codes)
     for i, (name, params) in enumerate(CATALOG_BUILDS):
         run(out, f"catalog-build__{i:02d}_{name}.json",
             ["catalog", "build", name, "--params", json.dumps(params),
