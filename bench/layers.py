@@ -13,6 +13,12 @@ Writes the median, the interquartile range and the repeat count of each
 case to OUT.json, with the git SHA, the Python/numpy/scipy versions and
 the CPU count.
 
+A core's speed drifts on a shared machine, so every repeat of a case is
+followed by one run of perfbench's homgeo-free reference kernel
+(perfbench/calibrate.py).  Each case also records the kernel's median
+and IQR over its repeats, and scaled_median_ms = median_ms * NOMINAL_S /
+(kernel median): the time on a core where the kernel takes NOMINAL_S.
+
 Each case times one layer alone.  The layers a case needs first are built
 outside the timed region: Frame.types and Frame.r4 are the first access
 on a fresh Frame (so r4 includes the connection and the isotropy term it
@@ -48,10 +54,12 @@ import scipy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import homgeo as hg  # noqa: E402
+from calibrate import NOMINAL_S, reference_kernel  # noqa: E402
 from homgeo import verify  # noqa: E402
-from homgeo.catalog import sp11_model, su21_model  # noqa: E402
+from homgeo.catalog import _BLOCK_MODELS  # noqa: E402
 from homgeo.reductive import Frame  # noqa: E402
 
 SIZES = (3, 6, 16, 32)
@@ -82,18 +90,28 @@ def rotated_solvable(n: int, rng):
 
 
 def time_case(run, prepare=lambda: None) -> dict:
-    """Median and IQR in ms of run(prepare()) over repeats; prepare is untimed."""
+    """Median and IQR in ms of run(prepare()) over repeats; prepare is untimed.
+
+    The reference kernel runs once after each repeat, and the case's
+    median is scaled by the kernel's median over the same repeats.
+    """
     for _ in range(2):
         run(prepare())
-    times = []
+    times, refs = [], []
     start = time.perf_counter()
     while len(times) < MIN_REPEATS or time.perf_counter() - start < MIN_SECONDS:
         arg = prepare()
         t0 = time.perf_counter()
         run(arg)
-        times.append(time.perf_counter() - t0)
+        t1 = time.perf_counter()
+        reference_kernel()
+        refs.append(time.perf_counter() - t1)
+        times.append(t1 - t0)
     q25, q50, q75 = np.percentile(np.array(times) * 1e3, [25, 50, 75])
-    return {"median_ms": q50, "iqr_ms": q75 - q25, "repeats": len(times)}
+    r25, r50, r75 = np.percentile(np.array(refs) * 1e3, [25, 50, 75])
+    return {"median_ms": q50, "iqr_ms": q75 - q25, "repeats": len(times),
+            "ref_median_ms": r50, "ref_iqr_ms": r75 - r25,
+            "scaled_median_ms": q50 * NOMINAL_S * 1e3 / r50}
 
 
 def bench_size(n: int) -> dict:
@@ -140,11 +158,11 @@ def bench_size(n: int) -> dict:
 
 
 def bench_models() -> dict:
-    """solve_cyclic on each 3-symmetric model: a 2-parameter cone and a ray."""
+    """solve_cyclic on each 3-symmetric model, whose cone its catalog data states."""
     cases = {}
-    for name, model, dimension in (("su21_model", su21_model, 2),
-                                   ("sp11_model", sp11_model, 1)):
-        alg, grading, _ = model()
+    for model in _BLOCK_MODELS:
+        alg, grading, _ = model.build()
+        name, dimension = model.build.__name__, len(model.cone)
         if hg.solve_cyclic(alg, grading).dimension != dimension:
             raise SystemExit(f"{name}: the cyclic family is not {dimension}-dimensional")
         cases[f"solve_cyclic/{name}"] = time_case(
@@ -206,7 +224,8 @@ def main(argv=None) -> int:
     cases.update(bench_checks())
     for case, stats in cases.items():
         print(f"{case:40s} median {stats['median_ms']:9.3f} ms  "
-              f"IQR {stats['iqr_ms']:8.3f} ms  ({stats['repeats']} repeats)")
+              f"IQR {stats['iqr_ms']:8.3f} ms  scaled {stats['scaled_median_ms']:9.3f} ms  "
+              f"({stats['repeats']} repeats)")
     record = {
         "git_sha": git_sha(),
         "python": platform.python_version(),
@@ -215,6 +234,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "seed": SEED,
+        "nominal_ref_ms": NOMINAL_S * 1e3,
         "cases": cases,
     }
     with open(argv[0], "w", encoding="utf-8") as handle:

@@ -9,11 +9,13 @@ Entries cover metric Lie groups (empty isotropy), two Heisenberg
 presentations with rotational isotropy, two product examples, and the
 two rank-one quotients whose block metrics realize the 3-symmetric
 cyclic families.  Both quotients come from complex matrix models
-through `_matrix_model`, and their entries through `_block_entry`.
+through `_matrix_model`; each model's record states its bracket spans
+and cyclic cone once, and `_block_entry` takes coordinates on that cone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from inspect import signature
@@ -73,6 +75,7 @@ class CatalogEntry:
     expected: ExpectedClass
     provenance: str
     grading: BlockGrading | None = None
+    spans: tuple | None = None
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -86,11 +89,11 @@ class CatalogEntry:
 
 def _entry(name, params, dec, metric, provenance, eta, *, cyclic, traceless,
            vectorial=False, naturally_reductive=False, symmetric=False,
-           grading=None) -> CatalogEntry:
+           grading=None, spans=None) -> CatalogEntry:
     """A catalog entry with its expected class booleans and trace form."""
     expected = ExpectedClass(cyclic, traceless, vectorial, naturally_reductive,
                              symmetric, tuple(eta))
-    return CatalogEntry(name, params, dec, metric, expected, provenance, grading)
+    return CatalogEntry(name, params, dec, metric, expected, provenance, grading, spans)
 
 
 def _near(x, y) -> bool:
@@ -318,6 +321,21 @@ def _matrix_model(matrices, labels, z, grading):
     return alg, grading, np.array(cols).T
 
 
+@dataclass(frozen=True)
+class _BlockModel:
+    """A matrix model's builder, bracket spans and cyclic cone.
+
+    spans lists the (a, b, p), a <= b, for which [block a, block b] may
+    reach part p, part len(blocks) being k.  Positive combinations of
+    the cone generators are the block coefficients of cyclic metrics.
+    """
+
+    name: str
+    build: Callable[[], tuple]
+    spans: tuple
+    cone: tuple
+
+
 @lru_cache(maxsize=None)
 def su21_model():
     """Algebra, grading, and order-3 automorphism of the su(2,1) quotient.
@@ -346,6 +364,14 @@ def su21_model():
         np.diag([1.0 + 0j, omega, np.conj(omega)]),
         BlockGrading(blocks=((2, 3), (4, 5), (6, 7)), signs=(-1, 1, 1)),
     )
+
+
+# each block brackets with itself into k and with another into the third
+_SU21 = _BlockModel(
+    "su21", su21_model,
+    spans=((0, 0, 3), (1, 1, 3), (2, 2, 3), (0, 1, 2), (0, 2, 1), (1, 2, 0)),
+    cone=((-1.0, 1.0, 0.0), (-1.0, 0.0, 1.0)),
+)
 
 
 def _quat(x, y, z, w) -> np.ndarray:
@@ -393,17 +419,29 @@ def sp11_model():
     )
 
 
-def _block_entry(name, params, model, lam, provenance) -> CatalogEntry:
+# [V, V] and [H, H] reach k, [V, H] stays in H, and [H, H] also reaches V
+_SP11 = _BlockModel(
+    "sp11", sp11_model,
+    spans=((0, 0, 2), (0, 1, 1), (1, 1, 2), (1, 1, 0)),
+    cone=((-2.0, 1.0),),
+)
+
+_BLOCK_MODELS = (_SU21, _SP11)
+
+
+def _block_entry(name, params, model, provenance) -> CatalogEntry:
     """A model's quotient with lam[a] times the Killing form on block a.
 
-    Every such entry is traceless cyclic with a vanishing trace form.
+    lam weighs the model's cone generators by the parameters, in order,
+    so every such entry is traceless cyclic with a vanishing trace form.
     """
-    alg, grading, _ = model()
+    alg, grading, _ = model.build()
+    lam = np.asarray(list(params.values())) @ np.asarray(model.cone)
     return _entry(
         name, params, grading_decomposition(alg, grading),
         cyclic_metric(alg, grading, lam), provenance,
         (0.0,) * len(grading.m_indices),
-        cyclic=True, traceless=True, grading=grading,
+        cyclic=True, traceless=True, grading=grading, spans=model.spans,
     )
 
 
@@ -418,7 +456,7 @@ def su21_a3ii(lam: float, mu: float) -> CatalogEntry:
     if lam <= 0 or mu <= 0:
         raise ParamOutOfRange("both block coefficients must be positive")
     return _block_entry(
-        "su21_a3ii", {"lam": lam, "mu": mu}, su21_model, [-(lam + mu), lam, mu],
+        "su21_a3ii", {"lam": lam, "mu": mu}, _SU21,
         "torus quotient of the special unitary group of "
         "signature (2,1) with a three-block metric",
     )
@@ -434,7 +472,7 @@ def sp11_a3iii(mu: float) -> CatalogEntry:
     if mu <= 0:
         raise ParamOutOfRange(f"the ray parameter must be positive, got {mu}")
     return _block_entry(
-        "sp11_a3iii", {"mu": mu}, sp11_model, [-2.0 * mu, mu],
+        "sp11_a3iii", {"mu": mu}, _SP11,
         "quotient of the rank-one symplectic unitary group of "
         "signature (1,1) by its four-dimensional isotropy",
     )

@@ -17,7 +17,7 @@ flat sections in diagonalizable metric Lie groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import scipy.linalg
@@ -122,14 +122,25 @@ def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam) -> InvariantM
     if not np.isfinite(lam).all():
         raise ParamOutOfRange(f"coefficients must be finite, got {lam.tolist()}")
     restrictions = _block_killing(algebra, grading)
-    n = len(grading.m_indices)
-    mat = np.zeros((n, n))
-    pos = 0
-    for coeff, sub in zip(lam, restrictions):
-        w = sub.shape[0]
-        mat[pos:pos + w, pos:pos + w] = coeff * sub
-        pos += w
-    return InvariantMetric(mat)
+    return InvariantMetric(scipy.linalg.block_diag(
+        *(coeff * sub for coeff, sub in zip(lam, restrictions))))
+
+
+def _block_couplings(algebra: LieAlgebra, grading: BlockGrading) -> np.ndarray:
+    """Largest bracket component between blocks, per part of the algebra.
+
+    Entry [a, b, p] is the max-abs component in part p of the brackets
+    of block-a vectors with block-b vectors, where parts 0..nb-1 are the
+    blocks and part nb is k; an empty k reads 0.
+    """
+    k = grading.k_indices(algebra.dim)  # IndexOutOfRange for an index outside the algebra
+    m = grading.m_indices
+    starts = [0, *accumulate(len(b) for b in grading.blocks)]
+    c = np.abs(algebra.tensor[np.ix_(m, m, m + k)])
+    for axis in (0, 1):
+        c = np.maximum.reduceat(c, starts[:-1], axis=axis)
+    c = np.concatenate([c, np.zeros(c.shape[:2] + (1,))], axis=2)  # for an empty k
+    return np.maximum.reduceat(c, starts, axis=2)
 
 
 def active_triples(algebra: LieAlgebra, grading: BlockGrading) -> list:
@@ -138,21 +149,10 @@ def active_triples(algebra: LieAlgebra, grading: BlockGrading) -> list:
     {a, b, c} is active when some bracket of a block-a vector with a
     block-b vector has a component in block c, in any arrangement.
     """
-    grading.k_indices(algebra.dim)  # IndexOutOfRange for an index outside the algebra
-    c = algebra.tensor
-    scale = max(1.0, float(np.abs(c).max()))
-    nb = len(grading.blocks)
-    found = set()
-    for a in range(nb):
-        for b in range(a, nb):
-            ia = list(grading.blocks[a])
-            ib = list(grading.blocks[b])
-            sub = c[np.ix_(ia, ib)]
-            for d in range(nb):
-                leak = float(np.abs(sub[:, :, list(grading.blocks[d])]).max())
-                if leak > algebra.tol * scale:
-                    found.add(tuple(sorted((a, b, d))))
-    return sorted(found)
+    coupled = _block_couplings(algebra, grading)[:, :, :-1]
+    scale = max(1.0, float(np.abs(algebra.tensor).max()))
+    hits = zip(*np.nonzero(coupled > algebra.tol * scale))
+    return sorted({tuple(sorted(map(int, t))) for t in hits if t[0] <= t[1]})
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +194,7 @@ def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading) -> CyclicSolutionFa
     for r, trip in enumerate(triples):
         for a in trip:
             rows[r, a] += 1.0
-    if len(triples):
-        null = scipy.linalg.null_space(rows)
-    else:
-        null = np.eye(nb)
+    null = scipy.linalg.null_space(rows) if len(triples) else np.eye(nb)
     r = null.shape[1]
 
     feasible = False
@@ -342,7 +339,8 @@ def flat_section_witness(algebra: LieAlgebra, eigen_list) -> tuple[int, int]:
     """First commuting pair among eigenvectors of a symmetric derivation.
 
     eigen_list holds (eigenvalue, vector) pairs, the vector given either
-    as a basis index or a coefficient vector.  Pairs whose eigenvalues
+    as a basis index or a coefficient vector; an index that is not an
+    integer in 0..dim-1 raises IndexOutOfRange.  Pairs whose eigenvalues
     do not cancel must commute already; that is validated up front.
     Returns the lexicographically first (i, j) with [v_i, v_j] = 0.
     When every pair fails, NoWitness is raised, which can only happen
@@ -354,9 +352,11 @@ def flat_section_witness(algebra: LieAlgebra, eigen_list) -> tuple[int, int]:
     vecs = []
     for lam, vec in eigen_list:
         lams.append(float(lam))
-        if np.isscalar(vec) or isinstance(vec, (int, np.integer)):
-            v = np.zeros(algebra.dim)
-            v[int(vec)] = 1.0
+        if np.isscalar(vec):
+            integer = isinstance(vec, (int, np.integer)) and not isinstance(vec, bool)
+            if not (integer and 0 <= vec < algebra.dim):
+                raise IndexOutOfRange(f"basis index {vec!r} is not in 0..{algebra.dim - 1}")
+            v = np.eye(algebra.dim)[vec]
         else:
             v = np.asarray(vec, dtype=float)
             if v.shape != (algebra.dim,):

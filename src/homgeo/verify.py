@@ -3,9 +3,10 @@
 Every check re-derives a structural identity from raw bracket data and
 measures the residual: curvature symmetries, agreement of independent
 curvature formulas, trace-form identities, foliation geometry, and the
-constraint families of the block-metric quotients.  The runner reports
-pass/fail results in a deterministic order; `verify-all` on the command
-line is a thin wrapper around run_all.
+constraint families of the block-metric quotients, whose spans, split
+dimensions and cones are read from the catalog's model data.  The runner
+reports pass/fail results in a deterministic order; `verify-all` on the
+command line is a thin wrapper around run_all.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import build, default_entries, sp11_model, su21_model
+from .catalog import _BLOCK_MODELS, build, default_entries
 from .config import DEFAULT_SEED, DEFAULT_TOL
 from .curvature import (
     _quartic_form,
@@ -28,7 +29,7 @@ from .curvature import (
 from .errors import HomgeoError
 from .lie import killing_form, trace_vector
 from .reductive import Frame, InvariantMetric, closedness_residual, foliation_data
-from .spectrum import flat_section_witness, solve_cyclic, theta_split
+from .spectrum import _block_couplings, flat_section_witness, solve_cyclic, theta_split
 from .structure import (
     TorsionTensor,
     classify,
@@ -239,39 +240,11 @@ def _check_einstein_obstruction(entry, frame, rng):
 def _check_grading_relations(entry, frame, rng):
     if entry.grading is None:
         return []
-    alg = entry.algebra
-    blocks = entry.grading.blocks
-    k_idx = list(entry.grading.k_indices(alg.dim))
-
-    def span_residual(i, j, allowed):
-        v = alg.tensor[i, j, :].copy()
-        v[list(allowed)] = 0.0
-        return float(np.abs(v).max())
-
-    res = 0.0
-    if entry.name == "su21_a3ii":
-        for a in range(3):
-            for b in range(3):
-                if a == b:
-                    allowed = k_idx
-                else:
-                    c = 3 - a - b
-                    allowed = list(blocks[c])
-                for i in blocks[a]:
-                    for j in blocks[b]:
-                        res = max(res, span_residual(i, j, allowed))
-    elif entry.name == "sp11_a3iii":
-        v_blk, h_blk = blocks
-        for i in v_blk:
-            for j in v_blk:
-                res = max(res, span_residual(i, j, k_idx))
-            for j in h_blk:
-                res = max(res, span_residual(i, j, list(h_blk)))
-        for i in h_blk:
-            for j in h_blk:
-                res = max(res, span_residual(i, j, k_idx + list(v_blk)))
-    else:
-        return []
+    coupling = _block_couplings(entry.algebra, entry.grading)
+    allowed = np.zeros(coupling.shape, dtype=bool)
+    for a, b, part in entry.spans or ():
+        allowed[a, b, part] = allowed[b, a, part] = True
+    res = float(coupling[~allowed].max(initial=0.0))
     return [_result("grading_relations", res, 1e-10)]
 
 
@@ -294,44 +267,31 @@ _ENTRY_CHECKS = (
 # --- model-level checks -------------------------------------------------
 
 
-def _model_checks():
+def _model_checks(models=_BLOCK_MODELS):
     results = []
+    for model in models:
+        alg, grading, theta = model.build()
+        split = theta_split(alg, theta)
+        dims = (split.k_basis.shape[1], split.m_basis.shape[1])
+        want = (len(grading.k_indices(alg.dim)), len(grading.m_indices))
+        results.append(CheckResult(
+            f"models::{model.name}_theta_split", dims == want,
+            f"dim k = {dims[0]}, dim m = {dims[1]}"))
 
-    alg, grading, theta = su21_model()
-    split = theta_split(alg, theta)
-    ok = split.k_basis.shape[1] == 2 and split.m_basis.shape[1] == 6
-    results.append(CheckResult(
-        "models::su21_theta_split", ok,
-        f"dim k = {split.k_basis.shape[1]}, dim m = {split.m_basis.shape[1]}"))
-
-    fam = solve_cyclic(alg, grading)
-    cons_ok = (fam.dimension == 2 and fam.feasible
-               and len(fam.constraints) == 1)
-    direction = np.array([-2.0, 1.0, 1.0])
-    coeff, _, _, _ = np.linalg.lstsq(fam.null_basis, direction, rcond=None)
-    in_span = float(np.abs(fam.null_basis @ coeff - direction).max()) <= 1e-9
-    results.append(CheckResult(
-        "models::su21_cyclic_family", cons_ok and in_span,
-        f"{fam.description}, feasible {fam.feasible}"))
-
-    alg2, grading2, theta2 = sp11_model()
-    split2 = theta_split(alg2, theta2)
-    ok2 = split2.k_basis.shape[1] == 4 and split2.m_basis.shape[1] == 6
-    results.append(CheckResult(
-        "models::sp11_theta_split", ok2,
-        f"dim k = {split2.k_basis.shape[1]}, dim m = {split2.m_basis.shape[1]}"))
-
-    fam2 = solve_cyclic(alg2, grading2)
-    ray_ok = fam2.dimension == 1 and fam2.feasible
-    if ray_ok:
-        ray = fam2.null_basis[:, 0]
-        ray_ok = abs(ray[1]) > 0 and abs(ray[0] / ray[1] + 2.0) <= 1e-9
-    results.append(CheckResult(
-        "models::sp11_cyclic_family", bool(ray_ok),
-        f"{fam2.description}, feasible {fam2.feasible}"))
+        # the cyclic family is the cone's span, coupled as the spans say
+        fam = solve_cyclic(alg, grading)
+        cone = np.array(model.cone, dtype=float).T
+        coeff = np.linalg.lstsq(fam.null_basis, cone, rcond=None)[0]
+        in_span = float(np.abs(fam.null_basis @ coeff - cone).max()) <= 1e-9
+        triples = sorted({tuple(sorted(t)) for t in model.spans if t[2] < len(grading.blocks)})
+        ok = (fam.feasible and fam.dimension == np.linalg.matrix_rank(cone) and in_span
+              and list(fam.triples) == triples)
+        results.append(CheckResult(
+            f"models::{model.name}_cyclic_family", ok,
+            f"{fam.description}, feasible {fam.feasible}"))
 
     gentry = build("g", alpha=(0.5, 1.0, 2.0))
-    eigen = [(0.5, 1), (1.0, 2), (2.0, 3)]
+    eigen = [(a, i) for i, a in enumerate(gentry.params["alpha"], start=1)]
     pair = flat_section_witness(gentry.algebra, eigen)
     results.append(CheckResult(
         "models::flat_section_witness", pair == (0, 1),

@@ -1,14 +1,24 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
 import pytest
 
-from homgeo.catalog import CatalogEntry, ExpectedClass, build, default_entries, list_entries
+from homgeo.catalog import (
+    _SP11,
+    _SU21,
+    CatalogEntry,
+    ExpectedClass,
+    build,
+    default_entries,
+    list_entries,
+)
 from homgeo.errors import ParamOutOfRange, UnknownEntry
 from homgeo.io import space_from_dict, space_to_dict
+from homgeo.lie import killing_form
 from homgeo.reductive import Frame
 from homgeo.structure import classify
+from homgeo.verify import _check_grading_relations, _model_checks
 
 
 ALL_NAMES = [
@@ -74,6 +84,55 @@ def test_grading_only_on_quotients():
     for entry in default_entries():
         has_isotropy_family = entry.name in ("su21_a3ii", "sp11_a3iii")
         assert (entry.grading is not None) == has_isotropy_family, entry.label
+
+
+def test_graded_entries_carry_a_span_table():
+    # without a table the generic grading check would have nothing to compare
+    for entry in default_entries():
+        if entry.grading is not None:
+            nb = len(entry.grading.blocks)
+            assert entry.spans, entry.label
+            for a, b, part in entry.spans:
+                assert 0 <= a <= b < nb and 0 <= part <= nb, entry.label
+
+
+def test_grading_check_reads_the_span_table():
+    entry = build("su21_a3ii", lam=1.0, mu=1.0)
+    frame = Frame(entry.decomposition, entry.metric)
+    [ok] = _check_grading_relations(entry, frame, None)
+    assert ok.passed
+    moved = tuple((0, 1, 1) if t == (0, 1, 2) else t for t in entry.spans)
+    assert moved != entry.spans
+    [bad] = _check_grading_relations(replace(entry, spans=moved), frame, None)
+    assert not bad.passed
+    assert bad.detail.startswith("residual 1.000e+00")
+    [bare] = _check_grading_relations(replace(entry, spans=None), frame, None)
+    assert not bare.passed
+
+
+def test_model_checks_read_the_cone():
+    assert all(r.passed for r in _model_checks())
+    names = {r.name: r.passed for r in _model_checks((replace(_SP11, cone=((-3.0, 1.0),)),))}
+    assert names == {"models::sp11_theta_split": True,
+                     "models::sp11_cyclic_family": False,
+                     "models::flat_section_witness": True}
+    # one direction inside the su(2,1) cone does not span it, nor does it twice
+    for cone in (((-2.0, 1.0, 1.0),), ((-2.0, 1.0, 1.0), (-4.0, 2.0, 2.0))):
+        names = {r.name: r.passed for r in _model_checks((replace(_SU21, cone=cone),))}
+        assert not names["models::su21_cyclic_family"], cone
+
+
+def test_block_builders_are_cone_coordinates():
+    su = build("su21_a3ii", lam=0.5, mu=2.0)
+    sp = build("sp11_a3iii", mu=0.75)
+    for entry, lam in ((su, [-2.5, 0.5, 2.0]), (sp, [-1.5, 0.75])):
+        blocks = entry.grading.blocks
+        b = killing_form(entry.algebra)
+        m = entry.decomposition.m_indices
+        for coeff, blk in zip(lam, blocks):
+            pos = [m.index(i) for i in blk]
+            assert np.array_equal(entry.metric.matrix[np.ix_(pos, pos)],
+                                  coeff * b[np.ix_(blk, blk)]), entry.label
 
 
 def test_unknown_entry_and_params():

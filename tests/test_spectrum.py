@@ -12,9 +12,10 @@ from homgeo.errors import (
     NotOrder3,
     ParamOutOfRange,
 )
-from homgeo.lie import build_lie_algebra, from_tensor
+from homgeo.lie import build_lie_algebra, change_basis, from_tensor
 from homgeo.spectrum import (
     BlockGrading,
+    _block_couplings,
     active_triples,
     cyclic_metric,
     flat_section_witness,
@@ -116,6 +117,64 @@ def test_active_triples():
     assert active_triples(su_alg, su_grading) == [(0, 1, 2)]
     sp_alg, sp_grading, _ = sp11_model()
     assert active_triples(sp_alg, sp_grading) == [(0, 1, 1)]
+
+
+def test_active_triples_are_python_ints():
+    for model in (su21_model, sp11_model):
+        alg, grading, _ = model()
+        for triple in active_triples(alg, grading):
+            assert type(triple) is tuple
+            assert all(type(i) is int for i in triple)
+
+
+def _couplings_by_index(alg, grading):
+    """The block couplings, one bracket component at a time."""
+    parts = list(grading.blocks) + [grading.k_indices(alg.dim)]
+    nb = len(grading.blocks)
+    out = np.zeros((nb, nb, nb + 1))
+    for a, ia in enumerate(grading.blocks):
+        for b, ib in enumerate(grading.blocks):
+            for p, ip in enumerate(parts):
+                for i in ia:
+                    for j in ib:
+                        for l in ip:
+                            out[a, b, p] = max(out[a, b, p], abs(alg.tensor[i, j, l]))
+    return out
+
+
+def _random_graded_algebra(seed, k_size):
+    """A rotated solvable algebra of dim 7 with a random grading.
+
+    k holds k_size random indices; the rest split at random into blocks,
+    the first of which is a singleton.
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    alg = change_basis(g_solv(*rng.uniform(0.5, 2.0, 6)), q)
+    order = [int(i) for i in rng.permutation(7)[k_size:]]
+    cuts = sorted(rng.choice(np.arange(2, len(order)), size=2, replace=False))
+    blocks = [order[:1], order[1:cuts[0]], order[cuts[0]:cuts[1]], order[cuts[1]:]]
+    blocks = [b for b in blocks if b]
+    return alg, BlockGrading(blocks, [1] * len(blocks))
+
+
+@pytest.mark.parametrize("case", ["su21", "sp11", "k_empty", "k_two", "k_three"])
+def test_block_couplings_match_a_per_index_loop(case):
+    if case in ("su21", "sp11"):
+        alg, grading, _ = {"su21": su21_model, "sp11": sp11_model}[case]()
+    else:
+        k_size = {"k_empty": 0, "k_two": 2, "k_three": 3}[case]
+        alg, grading = _random_graded_algebra(k_size, k_size)
+        assert len(grading.k_indices(alg.dim)) == k_size
+        assert min(len(b) for b in grading.blocks) == 1
+    got = _block_couplings(alg, grading)
+    nb = len(grading.blocks)
+    assert got.shape == (nb, nb, nb + 1)
+    assert np.array_equal(got, _couplings_by_index(alg, grading))
+    if case == "k_empty":
+        assert not got[:, :, -1].any()
+    else:
+        assert got.any()
 
 
 def test_solve_cyclic_two_parameter_cone():
@@ -232,3 +291,8 @@ def test_flat_section_witness_guards():
         flat_section_witness(su2, [(0.0, 0), (0.0, 1), (0.0, 2)])
     with pytest.raises(ParamOutOfRange):
         flat_section_witness(su2, [(1.0, np.ones(4))])
+    # a basis index is an integer in 0..dim-1: no wrap-around, no truncation
+    alg = g_solv(0.5, 1.0, 2.0)
+    for bad in (-1, 7, 2.7):
+        with pytest.raises(IndexOutOfRange):
+            flat_section_witness(alg, [(0.5, 1), (1.0, bad), (2.0, 3)])
