@@ -23,7 +23,7 @@ from inspect import signature
 import numpy as np
 
 from .config import CATALOG_TOL, DEFAULT_TOL
-from .errors import ConsistencyError, ParamOutOfRange, UnknownEntry
+from .errors import ParamOutOfRange, UnknownEntry, check
 from .lie import (
     LieAlgebra,
     build_lie_algebra,
@@ -297,26 +297,24 @@ def _matrix_model(matrices, labels, z, grading):
             vec = _real_coords(matrices[i] @ matrices[j] - matrices[j] @ matrices[i])
             coeff = np.linalg.lstsq(basis, vec, rcond=None)[0]
             remainder = float(np.linalg.norm(basis @ coeff - vec))
-            if remainder > 1e-9 * max(1.0, float(np.linalg.norm(vec))):
-                raise ConsistencyError(
-                    f"matrix basis is not closed under brackets at ({i},{j})"
-                )
+            check(remainder, 1e-9 * max(1.0, float(np.linalg.norm(vec))),
+                  f"matrix basis is not closed under brackets at ({i},{j})")
             tensor[i, j, :] = coeff
             tensor[j, i, :] = -coeff
     alg = from_tensor(np.round(tensor, 12), basis_labels=labels, tol=CATALOG_TOL)
 
     expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
                            for x in matrices])
-    if float(np.abs(killing_form(alg) - expected_b).max()) > CATALOG_TOL:
-        raise ConsistencyError("Killing form does not match six times the trace form")
+    check(float(np.abs(killing_form(alg) - expected_b).max()), CATALOG_TOL,
+          "Killing form does not match six times the trace form")
 
     zinv = np.linalg.inv(z)
     cols = []
     for m in matrices:
         vec = _real_coords(z @ m @ zinv)
         coeff = np.linalg.lstsq(basis, vec, rcond=None)[0]
-        if float(np.linalg.norm(basis @ coeff - vec)) > 1e-9:
-            raise ConsistencyError("conjugation does not preserve the span")
+        check(float(np.linalg.norm(basis @ coeff - vec)), 1e-9,
+              "conjugation does not preserve the span")
         cols.append(coeff)
     return alg, grading, np.array(cols).T
 

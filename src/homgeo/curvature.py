@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DegeneratePlane, NotCyclic
+from .errors import DegeneratePlane, NotCyclic, check
 from .reductive import Frame, as_frame, foliation_data
 
 
@@ -204,10 +204,8 @@ def xi_curvatures(dec, metric=None) -> XiCurvatureReport:
     ad_xi = np.einsum("a,abc->cb", frame.eta, frame.lte)  # maps frame coords
     a_matrix = d.T @ ad_xi @ d
     a_sym = float(np.abs(a_matrix - a_matrix.T).max())
-    if a_sym > max(tol, 1e-10) * max(1.0, float(np.abs(a_matrix).max())):
-        raise ConsistencyError(
-            f"ad_xi on D is not symmetric on a cyclic space ({a_sym:.3e})"
-        )
+    check(a_sym, max(tol, 1e-10) * max(1.0, float(np.abs(a_matrix).max())),
+          "ad_xi on D is not symmetric on a cyclic space")
     kappa = float(np.trace(a_matrix)) / (n - 1)
     umb_defect = float(np.abs(a_matrix - kappa * np.eye(n - 1)).max())
     umbilical = umb_defect <= max(tol, 1e-10 * max(1.0, c2))

@@ -16,11 +16,11 @@ import scipy.linalg
 
 from .config import DEFAULT_TOL
 from .errors import (
-    ConsistencyError,
     IndexOutOfRange,
     JacobiViolation,
     NotADerivation,
     ParamOutOfRange,
+    check,
 )
 
 
@@ -122,10 +122,7 @@ def _algebra(upper: np.ndarray, basis_labels, tol: float) -> LieAlgebra:
         i, j, _ = np.argwhere(~finite)[0]
         raise ParamOutOfRange(f"bracket [e{i}, e{j}] has a non-finite coefficient")
     defect = jacobi_residual(tensor)
-    if not defect <= tol:
-        raise JacobiViolation(
-            f"Jacobi identity fails with residual {defect:.3e} (tol {tol:.1e})"
-        )
+    check(defect, tol, "Jacobi identity fails", JacobiViolation)
     return LieAlgebra(dim, labels, _frozen(tensor), defect, tol)
 
 
@@ -171,8 +168,7 @@ def from_tensor(tensor, basis_labels=None, tol=DEFAULT_TOL) -> LieAlgebra:
     if not np.isfinite(tensor).all():
         raise ParamOutOfRange("bracket tensor has a non-finite entry")
     skew = float(np.abs(tensor + np.transpose(tensor, (1, 0, 2))).max()) if tensor.size else 0.0
-    if not skew <= tol:
-        raise IndexOutOfRange(f"bracket tensor not antisymmetric (defect {skew:.3e})")
+    check(skew, tol, "bracket tensor not antisymmetric", IndexOutOfRange)
     return _algebra(_upper(tensor), basis_labels, tol)
 
 
@@ -217,10 +213,7 @@ def unimodular_kernel(algebra: LieAlgebra):
     # w[i, :, c] = [e_i, basis_c] must lie in the kernel again
     w = np.tensordot(algebra.tensor, basis, axes=([1], [0]))
     worst = float(np.abs(w - proj @ w).max())
-    if worst > max(tol, 1e-12):
-        raise ConsistencyError(
-            f"unimodular kernel failed the ideal check (residual {worst:.3e})"
-        )
+    check(worst, max(tol, 1e-12), "unimodular kernel failed the ideal check")
     return False, _frozen(basis)
 
 
@@ -244,10 +237,7 @@ def derivation(algebra: LieAlgebra, matrix) -> Derivation:
     """Validate matrix as a derivation, at the algebra's tolerance."""
     tol = algebra.tol
     defect = derivation_residual(algebra, matrix)
-    if not defect <= tol:
-        raise NotADerivation(
-            f"matrix is not a derivation (residual {defect:.3e}, tol {tol:.1e})"
-        )
+    check(defect, tol, "matrix is not a derivation", NotADerivation)
     return Derivation(_frozen(matrix), defect)
 
 

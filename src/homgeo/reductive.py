@@ -26,6 +26,7 @@ from .errors import (
     InvalidMetric,
     NotReductive,
     UnimodularInput,
+    check,
 )
 from .lie import LieAlgebra, _frozen, _pullback, killing_form, trace_vector
 
@@ -80,12 +81,9 @@ def check_reductive(dec: ReductiveDecomposition, tol=DEFAULT_TOL) -> ReductiveRe
     if k:
         kk = float(np.abs(c[np.ix_(k, k)][:, :, m]).max())
         km = float(np.abs(c[np.ix_(k, m)][:, :, k]).max())
-    report = ReductiveReport(kk, km)
-    if report.residual > tol:
-        raise NotReductive(
-            f"splitting is not reductive: [k,k] leak {kk:.3e}, [k,m] leak {km:.3e}"
-        )
-    return report
+    check(kk, tol, "splitting is not reductive ([k,k] leak)", NotReductive)
+    check(km, tol, "splitting is not reductive ([k,m] leak)", NotReductive)
+    return ReductiveReport(kk, km)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +101,8 @@ class InvariantMetric:
         if not np.isfinite(mat).all():
             raise InvalidMetric("metric has a non-finite entry")
         sym = float(np.abs(mat - mat.T).max())
-        if sym > 1e-12 * max(1.0, float(np.abs(mat).max())):
-            raise InvalidMetric(f"metric is not symmetric (defect {sym:.3e})")
+        check(sym, 1e-12 * max(1.0, float(np.abs(mat).max())),
+              "metric is not symmetric", InvalidMetric)
         object.__setattr__(self, "matrix", _frozen((mat + mat.T) / 2.0))
 
     @classmethod
@@ -165,11 +163,7 @@ class Frame:
         self.q_inv = chol.T
         ortho = float(np.abs(self.q.T @ metric.matrix @ self.q - np.eye(n)).max())
         ortho_bound = 1e-12 * n * float(np.abs(chol).max()) * float(np.abs(self.q).max())
-        if ortho > ortho_bound:
-            raise ConsistencyError(
-                f"frame is not orthonormal for the metric (residual {ortho:.3e}, "
-                f"bound {ortho_bound:.1e})"
-            )
+        check(ortho, ortho_bound, "frame is not orthonormal for the metric")
         algebra = dec.algebra
         dim = algebra.dim
         m_idx = list(dec.m_indices)
@@ -191,10 +185,7 @@ class Frame:
                 adk[w] = self.q_inv @ vec[m_idx, :]
             self.ad_k = adk
             inv = float(np.abs(adk + np.transpose(adk, (0, 2, 1))).max())
-            if inv > tol:
-                raise InvalidMetric(
-                    f"metric is not ad_k-invariant (residual {inv:.3e})"
-                )
+            check(inv, tol, "metric is not ad_k-invariant", InvalidMetric)
         else:
             self.ad_k = np.zeros((0, n, n))
 
@@ -272,9 +263,14 @@ class Frame:
         return _frozen(self.frame_g.T @ killing_form(self.dec.algebra) @ self.frame_g)
 
     @cached_property
+    def _lte_cyclic_sum(self) -> np.ndarray:
+        """Cyclic sum of lte, which classify's cross-check reads again."""
+        return _frozen(cyclic_sum(self.lte))
+
+    @cached_property
     def cyclic_residual(self) -> float:
         """Max-abs cyclic sum of lte; within tol exactly on cyclic spaces."""
-        return float(np.abs(cyclic_sum(self.lte)).max())
+        return float(np.abs(self._lte_cyclic_sum).max())
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -288,11 +284,8 @@ class Frame:
         scale = max(1.0, float(np.abs(gamma).max()))
         compat = float(np.abs(gamma + np.einsum("abc->acb", gamma)).max())
         tors = float(np.abs(gamma - np.einsum("abc->bac", gamma) - self.lte).max())
-        if max(compat, tors) > 1e-11 * scale:
-            raise ConsistencyError(
-                f"connection coefficients fail metric/torsion identities "
-                f"(compat {compat:.3e}, torsion {tors:.3e})"
-            )
+        check(compat, 1e-11 * scale, "connection coefficients fail metric compatibility")
+        check(tors, 1e-11 * scale, "connection coefficients fail the torsion identity")
         return _frozen(gamma)
 
     @cached_property
@@ -326,10 +319,7 @@ class Frame:
         np.add(buf, r4.transpose(2, 0, 1, 3), out=buf)
         defects.append(float(np.abs(buf, out=buf).max()))
         worst = max(defects)
-        if worst > 1e-10 * scale:
-            raise ConsistencyError(
-                f"curvature tensor fails its algebraic symmetries ({worst:.3e})"
-            )
+        check(worst, 1e-10 * scale, "curvature tensor fails its algebraic symmetries")
         self.r4_defect = worst
         return _frozen(r4)
 
@@ -373,11 +363,8 @@ class Frame:
         scale = max(1.0, float(np.abs(stack).max()))
         gaps = np.abs(stack[1:] - stack[0]).max(axis=(1, 2))
         for name, gap in zip(names[1:], gaps):
-            if gap > max(self.tol, 1e-9 * scale):
-                raise ConsistencyError(
-                    f"Ricci routes '{names[0]}' and '{name}' disagree "
-                    f"(gap {gap:.3e})"
-                )
+            check(gap, max(self.tol, 1e-9 * scale),
+                  f"Ricci routes '{names[0]}' and '{name}' disagree")
         # the largest entrywise spread is the worst gap over all route pairs
         self.ricci_gap = float((stack.max(axis=0) - stack.min(axis=0)).max())
         return MappingProxyType({name: _frozen(m) for name, m in routes.items()})
@@ -488,10 +475,7 @@ def foliation_data(dec, metric=None) -> FoliationData:
     trace_id = np.einsum("iic->c", u_dd) + frame.eta
     worst = max(sym, float(np.abs(u_xi).max()) / max(c2, 1.0),
                 float(np.abs(trace_id).max()) / max(frame.c, 1.0))
-    if worst > max(tol, 1e-10):
-        raise ConsistencyError(
-            f"foliation identities failed (residual {worst:.3e})"
-        )
+    check(worst, max(tol, 1e-10), "foliation identities failed")
     return FoliationData(
         d_basis=_frozen(d_basis),
         h_coeff=_frozen(h_coeff),

@@ -31,6 +31,7 @@ from .errors import (
     NotAutomorphism,
     NotOrder3,
     ParamOutOfRange,
+    check,
 )
 from .lie import LieAlgebra, _frozen, _pullback, killing_form
 from .reductive import InvariantMetric, ReductiveDecomposition
@@ -105,10 +106,8 @@ def _block_killing(algebra, grading):
     # cross-block orthogonality keeps the family block diagonal
     for bi, bj in combinations(grading.blocks, 2):
         off = float(np.abs(b[np.ix_(bi, bj)]).max())
-        if off > max(tol, 1e-10) * scale:
-            raise ParamOutOfRange(
-                f"blocks {bi} and {bj} are not Killing-orthogonal ({off:.3e})"
-            )
+        check(off, max(tol, 1e-10) * scale,
+              f"blocks {bi} and {bj} are not Killing-orthogonal", ParamOutOfRange)
     return restrictions
 
 
@@ -223,10 +222,8 @@ def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading) -> CyclicSolutionFa
             lam = null @ res.x[:r]
             if len(triples):
                 worst = float(np.abs(rows @ lam).max())
-                if worst > 1e-8 * max(1.0, float(np.abs(lam).max())):
-                    raise ConsistencyError(
-                        "chamber point violates the cyclic constraints"
-                    )
+                check(worst, 1e-8 * max(1.0, float(np.abs(lam).max())),
+                      "chamber point violates the cyclic constraints")
             sample = lam
 
     if all(s == -1 for s in grading.signs):
@@ -294,8 +291,8 @@ def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
         )
     eye = np.eye(dim)
     scale = max(1.0, float(np.abs(theta).max()))
-    if float(np.abs(theta @ theta @ theta - eye).max()) > max(tol, 1e-10) * scale ** 3:
-        raise NotOrder3("theta^3 is not the identity")
+    check(float(np.abs(theta @ theta @ theta - eye).max()), max(tol, 1e-10) * scale ** 3,
+          "theta^3 is not the identity", NotOrder3)
     if float(np.abs(theta - eye).max()) <= max(tol, 1e-10) * scale:
         raise NotOrder3("theta is the identity; the splitting is trivial")
 
@@ -303,10 +300,8 @@ def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
     lhs = _pullback(c, theta)
     rhs = c @ theta.T
     defect = float(np.abs(lhs - rhs).max())
-    if defect > max(tol, 1e-10) * max(1.0, float(np.abs(c).max())) * scale ** 2:
-        raise NotAutomorphism(
-            f"theta does not respect the bracket (defect {defect:.3e})"
-        )
+    check(defect, max(tol, 1e-10) * max(1.0, float(np.abs(c).max())) * scale ** 2,
+          "theta does not respect the bracket", NotAutomorphism)
 
     phi = eye + theta + theta @ theta
     u, s, _ = np.linalg.svd(phi)
@@ -323,10 +318,8 @@ def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
         ad = np.einsum("i,ijk->kj", k_basis[:, w], c)
         ad_m = m_basis.T @ ad @ m_basis
         worst = max(worst, float(np.abs(j_matrix @ ad_m - ad_m @ j_matrix).max()))
-    if worst > max(tol, 1e-9) * max(1.0, scale, float(np.abs(c).max())):
-        raise ConsistencyError(
-            f"order-3 splitting identities failed (residual {worst:.3e})"
-        )
+    check(worst, max(tol, 1e-9) * max(1.0, scale, float(np.abs(c).max())),
+          "order-3 splitting identities failed")
     return Order3Split(
         theta=_frozen(theta),
         k_basis=_frozen(k_basis),
@@ -372,12 +365,10 @@ def flat_section_witness(algebra: LieAlgebra, eigen_list) -> tuple[int, int]:
             mix = abs(lams[i] + lams[j]) * float(
                 np.linalg.norm(algebra.bracket(vecs[i], vecs[j]))
             )
-            if mix > max(tol, 1e-10) * scale * norms[i] * norms[j] * max(
-                    1.0, abs(lams[i]) + abs(lams[j])):
-                raise ParamOutOfRange(
-                    f"eigen data is inconsistent: [v_{i}, v_{j}] does not vanish "
-                    f"although the eigenvalues do not cancel"
-                )
+            bound = max(tol, 1e-10) * scale * norms[i] * norms[j] * max(
+                1.0, abs(lams[i]) + abs(lams[j]))
+            check(mix, bound, f"eigen data is inconsistent: [v_{i}, v_{j}] does not vanish "
+                  "although the eigenvalues do not cancel", ParamOutOfRange)
 
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):

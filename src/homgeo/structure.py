@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import ConsistencyError, SlotSymmetryViolation
+from .errors import ConsistencyError, SlotSymmetryViolation, check
 from .lie import _frozen, trace_vector
 from .reductive import as_frame, cyclic_sum
 
@@ -49,15 +49,15 @@ class _SkewPairTensor:
 
     components: np.ndarray
     _swap: ClassVar[str]  # einsum exchanging the antisymmetric slot pair
-    _what: ClassVar[str]  # the defect message
+    _what: ClassVar[str]  # what the slot check's error says
 
     def __post_init__(self):
         a = np.asarray(self.components, dtype=float)
         if a.ndim != 3 or len(set(a.shape)) != 1:
             raise SlotSymmetryViolation(f"expected cubic rank-3 components, got {a.shape}")
         defect = float(np.abs(a + np.einsum(self._swap, a)).max()) if a.size else 0.0
-        if defect > max(1e-9, 1e-12 * max(1.0, float(np.abs(a).max()))):
-            raise SlotSymmetryViolation(f"{self._what} (defect {defect:.3e})")
+        check(defect, max(1e-9, 1e-12 * max(1.0, float(np.abs(a).max()))),
+              self._what, SlotSymmetryViolation)
         object.__setattr__(self, "components", _frozen(a))
 
     @property
@@ -113,10 +113,8 @@ def trace_form(t: TorsionTensor) -> np.ndarray:
     eta = np.einsum("xaa->x", t.components)
     via_s = contract_12(torsion_to_structure(t).components)
     gap = float(np.abs(eta - via_s).max()) if eta.size else 0.0
-    if gap > max(DEFAULT_TOL, 1e-12 * max(1.0, float(np.abs(t.components).max()))):
-        raise ConsistencyError(
-            f"trace form disagrees with the structure contraction (gap {gap:.3e})"
-        )
+    check(gap, max(DEFAULT_TOL, 1e-12 * max(1.0, float(np.abs(t.components).max()))),
+          "trace form disagrees with the structure contraction")
     return eta
 
 
@@ -156,13 +154,11 @@ def decompose(s, tol=DEFAULT_TOL) -> TypeDecomposition:
         s3 = np.zeros_like(a)
         s2 = np.zeros_like(a)
         resid = float(np.abs(a - s1).max())
-        if resid > max(tol, 1e-12 * max(1.0, float(np.abs(a).max()))):
-            raise ConsistencyError(
-                f"dimension-2 tensor is not purely vectorial (residual {resid:.3e})"
-            )
+        check(resid, max(tol, 1e-12 * max(1.0, float(np.abs(a).max()))),
+              "dimension-2 tensor is not purely vectorial")
         s1 = a.copy()
     else:
-        s3 = (a + np.einsum("abc->cab", a) + np.einsum("abc->bca", a)) / 3.0
+        s3 = cyclic_sum(a) / 3.0
         s2 = a - s1 - s3
 
     dec = TypeDecomposition(
@@ -180,20 +176,18 @@ def _decomposition_selfcheck(a, dec):
     scale = max(1.0, float(np.abs(a).max()))
     slack = 1e-11 * scale
     parts = (dec.s1, dec.s2, dec.s3)
-    if float(np.abs(a - sum(parts)).max()) > slack:
-        raise ConsistencyError("type components do not reconstruct the tensor")
+    check(float(np.abs(a - sum(parts)).max()), slack,
+          "type components do not reconstruct the tensor")
     for i in range(3):
         for j in range(i + 1, 3):
-            ip = float(np.abs(np.sum(parts[i] * parts[j])))
-            if ip > slack * max(1.0, scale):
-                raise ConsistencyError("type components are not orthogonal")
-    if float(np.abs(dec.s3 + np.einsum("abc->bac", dec.s3)).max()) > slack:
-        raise ConsistencyError("skew component is not totally skew")
-    if dec.s2.size and float(np.abs(contract_12(dec.s2)).max()) > slack:
-        raise ConsistencyError("traceless component has a nonzero trace")
-    cyc = dec.s2 + np.einsum("abc->cab", dec.s2) + np.einsum("abc->bca", dec.s2)
-    if float(np.abs(cyc).max()) > slack:
-        raise ConsistencyError("traceless cyclic component has a cyclic sum")
+            check(float(np.abs(np.sum(parts[i] * parts[j]))), slack * max(1.0, scale),
+                  "type components are not orthogonal")
+    check(float(np.abs(dec.s3 + np.einsum("abc->bac", dec.s3)).max()), slack,
+          "skew component is not totally skew")
+    check(float(np.abs(contract_12(dec.s2)).max()), slack,
+          "traceless component has a nonzero trace")
+    check(float(np.abs(cyclic_sum(dec.s2)).max()), slack,
+          "traceless cyclic component has a cyclic sum")
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,36 +283,35 @@ def classify(dec, metric=None) -> ClassificationReport:
 def _classify_crosscheck(report, frame):
     """Bracket-level decisions must match the component-norm picture.
 
-    Exact identities tie the two routes together: the cyclic sum of S
-    is 3 S3, the trace c12(S) equals eta, and S - S1 has norm
-    sqrt(s2^2 + s3^2).  A wide guard band (factor 50) keeps the check
-    meaningful without flapping at the threshold.
+    Exact identities tie the two routes together.  The cyclic sum of U
+    vanishes, so 3 S3, the cyclic sum of S, is minus half the cyclic sum
+    of the projected bracket lte (Tricerri-Vanhecke); the trace c12(S)
+    equals eta; S - S1 has norm sqrt(s2^2 + s3^2); and S vanishes
+    exactly when lte does.  A wide guard band (factor 50) keeps the
+    check meaningful without flapping at the threshold.
     """
     s, types, n, tol = frame.s, frame.types, frame.n, frame.tol
-    cyc_s = cyclic_sum(s)
-    if float(np.abs(cyc_s - 3.0 * types.s3).max()) > 1e-10 * max(1.0, float(np.abs(s).max())):
-        raise ConsistencyError("cyclic sum of S does not equal 3 S3")
+    check(float(np.abs(3.0 * types.s3 + 0.5 * frame._lte_cyclic_sum).max()),
+          1e-10 * max(1.0, float(np.abs(s).max())),
+          "3 S3 does not equal minus half the cyclic sum of the projected bracket")
     if n >= 2:
         gap = float(np.abs(contract_12(s) - frame.eta).max())
-        if gap > max(tol, 1e-11 * max(1.0, float(np.abs(s).max()))):
-            raise ConsistencyError(
-                f"c12(S) disagrees with the canonical trace form (gap {gap:.3e})"
-            )
+        check(gap, max(tol, 1e-11 * max(1.0, float(np.abs(s).max()))),
+              "c12(S) disagrees with the canonical trace form")
 
     checks = [
         (report.cyclic, types.norms["s3"]),
         (report.traceless, types.norms["s1"]),
         (report.vectorial, np.hypot(types.norms["s2"], types.norms["s3"])),
         (report.naturally_reductive, np.hypot(types.norms["s1"], types.norms["s2"])),
-        (report.symmetric, float(np.linalg.norm(s))),
+        (report.symmetric, float(np.linalg.norm(frame.lte))),
     ]
     scale = max(1.0, float(np.abs(s).max())) * n ** 1.5
     for decided, norm in checks:
-        if decided and norm > 50.0 * tol * scale:
-            raise ConsistencyError(
-                "bracket-level classification disagrees with component norms"
-            )
-        if not decided and norm <= tol / (50.0 * scale):
+        if decided:
+            check(norm, 50.0 * tol * scale,
+                  "bracket-level classification disagrees with component norms")
+        elif norm <= tol / (50.0 * scale):
             raise ConsistencyError(
                 "component norms disagree with bracket-level classification"
             )

@@ -26,7 +26,7 @@ from .curvature import (
     sectional_curvature,
     xi_curvatures,
 )
-from .errors import HomgeoError
+from .errors import HomgeoError, _residual_text
 from .lie import killing_form, trace_vector
 from .reductive import Frame, InvariantMetric, closedness_residual, foliation_data
 from .spectrum import _block_couplings, flat_section_witness, solve_cyclic, theta_split
@@ -89,8 +89,7 @@ class VerificationReport:
 
 
 def _result(name: str, residual: float, bound: float) -> CheckResult:
-    return CheckResult(name, residual <= bound,
-                       f"residual {residual:.3e} (bound {bound:.1e})")
+    return CheckResult(name, residual <= bound, _residual_text(residual, bound))
 
 
 def _is_unimodular(algebra, tol) -> bool:

@@ -78,7 +78,8 @@ def test_non_finite_coefficients_rejected(bad):
 
 
 def test_jacobi_violation_raises():
-    with pytest.raises(JacobiViolation):
+    with pytest.raises(JacobiViolation,
+                       match=r"Jacobi identity fails: residual 1\.000e\+00 \(bound 1\.0e-09\)"):
         build_lie_algebra(3, {(0, 1): {2: 1.0}, (1, 2): {1: 1.0}})
     # the same table passes at a tolerance beyond its residual
     alg = build_lie_algebra(3, {(0, 1): {2: 1.0}, (1, 2): {1: 1e-13}})

@@ -56,14 +56,14 @@ def test_partition_validation():
 def test_check_reductive():
     # [e0, e1] = e0 leaks into k for k = (0,)
     alg = build_lie_algebra(2, {(0, 1): {0: 1.0}})
-    with pytest.raises(NotReductive):
+    with pytest.raises(NotReductive, match=r"\[k,m\] leak\): residual 1\.000e\+00 \(bound"):
         check_reductive(ReductiveDecomposition(alg, (0,), (1,)))
     # the other orientation is reductive
     rep = check_reductive(ReductiveDecomposition(alg, (1,), (0,)))
     assert rep.residual == 0.0
     # Heisenberg with both generators as isotropy: [k,k] leaks into m
     heis = build_lie_algebra(3, {(0, 1): {2: 1.0}})
-    with pytest.raises(NotReductive):
+    with pytest.raises(NotReductive, match=r"\[k,k\] leak\): residual 1\.000e\+00 \(bound"):
         check_reductive(ReductiveDecomposition(heis, (0, 1), (2,)))
 
 
@@ -88,7 +88,7 @@ def test_metric_must_be_isotropy_invariant():
     alg = rotated_heisenberg()
     dec = ReductiveDecomposition(alg, (0,), (1, 2, 3))
     Frame(dec, InvariantMetric.identity(3))  # rotation-invariant: fine
-    with pytest.raises(InvalidMetric):
+    with pytest.raises(InvalidMetric, match=r"not ad_k-invariant: residual .* \(bound 1\.0e-09\)"):
         Frame(dec, InvariantMetric.from_diag([1.0, 2.0, 3.0]))
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from homgeo.catalog import build
 from homgeo.curvature import ricci_tensor
-from homgeo.errors import SlotSymmetryViolation
+from homgeo.errors import ConsistencyError, SlotSymmetryViolation
 from homgeo.lie import build_lie_algebra, change_basis
 from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition
 from homgeo.structure import (
@@ -184,6 +184,17 @@ def test_classify_solvable_families():
     dec = ReductiveDecomposition(alg, (), (0, 1, 2))
     rep = classify(dec, InvariantMetric.identity(3))
     assert rep.traceless_cyclic and not rep.vectorial
+
+
+def test_classify_crosscheck_catches_a_sign_slip_in_s(monkeypatch):
+    # S = (1/2) lte - U in place of -(1/2) lte - U: the S1/S2/S3 split of
+    # the wrong S is still exact, but 3 S3 then differs from minus half
+    # the cyclic sum of lte on a space that is not cyclic
+    dec, g = milnor_dec(1.0, 1.0, 1.0)
+    classify(Frame(dec, g))
+    monkeypatch.setattr(Frame, "s", property(lambda self: 0.5 * self.lte - self.u))
+    with pytest.raises(ConsistencyError, match="3 S3 does not equal minus half"):
+        classify(Frame(dec, g))
 
 
 def test_classification_report_round_trip():

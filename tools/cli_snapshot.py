@@ -14,7 +14,11 @@ Writes, from the checkout this script sits in:
 - solve-cyclic --format json on the su(2,1) and sp(1,1) models with
   their gradings, at both tolerances;
 - solve-cyclic --format json on the su(2,1) space with two gradings
-  whose indices fall outside the algebra (one too large, one negative);
+  whose indices fall outside the algebra (one too large, one negative),
+  and with one whose blocks are not Killing-orthogonal;
+- classify --format json on three spaces it must refuse at a residual
+  check: brackets that fail Jacobi, a splitting that is not reductive,
+  and so2_heisenberg with a metric that is not rotation-invariant;
 - catalog build --format json for each of the 8 builders at two points
   away from the defaults, and for nine parameter sets it must refuse:
   an unknown parameter, a missing one, a boolean in place of a number
@@ -46,8 +50,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from homgeo import cli, default_entries  # noqa: E402
-from homgeo.io import dump_space, grading_to_dict  # noqa: E402
+from homgeo import InvariantMetric, build, cli, default_entries  # noqa: E402
+from homgeo.io import dump_space, grading_to_dict, space_to_dict  # noqa: E402
 
 TOLERANCES = ("1e-9", "1e-6")
 CATALOG_BUILDS = (
@@ -80,9 +84,31 @@ CATALOG_BUILDS = (
 BAD_GRADINGS = (
     ("large", {"blocks": [[2, 3], [4, 5], [6, 99]], "signs": [-1, 1, 1]}),
     ("negative", {"blocks": [[2, 3], [4, 5], [-2, -1]], "signs": [-1, 1, 1]}),
+    # the isotropy directions 0 and 1 as two blocks: B(e0, e1) = -6
+    ("not-orthogonal", {"blocks": [[0], [1], [2, 3], [4, 5], [6, 7]],
+                        "signs": [-1, -1, -1, 1, 1]}),
 )
 SOLVE_CYCLIC = ("su21_a3ii", "sp11_a3iii")
 VERIFY_SEEDS = ("1", "2")
+
+
+def refused_spaces() -> dict:
+    """Space documents that classify must refuse, by file name."""
+    so2 = build("so2_heisenberg", lam3=1.0).decomposition
+    return {
+        "jacobi": {  # [e0, e1] = e2, [e1, e2] = e1: residual 1
+            "algebra": {"dim": 3, "brackets": [{"i": 0, "j": 1, "out": {"2": 1.0}},
+                                               {"i": 1, "j": 2, "out": {"1": 1.0}}]},
+            "decomposition": {"k": [], "m": [0, 1, 2]},
+            "metric": {"diag": [1.0, 1.0, 1.0]},
+        },
+        "not-reductive": {  # Heisenberg with k = (0, 1): [k, k] leaks into m
+            "algebra": {"dim": 3, "brackets": [{"i": 0, "j": 1, "out": {"2": 1.0}}]},
+            "decomposition": {"k": [0, 1], "m": [2]},
+            "metric": {"diag": [1.0]},
+        },
+        "not-invariant": space_to_dict(so2, InvariantMetric.from_diag([1.0, 2.0, 3.0])),
+    }
 
 
 def slug(label: str) -> str:
@@ -138,6 +164,12 @@ def main(argv=None) -> int:
                     run(out, f"solve-cyclic__{label}__grading-{which}.json",
                         ["solve-cyclic", str(path), "--grading", str(bad),
                          "--format", "json"], codes)
+
+    for which, doc in refused_spaces().items():
+        path = spaces / f"refused-{which}.json"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        run(out, f"classify__refused-{which}.json",
+            ["classify", str(path), "--format", "json"], codes)
 
     for tol in TOLERANCES:
         run(out, f"verify-all__{tol}.json",
