@@ -4,20 +4,27 @@
 
 Times build_lie_algebra, Frame, Frame.types, Frame.r4, classify,
 ricci_routes, xi_curvatures, one curvature_diagonal_general call and
-the whole pipeline at n = 3, 6, 16, 32; solve_cyclic on the su(2,1) and
-sp(1,1) models with their catalog gradings; one
-curvature_diagonal_general call on the su21_a3ii catalog space; and
-each per-entry check of verify.run_all, summed over the default catalog
-entries; all with time.perf_counter.
+the whole pipeline at n = 3, 6, 16, 20 (perfbench's solvable_large
+size) and 32; solve_cyclic on the su(2,1) and sp(1,1) models with their
+catalog gradings; one curvature_diagonal_general call on the su21_a3ii
+catalog space; and each per-entry check of verify.run_all, summed over
+the default catalog entries; all with time.perf_counter.
 Writes the median, the interquartile range and the repeat count of each
 case to OUT.json, with the git SHA, the Python/numpy/scipy versions and
-the CPU count.
+the CPU count.  Each case also records minflt_median, the median count
+of minor page faults this process took during one repeat
+(resource.getrusage on the own process): a repeat that allocates and
+frees large arrays can make the allocator hand memory back to the
+kernel and fault it in again on the next one.
 
 A core's speed drifts on a shared machine, so every repeat of a case is
-followed by one run of perfbench's homgeo-free reference kernel
-(perfbench/calibrate.py).  Each case also records the kernel's median
-and IQR over its repeats, and scaled_median_ms = median_ms * NOMINAL_S /
-(kernel median): the time on a core where the kernel takes NOMINAL_S.
+followed by REFS_PER_REPEAT runs of perfbench's homgeo-free reference
+kernel (perfbench/calibrate.py).  As perfbench does for ops, each
+repeat's time is scaled by NOMINAL_S / (the median of the
+REF_NEIGHBOURS kernel runs nearest to it), and scaled_median_ms and
+scaled_iqr_ms are the median and IQR of those scaled times: the time on
+a core where the kernel takes NOMINAL_S.  Each case also records the
+kernel's median and IQR over all its runs.
 
 Each case times one layer alone.  The layers a case needs first are built
 outside the timed region: Frame.types and Frame.r4 are the first access
@@ -42,6 +49,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -57,15 +65,16 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import homgeo as hg  # noqa: E402
-from calibrate import NOMINAL_S, reference_kernel  # noqa: E402
+from calibrate import NOMINAL_S, REF_NEIGHBOURS, time_reference  # noqa: E402
 from homgeo import verify  # noqa: E402
 from homgeo.catalog import _BLOCK_MODELS  # noqa: E402
 from homgeo.reductive import Frame  # noqa: E402
 
-SIZES = (3, 6, 16, 32)
+SIZES = (3, 6, 16, 20, 32)
 SEED = 5
 MIN_REPEATS = 21
 MIN_SECONDS = 0.3
+REFS_PER_REPEAT = 3
 
 
 def rotated_solvable(n: int, rng):
@@ -89,29 +98,41 @@ def rotated_solvable(n: int, rng):
     return brackets, alpha
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def time_case(run, prepare=lambda: None) -> dict:
     """Median and IQR in ms of run(prepare()) over repeats; prepare is untimed.
 
-    The reference kernel runs once after each repeat, and the case's
-    median is scaled by the kernel's median over the same repeats.
+    The reference kernel runs REFS_PER_REPEAT times after each repeat,
+    and each repeat is scaled by the median of the kernel runs nearest it.
     """
     for _ in range(2):
         run(prepare())
-    times, refs = [], []
+    times, faults, refs = [], [], []
     start = time.perf_counter()
     while len(times) < MIN_REPEATS or time.perf_counter() - start < MIN_SECONDS:
         arg = prepare()
+        f0 = minor_faults()
         t0 = time.perf_counter()
         run(arg)
         t1 = time.perf_counter()
-        reference_kernel()
-        refs.append(time.perf_counter() - t1)
+        faults.append(minor_faults() - f0)
         times.append(t1 - t0)
+        refs.extend(time_reference() for _ in range(REFS_PER_REPEAT))
+    scaled = []
+    for i, t in enumerate(times):  # repeat i's kernel runs start at refs[i * REFS_PER_REPEAT]
+        pos = min(max(i * REFS_PER_REPEAT - REF_NEIGHBOURS // 2, 0),
+                  len(refs) - REF_NEIGHBOURS)
+        scaled.append(t * NOMINAL_S / np.median(refs[pos:pos + REF_NEIGHBOURS]))
     q25, q50, q75 = np.percentile(np.array(times) * 1e3, [25, 50, 75])
     r25, r50, r75 = np.percentile(np.array(refs) * 1e3, [25, 50, 75])
+    s25, s50, s75 = np.percentile(np.array(scaled) * 1e3, [25, 50, 75])
     return {"median_ms": q50, "iqr_ms": q75 - q25, "repeats": len(times),
             "ref_median_ms": r50, "ref_iqr_ms": r75 - r25,
-            "scaled_median_ms": q50 * NOMINAL_S * 1e3 / r50}
+            "scaled_median_ms": s50, "scaled_iqr_ms": s75 - s25,
+            "minflt_median": float(np.median(faults))}
 
 
 def bench_size(n: int) -> dict:
@@ -225,7 +246,7 @@ def main(argv=None) -> int:
     for case, stats in cases.items():
         print(f"{case:40s} median {stats['median_ms']:9.3f} ms  "
               f"IQR {stats['iqr_ms']:8.3f} ms  scaled {stats['scaled_median_ms']:9.3f} ms  "
-              f"({stats['repeats']} repeats)")
+              f"faults {stats['minflt_median']:6.0f}  ({stats['repeats']} repeats)")
     record = {
         "git_sha": git_sha(),
         "python": platform.python_version(),
@@ -235,6 +256,8 @@ def main(argv=None) -> int:
         "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "seed": SEED,
         "nominal_ref_ms": NOMINAL_S * 1e3,
+        "refs_per_repeat": REFS_PER_REPEAT,
+        "ref_neighbours": REF_NEIGHBOURS,
         "cases": cases,
     }
     with open(argv[0], "w", encoding="utf-8") as handle:

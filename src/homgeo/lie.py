@@ -9,6 +9,7 @@ coefficients, up to the tolerance it was built with.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +52,39 @@ def _pullback(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p.T @ half
 
 
+# entries in one slice of an (n, n, n, n) array: a small array is one
+# slice, and a large one is swept in slices far smaller than itself
+_SLICE_ENTRIES = 1 << 15
+
+
+def _slices(n: int) -> list:
+    """(slice, buffer) pairs that sweep the first axis of an (n, n, n, n) array.
+
+    Each buffer is the (rows, n, n, n) view of one scratch array that
+    matches its slice; the last slice may be shorter than the others.
+    """
+    rows = min(n, max(1, _SLICE_ENTRIES // n ** 3))
+    buf = np.empty((rows, n, n, n))
+    return [(slice(i, i + rows), buf[:n - i]) for i in range(0, n, rows)]
+
+
 def jacobi_residual(tensor: np.ndarray) -> float:
-    """Max-abs residual of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]."""
+    """Max-abs residual of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
+
+    t is the only (dim, dim, dim, dim) array; the cyclic sum and its
+    abs-max are taken a slice of i at a time in one reused buffer.
+    """
     dim = tensor.shape[0]
+    if not tensor.size:
+        return 0.0
     # t[i,j,k,m] = sum_l c[j,k,l] c[i,l,m] = [e_i, [e_j, e_k]]
     t = (tensor.reshape(dim * dim, dim) @ tensor).reshape(dim, dim, dim, dim)
-    jac = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
-    return float(np.abs(jac).max()) if tensor.size else 0.0
+    worst = 0.0
+    for s, jac in _slices(dim):
+        np.add(t[s], t[:, s].transpose(1, 2, 0, 3), out=jac)  # + [e_k, [e_i, e_j]]
+        jac += t[:, :, s].transpose(2, 0, 1, 3)  # + [e_j, [e_k, e_i]]
+        worst = max(worst, float(np.abs(jac, out=jac).max()))
+    return worst
 
 
 def _upper(tensor: np.ndarray) -> np.ndarray:
@@ -130,33 +157,49 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieA
     """Construct and validate a LieAlgebra.
 
     brackets maps an index pair (i, j) with i != j to {k: coefficient}.
-    Pairs given with i > j are normalized by antisymmetry.  Raises
-    IndexOutOfRange for bad indices and JacobiViolation if the Jacobi
+    Pairs given with i > j are normalized by antisymmetry, and entries
+    for one coefficient add up in table order.  Every index is an int or
+    a numpy integer in 0..dim-1, and a pair has exactly two; anything
+    else raises IndexOutOfRange.  Raises JacobiViolation if the Jacobi
     identity fails beyond tol, which the algebra keeps.
     """
     tol = float(tol)
     dim = int(dim)
     if dim < 0:
         raise IndexOutOfRange(f"dim must be nonnegative, got {dim}")
-    upper = np.zeros((dim, dim, dim))
+    index = operator.index  # int and numpy integers, never a float or a str
+    # flat[(i*dim + j)*dim + k] sums the coefficients of e_k in [e_i, e_j],
+    # i < j, in table order
+    flat, vals = [], []
     for pair, out in brackets.items():
-        i, j = int(pair[0]), int(pair[1])
+        try:
+            i, j = map(index, pair)
+        except (TypeError, ValueError):
+            raise IndexOutOfRange(f"bracket pair {pair!r} is not two integers") from None
         for idx in (i, j):
             if not 0 <= idx < dim:
                 raise IndexOutOfRange(f"bracket index {idx} outside basis 0..{dim - 1}")
-        if i == j:
-            if any(not abs(float(v)) <= tol for v in out.values()):
-                raise IndexOutOfRange(f"nonzero bracket [e{i}, e{i}] is inconsistent")
-            continue
         sign = 1.0
         if i > j:
             i, j, sign = j, i, -1.0
+        base = (i * dim + j) * dim
         for k, v in out.items():
-            k = int(k)
+            try:
+                k = index(k)
+            except TypeError:
+                raise IndexOutOfRange(f"bracket output index {k!r} is not an integer") from None
             if not 0 <= k < dim:
                 raise IndexOutOfRange(f"bracket output index {k} outside basis")
-            upper[i, j, k] += sign * float(v)
-    return _algebra(upper, basis_labels, tol)
+            if i == j:
+                if not abs(float(v)) <= tol:
+                    raise IndexOutOfRange(f"nonzero bracket [e{i}, e{i}] is inconsistent")
+                continue
+            flat.append(base + k)
+            vals.append(sign * float(v))
+    # bincount adds repeated indices in input order, as += in a loop does;
+    # with nothing to add it returns integers
+    upper = np.bincount(flat, weights=vals, minlength=dim ** 3).astype(float, copy=False)
+    return _algebra(upper.reshape(dim, dim, dim), basis_labels, tol)
 
 
 def from_tensor(tensor, basis_labels=None, tol=DEFAULT_TOL) -> LieAlgebra:

@@ -28,7 +28,7 @@ from .errors import (
     UnimodularInput,
     check,
 )
-from .lie import LieAlgebra, _frozen, _pullback, killing_form, trace_vector
+from .lie import LieAlgebra, _frozen, _pullback, _slices, killing_form, trace_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +251,12 @@ class Frame:
 
     @cached_property
     def rc(self) -> np.ndarray:
-        """Canonical curvature rc[a,b,c,d] = <[[f_a,f_b]_k, f_c], f_d>."""
+        """Canonical curvature rc[a,b,c,d] = <[[f_a,f_b]_k, f_c], f_d>.
+
+        Built on first read.  r4 reads it only when k is nonempty, and
+        ricci_routes takes its trace from k_part and ad_k, so no Frame
+        call builds this n^4 array for a space with empty k.
+        """
         n, dim_k = self.n, self.dec.dim_k
         rc = (self.k_part.reshape(n * n, dim_k)
               @ np.swapaxes(self.ad_k, 1, 2).reshape(dim_k, n * n))
@@ -293,31 +298,44 @@ class Frame:
         """Lowered curvature R4[a,b,c,d] = <R(f_a,f_b) f_c, f_d>.
 
         The algebraic symmetries (both pair antisymmetries, pair
-        exchange, first Bianchi identity) are verified; the worst defect
-        is kept as r4_defect.
+        exchange, first Bianchi identity) are verified over every entry;
+        the worst defect is kept as r4_defect.  The result is the only
+        n^4 array built here: the commutator products and the checks run
+        a slice of the first index at a time in one small buffer, and
+        the isotropy term rc is added only when k is nonempty.
         """
         n = self.n
-        lam = np.swapaxes(self.gamma, 1, 2)  # lam[a] is the matrix of nabla_{f_a}
-        prod = np.matmul(lam[:, None], lam[None, :])  # prod[a,b] = lam[a] @ lam[b]
-        # r4[a,b,d,c] = sum_e lte[a,b,e] lam[e,d,c] - [lam[a], lam[b]][d,c], then
-        # the last two slots are swapped back and the isotropy term added
-        r4 = (self.lte.reshape(n * n, n) @ lam.reshape(n, n * n)).reshape(n, n, n, n)
-        r4 -= prod
-        r4 += np.swapaxes(prod, 0, 1)
-        r4 = np.swapaxes(r4, 2, 3) + self.rc
+        gamma = self.gamma
+        # r4[a,b,c,d] = sum_e lte[a,b,e] gamma[e,c,d] + [G_a, G_b][c,d], with
+        # G_a = gamma[a], plus the isotropy term
+        r4 = (self.lte.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape(n, n, n, n)
+        slices = _slices(n)
+        for s, prod in slices:
+            part = r4[s]
+            part += np.matmul(gamma[s, None], gamma[None, :], out=prod)  # G_a @ G_b
+            part -= np.matmul(gamma[None, :], gamma[s, None], out=prod)  # G_b @ G_a
+        if self.dec.dim_k:
+            r4 += self.rc
 
-        # every check runs over all entries in one n^4 buffer, prod's memory
-        buf = prod
-        scale = max(1.0, float(np.abs(r4, out=buf).max()))
+        def peak(x):
+            return float(np.abs(x, out=x).max())
+
+        scale = max(1.0, float(r4.max()), -float(r4.min()))
         defects = []
-        for combine, axes in ((np.add, (1, 0, 2, 3)),        # R(X,Y) = -R(Y,X)
-                              (np.add, (0, 1, 3, 2)),        # R(X,Y) skew-adjoint
-                              (np.subtract, (2, 3, 0, 1))):  # pair exchange
-            combine(r4, r4.transpose(axes), out=buf)
-            defects.append(float(np.abs(buf, out=buf).max()))
-        np.add(r4, r4.transpose(1, 2, 0, 3), out=buf)  # first Bianchi identity
-        np.add(buf, r4.transpose(2, 0, 1, 3), out=buf)
-        defects.append(float(np.abs(buf, out=buf).max()))
+        for s, out in slices:
+            part = r4[s]
+            np.add(part, r4[:, s].transpose(1, 0, 2, 3), out=out)  # R(X,Y) = -R(Y,X)
+            defects.append(peak(out))
+            np.add(part, part.transpose(0, 1, 3, 2), out=out)  # R(X,Y) skew-adjoint
+            defects.append(peak(out))
+            # pair exchange, in the axis order (c, d, a, b) of r4[:, :, s]: the
+            # strided read then stays inside part instead of crossing all of r4
+            swap = out.reshape(n, n, -1, n)
+            np.subtract(r4[:, :, s], part.transpose(2, 3, 0, 1), out=swap)
+            defects.append(peak(swap))
+            np.add(part, r4[:, s].transpose(1, 2, 0, 3), out=out)  # first Bianchi identity
+            out += r4[:, :, s].transpose(2, 0, 1, 3)
+            defects.append(peak(out))
         worst = max(defects)
         check(worst, 1e-10 * scale, "curvature tensor fails its algebraic symmetries")
         self.r4_defect = worst
@@ -353,7 +371,8 @@ class Frame:
 
         if self.cyclic_residual <= self.tol:
             eta_u = np.einsum("xyc,c->xy", self.u, self.eta)
-            iso = np.einsum("xaya->xy", self.rc)
+            # the trace of rc over its second and fourth slots
+            iso = np.einsum("xaw,way->xy", self.k_part, self.ad_k)
             routes["cyclic"] = eta_u - b_m - 0.5 * (iso + iso.T)
             if self.dec.dim_k == 0:
                 routes["cyclic_trivial_isotropy"] = eta_u - b_m

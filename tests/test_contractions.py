@@ -4,7 +4,8 @@ The helpers that take a stack of vectors agree, row by row, with their
 one-vector calls as well as with the defining einsum.
 
 The references below are the index formulas written out with np.einsum
-on the same inputs.  Inputs are deliberately asymmetric, so a contraction
+on the same inputs, and the bracket fill is compared bit for bit with a
+per-coefficient loop.  Inputs are deliberately asymmetric, so a contraction
 over a transposed index shows up: random reductive bracket tables with a
 random metric, valid Lie algebras in a random non-orthogonal basis, and
 the catalog spaces with nonempty isotropy.
@@ -21,6 +22,7 @@ from homgeo.curvature import (
     curvature_diagonal_general,
     cyclic_curvature_diagonal,
     killing_quadratic_via_brackets,
+    ricci_routes,
     sectional_curvature,
     xi_curvatures,
 )
@@ -28,16 +30,25 @@ from homgeo.errors import NotCyclic
 from homgeo.lie import (
     LieAlgebra,
     _pullback,
+    _slices,
     build_lie_algebra,
     change_basis,
     jacobi_residual,
     killing_form,
 )
-from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition, foliation_data
+from homgeo.reductive import (
+    Frame,
+    InvariantMetric,
+    ReductiveDecomposition,
+    as_frame,
+    foliation_data,
+)
 from homgeo.spectrum import theta_split
 from homgeo.verify import _check_diagonal_routes, _check_killing_identity, _unit_rows
 
 SIZES = (1, 2, 3, 5, 8)
+# sizes that _slices sweeps in several slices, the second with a short last one
+SLICED = (20, 17)
 ISOTROPY = (0, 2)
 ISOTROPY_ENTRIES = (
     ("so2_heisenberg", {"lam3": 1.0}),
@@ -133,6 +144,8 @@ LIE_SPACES = {f"n{n}-k{dim_k}": partial(lie_frame, n, dim_k, 10 * n + dim_k)
               for n in SIZES[1:] for dim_k in ISOTROPY}
 CURVATURE_SPACES = {
     **LIE_SPACES,
+    **{f"n{n}-k{dim_k}": partial(lie_frame, n, dim_k, 10 * n + dim_k)
+       for n, dim_k in zip(SLICED, ISOTROPY)},
     **{name: partial(catalog_frame, name, params) for name, params in ISOTROPY_ENTRIES},
 }
 BRACKET_SPACES = {
@@ -181,9 +194,28 @@ def test_curvature_tensor(name):
     comm = (np.einsum("ade,bec->abdc", lam, lam)
             - np.einsum("bde,aec->abdc", lam, lam))
     assert_close(frame.r4, np.einsum("abdc->abcd", m_term - comm) + frame.rc)
+    # the sliced checks see every entry the whole-tensor checks see
+    r4 = frame.r4
+    bianchi = r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)
+    defects = [r4 + r4.transpose(1, 0, 2, 3), r4 + r4.transpose(0, 1, 3, 2),
+               r4 - r4.transpose(2, 3, 0, 1), bianchi]
+    assert frame.r4_defect == max(float(np.abs(d).max()) for d in defects)
 
 
-@pytest.mark.parametrize("dim", SIZES)
+def test_slices_tile_the_first_axis():
+    for n in SIZES + SLICED:
+        pieces = _slices(n)
+        covered = [i for s, buf in pieces for i in range(n)[s]]
+        assert covered == list(range(n))
+        assert all(buf.shape == (len(range(n)[s]), n, n, n) for s, buf in pieces)
+    assert len(_slices(3)) == 1
+    big, short = SLICED
+    assert len(_slices(big)) > 1
+    assert len(_slices(short)) > 1
+    assert len(_slices(short)[-1][1]) < len(_slices(short)[0][1])
+
+
+@pytest.mark.parametrize("dim", SIZES + SLICED)
 def test_jacobi_residual(dim):
     rng = np.random.default_rng(dim)
     for tensor in (rng.standard_normal((dim,) * 3),
@@ -191,6 +223,61 @@ def test_jacobi_residual(dim):
         t = np.einsum("jkl,ilm->ijkm", tensor, tensor)
         jac = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
         assert_close(jacobi_residual(tensor), np.abs(jac).max())
+
+
+class Items(list):
+    """A table given as its (key, value) items, so that a key may repeat."""
+
+    def items(self):
+        return iter(self)
+
+
+def dense_table(n, seed):
+    """g(alpha) rotated to a dense table, half its pairs given as (j, i)."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.5, 2.0, n - 1)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = (q[1:].T * alpha) @ q[1:]
+    c = skew(np.einsum("a,bd->abd", q[0], t))
+    table = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            pair = (b, a) if (a + b) % 2 else (a, b)
+            table[pair] = {d: float(c[pair][d]) for d in range(n)}
+    return table
+
+
+FILL_TABLES = {
+    "orientations": (3, {(0, 1): {2: 1.0}, (1, 0): {2: 0.25}}),
+    # the sum depends on the order: (0.1 + 0.2) - 0.3 != 0.1 + (0.2 - 0.3)
+    "repeated pairs": (3, Items([((0, 1), {2: 0.1}), ((0, 1), {2: 0.2}), ((1, 0), {2: 0.3})])),
+    "repeated outputs": (3, {(0, 1): Items([(2, 0.1), (2, 0.2), (2, -0.3)])}),
+    "numpy integers": (3, {(np.int64(2), np.int32(0)): {np.uint8(1): 1.5},
+                           (np.intp(0), 2): {1: 0.5}}),
+    "zero diagonal": (3, {(1, 1): {0: 0.0, 2: -0.0}, (0, 1): {2: 1.0}}),
+    "empty": (4, {}),
+    "dense": (6, dense_table(6, 1)),
+    "dense sliced": (SLICED[0], dense_table(SLICED[0], 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_TABLES))
+def test_bracket_fill_is_the_per_coefficient_fill(name):
+    dim, table = FILL_TABLES[name]
+    upper = np.zeros((dim, dim, dim))
+    for (i, j), out in table.items():
+        if i == j:
+            continue
+        sign = 1.0
+        if i > j:
+            i, j, sign = j, i, -1.0
+        for k, v in out.items():
+            upper[i, j, k] += sign * float(v)
+    want = upper - upper.transpose(1, 0, 2)
+    want += 0.0
+    got = build_lie_algebra(dim, table).tensor
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -225,6 +312,32 @@ def test_theta_split_accepts_a_conjugated_automorphism(model):
         assert (np.abs(defect).max() < 1e-9) == is_automorphism
     split = theta_split(alg, theta)
     assert split.k_basis.shape[1] + split.m_basis.shape[1] == alg.dim
+
+
+def test_cyclic_route_isotropy_term():
+    """The cyclic route's isotropy term is the trace of rc, on every catalog space with k."""
+    entries = [e for e in default_entries() if e.decomposition.dim_k]
+    assert len(entries) >= 3
+    for entry in entries:
+        frame = Frame(entry.decomposition, entry.metric)
+        routes = frame.ricci_routes
+        iso = np.einsum("xaya->xy", frame.rc)
+        assert np.abs(iso).max() > 0.1, entry.label
+        eta_u = np.einsum("xyc,c->xy", frame.u, frame.eta)
+        assert_close(routes["cyclic"], eta_u - frame.killing_m - 0.5 * (iso + iso.T))
+
+
+def test_empty_isotropy_never_builds_rc():
+    frame = lie_frame(5, 0, 50)
+    dec, metric = frame.dec, frame.metric
+    routes = ricci_routes(dec, metric)
+    assert "cyclic_trivial_isotropy" in routes
+    built = as_frame(dec, metric)
+    assert "r4" in built.__dict__ and "rc" not in built.__dict__
+    # a nonempty k still adds the isotropy term to r4
+    frame = lie_frame(5, 2, 52)
+    frame.r4
+    assert "rc" in frame.__dict__
 
 
 @pytest.mark.parametrize("name", sorted(LIE_SPACES))

@@ -69,6 +69,25 @@ def test_index_validation():
         build_lie_algebra(-1, {})
 
 
+@pytest.mark.parametrize("table", [
+    {(0, 1): {2.7: 1.0}},  # a float output index is not truncated
+    {(0, 1): {np.float64(2.0): 1.0}},  # nor is a whole-valued float
+    {(0, 1): {"x": 1.0}},
+    {(0.0, 1): {2: 1.0}},
+    {(0, 1, 5): {2: 1.0}},  # a third pair index is not dropped
+    {(0, 1, 2): {2: 1.0}},
+    {(0,): {2: 1.0}},
+    {1: {2: 1.0}},
+    {(0, 0): {99: 0.0}},  # output indices of [e_i, e_i] are range-checked too
+    {(0, 0): {-1: 0.0}},
+    {(0, 1): {3: 1.0}},
+    {(0, 1): {-1: 1.0}},
+], ids=repr)
+def test_indices_must_be_basis_integers(table):
+    with pytest.raises(IndexOutOfRange):
+        build_lie_algebra(3, table)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_coefficients_rejected(bad):
     with pytest.raises(ParamOutOfRange, match=r"\[e0, e1\] has a non-finite"):
