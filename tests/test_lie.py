@@ -80,7 +80,6 @@ def test_index_validation():
     {1: {2: 1.0}},
     {(0, 0): {99: 0.0}},  # output indices of [e_i, e_i] are range-checked too
     {(0, 0): {-1: 0.0}},
-    {(0, 1): {3: 1.0}},
     {(0, 1): {-1: 1.0}},
 ], ids=repr)
 def test_indices_must_be_basis_integers(table):
