@@ -9,6 +9,7 @@ coefficients, up to the tolerance it was built with.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -68,6 +69,15 @@ def _slices(n: int) -> list:
     return [(slice(i, i + rows), buf[:n - i]) for i in range(0, n, rows)]
 
 
+def _worst(peaks: list) -> float:
+    """The largest of the per-slice peaks, or NaN if any of them is NaN.
+
+    Python's max keeps whichever of a number and a NaN it meets first,
+    so it would pass an overflowed slice as long as an earlier one is finite.
+    """
+    return math.nan if any(map(math.isnan, peaks)) else max(peaks)
+
+
 def jacobi_residual(tensor: np.ndarray) -> float:
     """Max-abs residual of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
 
@@ -79,12 +89,12 @@ def jacobi_residual(tensor: np.ndarray) -> float:
         return 0.0
     # t[i,j,k,m] = sum_l c[j,k,l] c[i,l,m] = [e_i, [e_j, e_k]]
     t = (tensor.reshape(dim * dim, dim) @ tensor).reshape(dim, dim, dim, dim)
-    worst = 0.0
+    peaks = []
     for s, jac in _slices(dim):
         np.add(t[s], t[:, s].transpose(1, 2, 0, 3), out=jac)  # + [e_k, [e_i, e_j]]
         jac += t[:, :, s].transpose(2, 0, 1, 3)  # + [e_j, [e_k, e_i]]
-        worst = max(worst, float(np.abs(jac, out=jac).max()))
-    return worst
+        peaks.append(float(np.abs(jac, out=jac).max()))
+    return _worst(peaks)
 
 
 def _upper(tensor: np.ndarray) -> np.ndarray:

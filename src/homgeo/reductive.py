@@ -28,7 +28,7 @@ from .errors import (
     UnimodularInput,
     check,
 )
-from .lie import LieAlgebra, _frozen, _pullback, _slices, killing_form, trace_vector
+from .lie import LieAlgebra, _frozen, _pullback, _slices, _worst, killing_form, trace_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +253,9 @@ class Frame:
     def rc(self) -> np.ndarray:
         """Canonical curvature rc[a,b,c,d] = <[[f_a,f_b]_k, f_c], f_d>.
 
-        Built on first read.  r4 reads it only when k is nonempty, and
-        ricci_routes takes its trace from k_part and ad_k, so no Frame
-        call builds this n^4 array for a space with empty k.
+        Built only when read.  r4 forms this term in the same product as
+        its metric term, and ricci_routes takes its trace from k_part and
+        ad_k, so neither builds this n^4 array.
         """
         n, dim_k = self.n, self.dec.dim_k
         rc = (self.k_part.reshape(n * n, dim_k)
@@ -300,22 +300,28 @@ class Frame:
         The algebraic symmetries (both pair antisymmetries, pair
         exchange, first Bianchi identity) are verified over every entry;
         the worst defect is kept as r4_defect.  The result is the only
-        n^4 array built here: the commutator products and the checks run
-        a slice of the first index at a time in one small buffer, and
-        the isotropy term rc is added only when k is nonempty.
+        n^4 array built here: the metric and isotropy terms are one
+        product, and the commutator products and the checks run a slice
+        of the first index at a time in one small buffer.
         """
-        n = self.n
+        n, dim_k = self.n, self.dec.dim_k
         gamma = self.gamma
-        # r4[a,b,c,d] = sum_e lte[a,b,e] gamma[e,c,d] + [G_a, G_b][c,d], with
-        # G_a = gamma[a], plus the isotropy term
-        r4 = (self.lte.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape(n, n, n, n)
+        # r4[a,b,c,d] = sum_e lte[a,b,e] gamma[e,c,d] + sum_w k_part[a,b,w] ad_k[w,d,c]
+        #             + [G_a, G_b][c,d], with G_a = gamma[a]; the first two sums
+        # are one product over the stacked index (e, w).  With k empty there
+        # is nothing to stack, and at n = 3 the copies would cost more than
+        # the product.
+        left, right = self.lte, gamma
+        if dim_k:
+            left = np.concatenate([left, self.k_part], axis=2)
+            right = np.concatenate([right, np.swapaxes(self.ad_k, 1, 2)])
+        r4 = left.reshape(n * n, n + dim_k) @ right.reshape(n + dim_k, n * n)
+        r4 = r4.reshape(n, n, n, n)
         slices = _slices(n)
         for s, prod in slices:
             part = r4[s]
             part += np.matmul(gamma[s, None], gamma[None, :], out=prod)  # G_a @ G_b
             part -= np.matmul(gamma[None, :], gamma[s, None], out=prod)  # G_b @ G_a
-        if self.dec.dim_k:
-            r4 += self.rc
 
         def peak(x):
             return float(np.abs(x, out=x).max())
@@ -336,7 +342,7 @@ class Frame:
             np.add(part, r4[:, s].transpose(1, 2, 0, 3), out=out)  # first Bianchi identity
             out += r4[:, :, s].transpose(2, 0, 1, 3)
             defects.append(peak(out))
-        worst = max(defects)
+        worst = _worst(defects)
         check(worst, 1e-10 * scale, "curvature tensor fails its algebraic symmetries")
         self.r4_defect = worst
         return _frozen(r4)

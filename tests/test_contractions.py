@@ -26,7 +26,7 @@ from homgeo.curvature import (
     sectional_curvature,
     xi_curvatures,
 )
-from homgeo.errors import NotCyclic
+from homgeo.errors import ConsistencyError, JacobiViolation, NotCyclic
 from homgeo.lie import (
     LieAlgebra,
     _pullback,
@@ -225,6 +225,25 @@ def test_jacobi_residual(dim):
         assert_close(jacobi_residual(tensor), np.abs(jac).max())
 
 
+@pytest.mark.parametrize("dim", (3,) + SLICED)
+def test_overflowed_jacobi_sum_is_refused(dim):
+    """so(3) scaled by 1e200 on the last three indices sums inf - inf.
+
+    The NaN lies in the one slice at dim 3 and in the last slice of the
+    others, after slices whose residual is 0.
+    """
+    a, b, c = dim - 3, dim - 2, dim - 1
+    table = {(a, b): {c: 1e200}, (b, c): {a: 1e200}, (c, a): {b: 1e200}}
+    tensor = np.zeros((dim,) * 3)
+    for (i, j), out in table.items():
+        for k, v in out.items():
+            tensor[i, j, k], tensor[j, i, k] = v, -v
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(jacobi_residual(tensor))
+        with pytest.raises(JacobiViolation, match="residual nan"):
+            build_lie_algebra(dim, table)
+
+
 class Items(list):
     """A table given as its (key, value) items, so that a key may repeat."""
 
@@ -327,17 +346,28 @@ def test_cyclic_route_isotropy_term():
         assert_close(routes["cyclic"], eta_u - frame.killing_m - 0.5 * (iso + iso.T))
 
 
-def test_empty_isotropy_never_builds_rc():
-    frame = lie_frame(5, 0, 50)
+@pytest.mark.parametrize("dim_k", ISOTROPY)
+def test_frame_calls_never_build_rc(dim_k):
+    frame = lie_frame(5, dim_k, 50 + dim_k)
     dec, metric = frame.dec, frame.metric
     routes = ricci_routes(dec, metric)
-    assert "cyclic_trivial_isotropy" in routes
+    assert ("cyclic_trivial_isotropy" in routes) == (dim_k == 0)
     built = as_frame(dec, metric)
     assert "r4" in built.__dict__ and "rc" not in built.__dict__
-    # a nonempty k still adds the isotropy term to r4
-    frame = lie_frame(5, 2, 52)
-    frame.r4
-    assert "rc" in frame.__dict__
+
+
+@pytest.mark.parametrize("n, dim_k", zip(SLICED, ISOTROPY))
+def test_nan_in_a_late_slice_of_r4_is_refused(n, dim_k):
+    """A NaN confined to the last slice of r4 still fails its symmetry check."""
+    frame = lie_frame(n, dim_k, 10 * n + dim_k)  # not the cached one: it is altered
+    frame.gamma  # built and checked from the true lte
+    lte = frame.lte.copy()
+    lte[n - 1, n - 2, 0] = np.nan  # turns r4[n - 1, n - 2] alone to NaN
+    frame.lte = lte
+    last = range(n)[_slices(n)[-1][0]]
+    assert n - 1 in last and n - 2 in last
+    with pytest.raises(ConsistencyError, match="algebraic symmetries: residual nan"):
+        frame.r4
 
 
 @pytest.mark.parametrize("name", sorted(LIE_SPACES))
