@@ -224,12 +224,15 @@ def bench_checks() -> dict:
 
 
 def git_sha() -> str:
+    """HEAD's SHA, with -dirty appended when tracked files differ from it."""
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
-                             capture_output=True, text=True, check=True)
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, check=True)
+        status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                                cwd=ROOT, capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
-    return out.stdout.strip()
+    return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ from inspect import signature
 
 import numpy as np
 
-from .config import CATALOG_TOL, DEFAULT_TOL
+from .config import CATALOG_TOL
 from .errors import ParamOutOfRange, UnknownEntry, check
 from .lie import (
     LieAlgebra,
@@ -54,14 +54,14 @@ class ExpectedClass(_ClassBooleans):
         """Traceless and cyclic with S != 0, as classify decides it."""
         return self.traceless and self.cyclic and not self.symmetric
 
-    def mismatches(self, report, tol=DEFAULT_TOL) -> list:
-        """Names of fields on which a ClassificationReport disagrees."""
+    def mismatches(self, report) -> list:
+        """Names of fields on which a ClassificationReport disagrees; eta at report.tol."""
         bad = [name for name, want in self.booleans().items()
                if report.booleans()[name] != want]
         eta = np.asarray(self.eta, dtype=float)
         got = np.asarray(report.eta, dtype=float)
         if eta.shape != got.shape or float(np.abs(eta - got).max()) > max(
-                tol, 1e-9 * max(1.0, float(np.abs(eta).max()))):
+                report.tol, 1e-9 * max(1.0, float(np.abs(eta).max()))):
             bad.append("eta")
         return bad
 

@@ -3,11 +3,17 @@
 Every self-check in the package goes through one function,
 errors.check(residual, bound, what, error): it passes when the residual
 is at most the bound.  Each site forms its bound, mostly from a single
-absolute tolerance and the scale of its data.  An algebra keeps the
+absolute tolerance and the scale of its data.  A tolerance is passed in
+only where an algebra or a Frame is built.  An algebra keeps the
 tolerance it was built with (build_lie_algebra(..., tol),
-load_algebra(path, tol)), and every algebra-level function checks at
-it.  A space's tolerance is set once, on its Frame (Frame(dec, metric,
-tol)).  The CLI sets both with --tolerance; the default is 1e-9.
+from_tensor(..., tol), load_algebra(path, tol)), and every check on its
+brackets reads it, reductivity of a splitting included.  A space's
+tolerance is set once, on its Frame (Frame(dec, metric, tol)), and every
+decision on the space reads it: ad_k invariance, the class booleans
+(ClassificationReport.tol records it) and the checks behind them.
+load_space passes its tolerance to the algebra it builds, and run_all
+its own to the Frames it builds.  The CLI sets both with --tolerance;
+the default is 1e-9.
 """
 
 DEFAULT_TOL = 1e-9

@@ -72,8 +72,9 @@ class ReductiveReport:
         return max(self.kk_residual, self.km_residual)
 
 
-def check_reductive(dec: ReductiveDecomposition, tol=DEFAULT_TOL) -> ReductiveReport:
-    """Verify [k,k] in k and [k,m] in m; raise NotReductive otherwise."""
+def check_reductive(dec: ReductiveDecomposition) -> ReductiveReport:
+    """Verify [k,k] in k and [k,m] in m at dec.algebra.tol; raise NotReductive otherwise."""
+    tol = dec.algebra.tol
     c = dec.algebra.tensor
     k, m = list(dec.k_indices), list(dec.m_indices)
     kk = 0.0
@@ -133,7 +134,8 @@ class Frame:
     eta : (n,) canonical trace form, eta[a] = -tr ad_{f_a}, which are
         also the frame coordinates of its metric dual xi; c = |eta|
     tol : the tolerance of every decision made on this space; it is set
-        here and nowhere else
+        here and nowhere else.  Reductivity, a property of the brackets,
+        is checked at dec.algebra.tol
 
     The cached properties below the coordinate helpers are built and
     verified on first access, then shared by every function handed this
@@ -142,7 +144,7 @@ class Frame:
     """
 
     def __init__(self, dec: ReductiveDecomposition, metric: InvariantMetric, tol=DEFAULT_TOL):
-        check_reductive(dec, tol)
+        check_reductive(dec)
         n = dec.dim_m
         if not isinstance(metric, InvariantMetric):
             raise InvalidMetric(f"expected an InvariantMetric, got {type(metric).__name__}")
@@ -247,7 +249,7 @@ class Frame:
         """Self-checked S1/S2/S3 split of s (a structure.TypeDecomposition)."""
         from .structure import decompose
 
-        return decompose(self.s, self.tol)
+        return decompose(self.s)
 
     @cached_property
     def rc(self) -> np.ndarray:

@@ -9,11 +9,14 @@ respect to an orthonormal basis of (m, metric), so traces are plain
 index contractions.
 
 The orthogonal group splits the space of such tensors into three
-irreducible pieces.  With phi(Z) = (1/(n-1)) sum_a S_{a a Z}:
+irreducible pieces.  With phi(Z) = (1/max(n-1,1)) sum_a S_{a a Z}:
 
     S1_{XYZ} = <X,Y> phi(Z) - <X,Z> phi(Y)     (vectorial part)
     S3       = alternation of S                 (totally skew part)
     S2       = S - S1 - S3                      (traceless cyclic part)
+
+For n <= 2 only the vectorial part exists; the same formulas give S2
+and S3 as exact zeros there.
 
 The classification booleans reported by classify are computed from the
 brackets directly and cross-checked against the component norms.
@@ -53,9 +56,10 @@ class _SkewPairTensor:
 
     def __post_init__(self):
         a = np.asarray(self.components, dtype=float)
-        if a.ndim != 3 or len(set(a.shape)) != 1:
-            raise SlotSymmetryViolation(f"expected cubic rank-3 components, got {a.shape}")
-        defect = float(np.abs(a + np.einsum(self._swap, a)).max()) if a.size else 0.0
+        if a.ndim != 3 or len(set(a.shape)) != 1 or not a.size:
+            raise SlotSymmetryViolation(
+                f"expected nonempty cubic rank-3 components, got {a.shape}")
+        defect = float(np.abs(a + np.einsum(self._swap, a)).max())
         check(defect, max(1e-9, 1e-12 * max(1.0, float(np.abs(a).max()))),
               self._what, SlotSymmetryViolation)
         object.__setattr__(self, "components", _frozen(a))
@@ -112,7 +116,7 @@ def trace_form(t: TorsionTensor) -> np.ndarray:
     """
     eta = np.einsum("xaa->x", t.components)
     via_s = contract_12(torsion_to_structure(t).components)
-    gap = float(np.abs(eta - via_s).max()) if eta.size else 0.0
+    gap = float(np.abs(eta - via_s).max())
     check(gap, max(DEFAULT_TOL, 1e-12 * max(1.0, float(np.abs(t.components).max()))),
           "trace form disagrees with the structure contraction")
     return eta
@@ -132,34 +136,20 @@ class TypeDecomposition:
         return self.norms["s1"], self.norms["s2"], self.norms["s3"]
 
 
-def decompose(s, tol=DEFAULT_TOL) -> TypeDecomposition:
+def decompose(s) -> TypeDecomposition:
     """Split a structure tensor into its three orthogonal type components.
 
     Components are taken in an orthonormal basis (a Frame's S is; see
-    Frame.types).  In dimension n < 3 only the vectorial class exists
-    and the remaining components are returned as zeros.
+    Frame.types).  For n <= 2 the formulas give S1 = S and S2 = S3 = 0
+    exactly.  Its self-checks are bounded by the tensor's own scale.
     """
     a = (s if isinstance(s, StructureTensor) else StructureTensor(s)).components
     n = a.shape[0]
-
-    if n <= 1:
-        zeros = np.zeros_like(a)
-        return TypeDecomposition(zeros, zeros.copy(), zeros.copy(),
-                                 np.zeros(n), {"s1": 0.0, "s2": 0.0, "s3": 0.0})
-
     eye = np.eye(n)
-    phi = contract_12(a) / (n - 1)
+    phi = contract_12(a) / max(n - 1, 1)
     s1 = np.einsum("ab,c->abc", eye, phi) - np.einsum("ac,b->abc", eye, phi)
-    if n == 2:
-        s3 = np.zeros_like(a)
-        s2 = np.zeros_like(a)
-        resid = float(np.abs(a - s1).max())
-        check(resid, max(tol, 1e-12 * max(1.0, float(np.abs(a).max()))),
-              "dimension-2 tensor is not purely vectorial")
-        s1 = a.copy()
-    else:
-        s3 = cyclic_sum(a) / 3.0
-        s2 = a - s1 - s3
+    s3 = cyclic_sum(a) / 3.0
+    s2 = a - s1 - s3
 
     dec = TypeDecomposition(
         _frozen(s1), _frozen(s2), _frozen(s3), _frozen(phi),
@@ -197,7 +187,9 @@ class ClassificationReport(_ClassBooleans):
     traceless_cyclic means a nonvanishing structure tensor lying in the
     traceless cyclic class, i.e. traceless and cyclic and S != 0.
     eta holds the canonical trace form evaluated on the m-index basis
-    vectors of the input decomposition.
+    vectors of the input decomposition.  tol is the tolerance the
+    booleans were decided at, the Frame's; it is not part of the JSON
+    form.
     """
 
     cyclic: bool
@@ -209,6 +201,7 @@ class ClassificationReport(_ClassBooleans):
     norms: dict
     eta: tuple
     residuals: dict
+    tol: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,13 +218,13 @@ def classify(dec, metric=None) -> ClassificationReport:
 
       cyclic:       the cyclic sum of <[X,Y]_m, Z> vanishes,
       traceless:    the canonical trace form vanishes,
-      vectorial:    [X,Y]_m = (1/(n-1)) (X eta(Y) - Y eta(X)),
+      vectorial:    [X,Y]_m = (1/max(n-1,1)) (X eta(Y) - Y eta(X)),
       nat. red.:    <[X,Y]_m, Z> is antisymmetric in Y, Z,
       symmetric:    S = 0.
 
     Each decision is cross-checked against the type-component norms
-    (Frame.types).  The tolerance is the Frame's: pass Frame(dec,
-    metric, tol) as dec to decide at another one.
+    (Frame.types).  The tolerance is the Frame's, and the report records
+    it: pass Frame(dec, metric, tol) as dec to decide at another one.
     """
     frame = as_frame(dec, metric)
     tol = frame.tol
@@ -243,13 +236,10 @@ def classify(dec, metric=None) -> ClassificationReport:
     nat_res = float(np.abs(lte + np.einsum("abc->acb", lte)).max())
     trace_res = float(np.abs(eta).max())
     sym_res = float(np.abs(frame.s).max())
-    if n >= 2:
-        eye = np.eye(n)
-        vect_target = (np.einsum("ac,b->abc", eye, eta)
-                       - np.einsum("bc,a->abc", eye, eta)) / (n - 1)
-        vect_res = float(np.abs(lte - vect_target).max())
-    else:
-        vect_res = 0.0
+    eye = np.eye(n)
+    vect_target = (np.einsum("ac,b->abc", eye, eta)
+                   - np.einsum("bc,a->abc", eye, eta)) / max(n - 1, 1)
+    vect_res = float(np.abs(lte - vect_target).max())
 
     cyclic = cyc_res <= tol
     traceless = trace_res <= tol
@@ -275,6 +265,7 @@ def classify(dec, metric=None) -> ClassificationReport:
             "naturally_reductive": nat_res,
             "symmetric": sym_res,
         },
+        tol=tol,
     )
     _classify_crosscheck(report, frame)
     return report
@@ -294,10 +285,9 @@ def _classify_crosscheck(report, frame):
     check(float(np.abs(3.0 * types.s3 + 0.5 * frame._lte_cyclic_sum).max()),
           1e-10 * max(1.0, float(np.abs(s).max())),
           "3 S3 does not equal minus half the cyclic sum of the projected bracket")
-    if n >= 2:
-        gap = float(np.abs(contract_12(s) - frame.eta).max())
-        check(gap, max(tol, 1e-11 * max(1.0, float(np.abs(s).max()))),
-              "c12(S) disagrees with the canonical trace form")
+    gap = float(np.abs(contract_12(s) - frame.eta).max())
+    check(gap, max(tol, 1e-11 * max(1.0, float(np.abs(s).max()))),
+          "c12(S) disagrees with the canonical trace form")
 
     checks = [
         (report.cyclic, types.norms["s3"]),

@@ -104,9 +104,8 @@ def _is_abelian(algebra, tol) -> bool:
 
 
 def _check_classification(entry, frame, rng):
-    tol = max(frame.tol, 1e-8)
-    report = classify(Frame(entry.decomposition, entry.metric, tol))
-    bad = entry.expected.mismatches(report, tol)
+    report = classify(Frame(entry.decomposition, entry.metric, max(frame.tol, 1e-8)))
+    bad = entry.expected.mismatches(report)
     if bad:
         got = {k: report.booleans()[k] for k in bad if k != "eta"}
         return [CheckResult("classification", False,
@@ -207,8 +206,9 @@ def _check_foliation(entry, frame, rng):
     if _is_unimodular(entry.algebra, max(frame.tol, 1e-10)):
         return []
     fol = foliation_data(frame)
-    n = frame.n
-    res = float(np.abs(fol.h_mean + fol.xi / (n - 1)).max())
+    # h_mean against the mean of the second fundamental form h = h_coeff xi
+    mean = np.trace(fol.h_coeff) * fol.xi / (frame.n - 1)
+    res = float(np.abs(fol.h_mean - mean).max())
     out = [_result("foliation_mean_curvature", res, 1e-12 * max(1.0, frame.c))]
     if entry.expected.cyclic:
         s_xi = np.einsum("a,abc->bc", fol.xi, frame.s)

@@ -12,6 +12,7 @@ import pytest
 
 import homgeo
 from homgeo import (
+    ClassificationReport,
     ExpectedClass,
     Frame,
     InvariantMetric,
@@ -113,11 +114,13 @@ def test_run_all_report():
 
 def test_tolerance_enters_at_build_points_only():
     # an algebra keeps the tolerance it was built with and a space the
-    # one its Frame was built with; no algebra-level function takes its
-    # own.  LieAlgebra's tol is the record field build_lie_algebra fills.
+    # one its Frame was built with; no other function takes its own.
+    # LieAlgebra's and ClassificationReport's tol are record fields that
+    # build_lie_algebra and classify fill.
+    records = (LieAlgebra, ClassificationReport)
     takes_tol = {
         name for name in homgeo.__all__
-        if callable(obj := getattr(homgeo, name)) and obj is not LieAlgebra
+        if callable(obj := getattr(homgeo, name)) and obj not in records
         and not (inspect.isclass(obj) and issubclass(obj, Exception))
         and "tol" in inspect.signature(obj).parameters
     }
@@ -125,7 +128,7 @@ def test_tolerance_enters_at_build_points_only():
         takes_tol.add("ExpectedClass.mismatches")
     assert takes_tol == {
         "build_lie_algebra", "from_tensor", "load_algebra", "load_space",
-        "Frame", "check_reductive", "decompose", "run_all",
-        "ExpectedClass.mismatches",
+        "Frame", "run_all",
     }
-    assert "tol" in LieAlgebra.__dataclass_fields__
+    for record in records:
+        assert "tol" in record.__dataclass_fields__

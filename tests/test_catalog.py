@@ -16,9 +16,10 @@ from homgeo.catalog import (
 from homgeo.errors import ParamOutOfRange, UnknownEntry
 from homgeo.io import space_from_dict, space_to_dict
 from homgeo.lie import killing_form
-from homgeo.reductive import Frame
+from homgeo import verify
+from homgeo.reductive import Frame, foliation_data
 from homgeo.structure import classify
-from homgeo.verify import _check_grading_relations, _model_checks
+from homgeo.verify import _check_grading_relations, _model_checks, run_all
 
 
 ALL_NAMES = [
@@ -108,6 +109,20 @@ def test_grading_check_reads_the_span_table():
     assert bad.detail.startswith("residual 1.000e+00")
     [bare] = _check_grading_relations(replace(entry, spans=None), frame, None)
     assert not bare.passed
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+def test_foliation_mean_curvature_reads_the_second_fundamental_form(monkeypatch, factor):
+    # h_mean is compared with the mean of h_coeff, so an h_coeff off by a
+    # factor fails the check
+    def scaled(frame):
+        fol = foliation_data(frame)
+        return replace(fol, h_coeff=factor * fol.h_coeff)
+
+    monkeypatch.setattr(verify, "foliation_data", scaled)
+    report = run_all(entries=[build("g", alpha=(0.5, 1.0, 2.0))])
+    result, = (r for r in report.results if r.name.endswith("::foliation_mean_curvature"))
+    assert result.passed is (factor == 1.0)
 
 
 def test_model_checks_read_the_cone():

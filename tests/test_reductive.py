@@ -17,6 +17,7 @@ from homgeo.reductive import (
     closedness_residual,
     foliation_data,
 )
+from homgeo.structure import classify
 
 
 def milnor(l1, l2, l3):
@@ -65,6 +66,22 @@ def test_check_reductive():
     heis = build_lie_algebra(3, {(0, 1): {2: 1.0}})
     with pytest.raises(NotReductive, match=r"\[k,k\] leak\): residual 1\.000e\+00 \(bound"):
         check_reductive(ReductiveDecomposition(heis, (0, 1), (2,)))
+
+
+def test_reductivity_reads_the_algebra_tolerance():
+    # so(3) + R with k = (2, 3): [e3, e0] leaks 1e-7 into k, off the
+    # diagonal of ad_{e0}, so the trace form stays exactly zero
+    so3_r = {(0, 1): {2: 1.0}, (1, 2): {0: 1.0}, (2, 0): {1: 1.0}, (3, 0): {2: 1e-7}}
+    dec = ReductiveDecomposition(build_lie_algebra(4, so3_r, tol=1e-6), (2, 3), (0, 1))
+    assert check_reductive(dec).km_residual == 1e-7
+    rep = classify(dec, InvariantMetric.identity(2))  # a Frame at 1e-9
+    assert rep.symmetric and rep.tol == 1e-9
+    # a 1e-5 [k, m] leak in an algebra built at 1e-9 is refused, whatever
+    # tolerance the Frame is given
+    alg = build_lie_algebra(2, {(0, 1): {0: 1e-5}})
+    dec = ReductiveDecomposition(alg, (0,), (1,))
+    with pytest.raises(NotReductive, match=r"residual 1\.000e-05 \(bound 1\.0e-09\)"):
+        Frame(dec, InvariantMetric.identity(1), 1e-3)
 
 
 def test_metric_validation():

@@ -107,13 +107,59 @@ def test_decompose_idempotence(n, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6))
-def test_dimension_two_is_vectorial(seed):
-    a = random_structure(2, seed)
+@given(st.integers(0, 10**6), st.sampled_from([1e-200, 1e-5, 1.0, 1e5, 1e200]))
+def test_dimension_two_is_vectorial(seed, scale):
+    # S2 and S3 vanish for n <= 2; the general formulas give them as exact zeros
+    a = scale * random_structure(2, seed)
     d = decompose(a)
-    assert np.allclose(d.s1, a)
+    assert np.array_equal(d.s1, a)
     assert np.abs(d.s2).max() == 0.0
     assert np.abs(d.s3).max() == 0.0
+
+
+def test_dimension_one_splits_to_zeros():
+    d = decompose(np.zeros((1, 1, 1)))
+    for part in (d.s1, d.s2, d.s3, d.phi):
+        assert not part.any()
+    assert d.component_norms() == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("cls", [StructureTensor, TorsionTensor])
+def test_empty_slot_tensor_is_refused(cls):
+    with pytest.raises(SlotSymmetryViolation, match="nonempty"):
+        cls(np.zeros((0, 0, 0)))
+
+
+def test_classify_dimension_one():
+    # the real line: S = 0, so every class holds but traceless cyclic (S != 0)
+    dec = ReductiveDecomposition(build_lie_algebra(1, {}), (), (0,))
+    rep = classify(dec, InvariantMetric.identity(1))
+    assert rep.booleans() == {name: name != "traceless_cyclic" for name in rep.booleans()}
+    assert set(rep.residuals.values()) == {0.0}
+    assert rep.norms == {"s1": 0.0, "s2": 0.0, "s3": 0.0}
+
+
+def test_classify_hyperbolic_plane():
+    # [e0, e1] = e1: the hyperbolic plane, purely vectorial with eta = (-1, 0)
+    dec = ReductiveDecomposition(build_lie_algebra(2, {(0, 1): {1: 1.0}}), (), (0, 1))
+    rep = classify(dec, InvariantMetric.identity(2))
+    assert rep.cyclic and rep.vectorial and not rep.traceless
+    assert not (rep.naturally_reductive or rep.symmetric or rep.traceless_cyclic)
+    assert rep.norms["s1"] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert rep.norms["s2"] == rep.norms["s3"] == 0.0
+    assert [rep.residuals[k] for k in ("cyclic", "traceless", "vectorial",
+                                       "naturally_reductive", "symmetric")] == [0, 1, 0, 2, 1]
+
+
+def test_classify_round_sphere():
+    # so(3)/so(2) with the normal metric is the round 2-sphere
+    alg = build_lie_algebra(3, {(0, 1): {2: 1.0}, (1, 2): {0: 1.0}, (2, 0): {1: 1.0}})
+    dec = ReductiveDecomposition(alg, (2,), (0, 1))
+    rep = classify(dec, InvariantMetric.identity(2))
+    assert rep.symmetric and not rep.traceless_cyclic
+    # the report records the tolerance its booleans were decided at
+    assert rep.tol == 1e-9
+    assert classify(Frame(dec, InvariantMetric.identity(2), 1e-6)).tol == 1e-6
 
 
 @pytest.mark.parametrize("name, params", [("milnor3", {"lam": (1.0, 2.0, -3.0)}),
