@@ -7,7 +7,10 @@ ricci_routes, xi_curvatures, one curvature_diagonal_general call and
 the whole pipeline at n = 3, 6, 16, 20 (perfbench's solvable_large
 size) and 32; solve_cyclic on the su(2,1) and sp(1,1) models with their
 catalog gradings; one curvature_diagonal_general call on the su21_a3ii
-catalog space; and each per-entry check of verify.run_all, summed over
+catalog space; classify and Frame.types on the b2_product (n = 4) and
+su21_a3ii (n = 6) catalog spaces, which fall on either side of the size
+up to which structure.py reads its formulas through cached matrices;
+and each per-entry check of verify.run_all, summed over
 the default catalog entries; all with time.perf_counter.
 Writes the median, the interquartile range and the repeat count of each
 case to OUT.json, with the git SHA, the Python/numpy/scipy versions and
@@ -33,9 +36,10 @@ reads), and ricci_routes and xi_curvatures run on a fresh Frame whose r4
 is already built.  classify is the user call on (dec, metric), so it
 includes building its Frame; pipeline is the five user calls classify,
 curvature_tensor, ricci_routes, einstein_check and xi_curvatures on one
-space, which share one Frame.  Both get a fresh metric object on every
-repeat, since consecutive calls on the same (dec, metric) objects reuse
-the last Frame built.  curvature_diagonal_general gets one pair of
+space, which share one Frame.  These, and the catalog classify and
+Frame.types cases, get a fresh metric object on every repeat, since
+consecutive calls on the same (dec, metric) objects reuse the last
+Frame built.  curvature_diagonal_general gets one pair of
 frame vectors and a Frame whose U is built.  A verify/<check> case
 runs that check on every default entry, on fresh Frames whose r4 and
 ricci_routes are built, each with its own seeded generator, outside the
@@ -200,6 +204,24 @@ def bench_su21_diagonal() -> dict:
         lambda _: hg.curvature_diagonal_general(frame, None, x, y))}
 
 
+def bench_catalog_types() -> dict:
+    """classify and Frame.types on b2_product (n = 4) and su21_a3ii (n = 6)."""
+    cases = {}
+    for name in ("b2_product", "su21_a3ii"):
+        entry = next(e for e in hg.default_entries() if e.name == name)
+
+        def fresh_metric(entry=entry):
+            return hg.InvariantMetric(entry.metric.matrix)
+
+        def fresh_frame(entry=entry, fresh_metric=fresh_metric):
+            return Frame(entry.decomposition, fresh_metric())
+
+        cases[f"classify/{name}"] = time_case(
+            lambda g, dec=entry.decomposition: hg.classify(dec, g), fresh_metric)
+        cases[f"Frame.types/{name}"] = time_case(lambda frame: frame.types, fresh_frame)
+    return cases
+
+
 def bench_checks() -> dict:
     """Each verify entry check, summed over the default catalog entries."""
     entries = hg.default_entries()
@@ -245,6 +267,7 @@ def main(argv=None) -> int:
         cases.update((f"{layer}/n={n}", stats) for layer, stats in bench_size(n).items())
     cases.update(bench_models())
     cases.update(bench_su21_diagonal())
+    cases.update(bench_catalog_types())
     cases.update(bench_checks())
     for case, stats in cases.items():
         print(f"{case:40s} median {stats['median_ms']:9.3f} ms  "

@@ -237,7 +237,7 @@ class Frame:
     def u(self) -> np.ndarray:
         """Symmetric map U, fixed by 2<U(X,Y),Z> = <[Z,X]_m,Y> + <[Z,Y]_m,X>."""
         lte = self.lte
-        return _frozen(0.5 * (np.einsum("cab->abc", lte) + np.einsum("cba->abc", lte)))
+        return _frozen(0.5 * (lte.transpose(1, 2, 0) + lte.transpose(2, 1, 0)))
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -270,14 +270,19 @@ class Frame:
         return _frozen(self.frame_g.T @ killing_form(self.dec.algebra) @ self.frame_g)
 
     @cached_property
-    def _lte_cyclic_sum(self) -> np.ndarray:
-        """Cyclic sum of lte, which classify's cross-check reads again."""
-        return _frozen(cyclic_sum(self.lte))
+    def _lte_residuals(self) -> tuple:
+        """The cyclic sum of lte and lte + lte_acb, flattened (structure._lte_formula).
+
+        classify reads both and its cross-check the first again.
+        """
+        from .structure import _evaluate, _lte_formula
+
+        return tuple(_frozen(r) for r in _evaluate(_lte_formula, self.lte))
 
     @cached_property
     def cyclic_residual(self) -> float:
         """Max-abs cyclic sum of lte; within tol exactly on cyclic spaces."""
-        return float(np.abs(self._lte_cyclic_sum).max())
+        return float(np.abs(self._lte_residuals[0]).max())
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -424,8 +429,9 @@ def as_frame(dec, metric=None) -> Frame:
 
 
 def cyclic_sum(components: np.ndarray) -> np.ndarray:
-    """S_{XYZ} + S_{YZX} + S_{ZXY} over all index triples."""
-    return components + np.einsum("abc->cab", components) + np.einsum("abc->bca", components)
+    """S_{XYZ} + S_{YZX} + S_{ZXY} over all index triples and any leading axes."""
+    return (components + np.einsum("...abc->...cab", components)
+            + np.einsum("...abc->...bca", components))
 
 
 def closedness_residual(dec, metric=None) -> float:

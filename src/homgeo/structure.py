@@ -20,11 +20,23 @@ and S3 as exact zeros there.
 
 The classification booleans reported by classify are computed from the
 brackets directly and cross-checked against the component norms.
+
+The split, classify's residual tensors and the split's self-checks are
+linear, and each is written once, as a formula on tensors stacked along
+leading axes (_split_formula, _lte_formula, _check_formula).  Up to
+n = _OPERATOR_MAX_N each formula is read through a dense matrix, the
+formula applied to the unit tensors, built and verified on first use
+and cached per n; a space then costs one product per formula instead of
+dozens of small array operations.  Above that size, where the matrices
+would cost more than they save, the formulas run directly.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -51,7 +63,7 @@ class _SkewPairTensor:
     """Cubic rank-3 components, antisymmetric in one pair of slots."""
 
     components: np.ndarray
-    _swap: ClassVar[str]  # einsum exchanging the antisymmetric slot pair
+    _swap: ClassVar[tuple]  # axes order exchanging the antisymmetric slot pair
     _what: ClassVar[str]  # what the slot check's error says
 
     def __post_init__(self):
@@ -59,7 +71,7 @@ class _SkewPairTensor:
         if a.ndim != 3 or len(set(a.shape)) != 1 or not a.size:
             raise SlotSymmetryViolation(
                 f"expected nonempty cubic rank-3 components, got {a.shape}")
-        defect = float(np.abs(a + np.einsum(self._swap, a)).max())
+        defect = float(np.abs(a + a.transpose(self._swap)).max())
         check(defect, max(1e-9, 1e-12 * max(1.0, float(np.abs(a).max()))),
               self._what, SlotSymmetryViolation)
         object.__setattr__(self, "components", _frozen(a))
@@ -73,17 +85,17 @@ class _SkewPairTensor:
 class StructureTensor(_SkewPairTensor):
     """Lowered structure tensor, antisymmetric in the last two slots."""
 
-    _swap, _what = "abc->acb", "structure tensor not antisymmetric in slots 2,3"
+    _swap, _what = (0, 2, 1), "structure tensor not antisymmetric in slots 2,3"
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
+        return _norm(self.components)
 
 
 @dataclass(frozen=True, eq=False)
 class TorsionTensor(_SkewPairTensor):
     """Lowered torsion tensor, antisymmetric in the first two slots."""
 
-    _swap, _what = "abc->bac", "torsion tensor not antisymmetric in slots 1,2"
+    _swap, _what = (1, 0, 2), "torsion tensor not antisymmetric in slots 1,2"
 
 
 def homogeneous_structure(dec, metric=None) -> StructureTensor:
@@ -104,8 +116,8 @@ def torsion_to_structure(t: TorsionTensor) -> StructureTensor:
 
 
 def contract_12(s_components: np.ndarray) -> np.ndarray:
-    """c12(S)(Z) = sum_a S_{a a Z}."""
-    return np.einsum("aax->x", s_components)
+    """c12(S)(Z) = sum_a S_{a a Z}, over any leading axes."""
+    return np.einsum("...aax->...x", s_components)
 
 
 def trace_form(t: TorsionTensor) -> np.ndarray:
@@ -136,48 +148,159 @@ class TypeDecomposition:
         return self.norms["s1"], self.norms["s2"], self.norms["s3"]
 
 
+def _split_formula(s):
+    """S1, 3 S3 and phi of structure tensors stacked along leading axes.
+
+    The cyclic sum is returned undivided, so that its matrix rows hold
+    integers and give S3 = 0 exactly where it vanishes (n <= 2).
+    """
+    n = s.shape[-1]
+    phi = contract_12(s) / max(n - 1, 1)
+    s1 = np.zeros(s.shape)
+    # S1_{XYZ} = <X,Y> phi(Z) - <X,Z> phi(Y), written through diagonal views
+    np.einsum("...aac->...ac", s1)[...] += phi[..., None, :]
+    np.einsum("...aba->...ab", s1)[...] -= phi[..., None, :]
+    return s1, cyclic_sum(s), phi
+
+
+def _check_formula(parts):
+    """The defining traces of stacked (S2, S3) pairs, which must vanish.
+
+    S3 + S3 with slots 1, 2 exchanged, c12(S2) and the cyclic sum of S2.
+    """
+    s2, s3 = parts[..., 0, :, :, :], parts[..., 1, :, :, :]
+    return s3 + np.swapaxes(s3, -3, -2), contract_12(s2), cyclic_sum(s2)
+
+
+def _lte_formula(lte):
+    """classify's residual tensors of projected brackets: the cyclic sum, lte + lte_acb."""
+    return cyclic_sum(lte), lte + np.swapaxes(lte, -1, -2)
+
+
+# The formulas above go through a cached dense matrix for n up to this
+# size and are evaluated directly above it.  Split, residuals and checks
+# together, matrices against formulas, in-process: 6 vs 56 us at n = 3,
+# 12 vs 64 at n = 4, 33 vs 66 at n = 5, 144 vs 65 at n = 6 and 790 vs
+# 66 at n = 8.  The matrices for n = 5 take about 1 MB.
+_OPERATOR_MAX_N = 5
+
+
+def _matrix(formula, shape):
+    """A linear formula on inputs of this shape as (dense matrix, output slices).
+
+    The matrix maps a flattened input to the formula's outputs, each
+    flattened and joined end to end; the slices cut that vector back
+    into the outputs.  Its columns are the formula applied to the unit
+    tensors, which run along one leading axis.
+    """
+    size = math.prod(shape)
+    outputs = formula(np.eye(size).reshape((size,) + shape))
+    bounds = np.cumsum([0] + [out[0].size for out in outputs]).tolist()
+    matrix = np.concatenate([out.reshape(size, -1) for out in outputs], axis=1).T
+    return _frozen(matrix), tuple(map(slice, bounds[:-1], bounds[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def _operator(n: int) -> MappingProxyType:
+    """_matrix of each formula above for dimension n, keyed by the formula.
+
+    Built on first use and verified then: the three type projectors,
+    each composed with the projector onto the S-space (tensors
+    antisymmetric in slots 2, 3), must be idempotent and mutually
+    orthogonal in the Frobenius product and sum to that projector.
+    """
+    shape = (n, n, n)
+    ops = {formula: _matrix(formula, shape) for formula in (_split_formula, _lte_formula)}
+    ops[_check_formula] = _matrix(_check_formula, (2,) + shape)
+    skew, _ = _matrix(lambda x: (0.5 * (x - np.swapaxes(x, -1, -2)),), shape)
+    split, (s1_rows, cyclic_rows, _) = ops[_split_formula]
+    p1 = split[s1_rows] @ skew
+    p3 = split[cyclic_rows] @ skew / 3.0
+    projectors = (p1, skew - p1 - p3, p3)
+    worst = max(float(np.abs(p @ p - p).max()) for p in projectors)
+    check(worst, 1e-12, "type projectors are not idempotent")
+    worst = max(float(np.abs(projectors[i].T @ projectors[j]).max())
+                for i in range(3) for j in range(i + 1, 3))
+    check(worst, 1e-12, "type projectors are not mutually orthogonal")
+    check(float(np.abs(sum(projectors) - skew).max()), 1e-12,
+          "type projectors do not sum to the projector onto the S-space")
+    return MappingProxyType(ops)
+
+
+def _evaluate(formula, x) -> list:
+    """formula(x) as a list of flat arrays: one product with its _operator matrix
+    for n <= _OPERATOR_MAX_N, the formula itself above."""
+    n = x.shape[-1]
+    if n > _OPERATOR_MAX_N:
+        return [out.reshape(-1) for out in formula(x)]
+    matrix, slices = _operator(n)[formula]
+    y = matrix @ x.reshape(-1)
+    return [y[part] for part in slices]
+
+
+def _norm(a) -> float:
+    """Frobenius norm of a, taken on a / max|a| so that no square overflows."""
+    peak = float(np.abs(a).max()) or 1.0
+    unit = (a / peak).reshape(-1)
+    return peak * math.sqrt(float(unit @ unit))
+
+
 def decompose(s) -> TypeDecomposition:
     """Split a structure tensor into its three orthogonal type components.
 
     Components are taken in an orthonormal basis (a Frame's S is; see
-    Frame.types).  For n <= 2 the formulas give S1 = S and S2 = S3 = 0
-    exactly.  Its self-checks are bounded by the tensor's own scale.
+    Frame.types).  The split is defined once, by _split_formula; for
+    n <= _OPERATOR_MAX_N it is read through that formula's cached dense
+    matrix, one product with S, and above it the formula runs directly.
+    For n <= 2 both give S1 = S and S2 = S3 = 0 exactly.  Its
+    self-checks are bounded by the tensor's own scale.
     """
     a = (s if isinstance(s, StructureTensor) else StructureTensor(s)).components
     n = a.shape[0]
-    eye = np.eye(n)
-    phi = contract_12(a) / max(n - 1, 1)
-    s1 = np.einsum("ab,c->abc", eye, phi) - np.einsum("ac,b->abc", eye, phi)
-    s3 = cyclic_sum(a) / 3.0
-    s2 = a - s1 - s3
-
+    s1, three_s3, phi = _evaluate(_split_formula, a)
+    parts = np.empty((3, a.size))
+    parts[0] = s1
+    np.divide(three_s3, 3.0, out=parts[2])
+    np.subtract(a.reshape(-1), parts[0], out=parts[1])
+    parts[1] -= parts[2]
+    # the norms and the pairwise products come from one Gram product of
+    # the parts, divided by the largest entry of S first so that no
+    # square overflows
+    peak = float(np.abs(a).max())
+    unit_scale = peak or 1.0
+    unit = parts / unit_scale
+    gram = np.einsum("ik,jk->ij", unit, unit).tolist()
     dec = TypeDecomposition(
-        _frozen(s1), _frozen(s2), _frozen(s3), _frozen(phi),
-        {"s1": float(np.linalg.norm(s1)),
-         "s2": float(np.linalg.norm(s2)),
-         "s3": float(np.linalg.norm(s3))},
+        *_frozen(parts).reshape(3, n, n, n), _frozen(phi),
+        {name: unit_scale * math.sqrt(gram[i][i])
+         for i, name in enumerate(("s1", "s2", "s3"))},
     )
-    _decomposition_selfcheck(a, dec)
+    _decomposition_selfcheck(a, parts, peak, max(abs(gram[0][1]), abs(gram[0][2]),
+                                                 abs(gram[1][2])))
     return dec
 
 
-def _decomposition_selfcheck(a, dec):
-    """Reconstruction, mutual orthogonality and the defining traces."""
-    scale = max(1.0, float(np.abs(a).max()))
+def _decomposition_selfcheck(a, parts, peak, overlap):
+    """Reconstruction, mutual orthogonality and the defining traces.
+
+    parts holds S1, S2, S3 flattened, peak is max |S|, and overlap the
+    largest pairwise product of the parts divided by peak^2; the
+    orthogonality bound is divided by peak^2 to match.
+    """
+    scale = max(1.0, peak)
     slack = 1e-11 * scale
-    parts = (dec.s1, dec.s2, dec.s3)
-    check(float(np.abs(a - sum(parts)).max()), slack,
-          "type components do not reconstruct the tensor")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            check(float(np.abs(np.sum(parts[i] * parts[j]))), slack * max(1.0, scale),
-                  "type components are not orthogonal")
-    check(float(np.abs(dec.s3 + np.einsum("abc->bac", dec.s3)).max()), slack,
-          "skew component is not totally skew")
-    check(float(np.abs(contract_12(dec.s2)).max()), slack,
-          "traceless component has a nonzero trace")
-    check(float(np.abs(cyclic_sum(dec.s2)).max()), slack,
-          "traceless cyclic component has a cyclic sum")
+    size = a.size
+    blocks = np.concatenate([a.reshape(-1) - parts.sum(axis=0),
+                             *_evaluate(_check_formula, parts[1:].reshape(2, *a.shape))])
+    recon, skew, trace, cyc = np.maximum.reduceat(
+        np.abs(blocks, out=blocks), [0, size, 2 * size, 2 * size + a.shape[0]]).tolist()
+    check(recon, slack, "type components do not reconstruct the tensor")
+    ratio = scale / (peak or 1.0)
+    check(overlap, 1e-11 * ratio * ratio,
+          "type components are not orthogonal")
+    check(skew, slack, "skew component is not totally skew")
+    check(trace, slack, "traceless component has a nonzero trace")
+    check(cyc, slack, "traceless cyclic component has a cyclic sum")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,24 +345,28 @@ def classify(dec, metric=None) -> ClassificationReport:
       nat. red.:    <[X,Y]_m, Z> is antisymmetric in Y, Z,
       symmetric:    S = 0.
 
-    Each decision is cross-checked against the type-component norms
+    The cyclic and naturally reductive residual tensors come from
+    _lte_formula, through its cached matrix for n <= _OPERATOR_MAX_N as
+    the split does (see decompose); the vectorial target is a broadcast
+    of eta, which comes from the trace of ad, not from lte.  Each
+    residual is the max-abs of its block, all taken in one pass.  Each
+    decision is cross-checked against the type-component norms
     (Frame.types).  The tolerance is the Frame's, and the report records
     it: pass Frame(dec, metric, tol) as dec to decide at another one.
     """
     frame = as_frame(dec, metric)
     tol = frame.tol
     n = frame.n
-    lte = frame.lte
     eta = frame.eta
-
-    cyc_res = frame.cyclic_residual
-    nat_res = float(np.abs(lte + np.einsum("abc->acb", lte)).max())
-    trace_res = float(np.abs(eta).max())
-    sym_res = float(np.abs(frame.s).max())
-    eye = np.eye(n)
-    vect_target = (np.einsum("ac,b->abc", eye, eta)
-                   - np.einsum("bc,a->abc", eye, eta)) / max(n - 1, 1)
-    vect_res = float(np.abs(lte - vect_target).max())
+    # delta_ac eta_b - delta_bc eta_a: the second term is the first with a, b exchanged
+    half = np.eye(n)[:, None, :] * eta[None, :, None]
+    vect_target = (half - half.transpose(1, 0, 2)) / max(n - 1, 1)
+    # one abs-max over the residual blocks end to end
+    size = n ** 3
+    blocks = np.concatenate([*frame._lte_residuals, (frame.lte - vect_target).reshape(-1),
+                            frame.s.reshape(-1), eta])
+    cyc_res, nat_res, vect_res, sym_res, trace_res = np.maximum.reduceat(
+        np.abs(blocks, out=blocks), [0, size, 2 * size, 3 * size, 4 * size]).tolist()
 
     cyclic = cyc_res <= tol
     traceless = trace_res <= tol
@@ -256,8 +383,7 @@ def classify(dec, metric=None) -> ClassificationReport:
         naturally_reductive=naturally_reductive,
         symmetric=symmetric,
         norms=dict(frame.types.norms),
-        eta=tuple(float(v) for v in
-                  -trace_vector(frame.dec.algebra)[list(frame.dec.m_indices)]),
+        eta=tuple((-trace_vector(frame.dec.algebra)[list(frame.dec.m_indices)]).tolist()),
         residuals={
             "cyclic": cyc_res,
             "traceless": trace_res,
@@ -282,21 +408,22 @@ def _classify_crosscheck(report, frame):
     check meaningful without flapping at the threshold.
     """
     s, types, n, tol = frame.s, frame.types, frame.n, frame.tol
-    check(float(np.abs(3.0 * types.s3 + 0.5 * frame._lte_cyclic_sum).max()),
-          1e-10 * max(1.0, float(np.abs(s).max())),
+    s_scale = max(1.0, report.residuals["symmetric"])  # max |S|
+    check(float(np.abs(3.0 * types.s3.reshape(-1) + 0.5 * frame._lte_residuals[0]).max()),
+          1e-10 * s_scale,
           "3 S3 does not equal minus half the cyclic sum of the projected bracket")
     gap = float(np.abs(contract_12(s) - frame.eta).max())
-    check(gap, max(tol, 1e-11 * max(1.0, float(np.abs(s).max()))),
+    check(gap, max(tol, 1e-11 * s_scale),
           "c12(S) disagrees with the canonical trace form")
 
     checks = [
         (report.cyclic, types.norms["s3"]),
         (report.traceless, types.norms["s1"]),
-        (report.vectorial, np.hypot(types.norms["s2"], types.norms["s3"])),
-        (report.naturally_reductive, np.hypot(types.norms["s1"], types.norms["s2"])),
-        (report.symmetric, float(np.linalg.norm(frame.lte))),
+        (report.vectorial, math.hypot(types.norms["s2"], types.norms["s3"])),
+        (report.naturally_reductive, math.hypot(types.norms["s1"], types.norms["s2"])),
+        (report.symmetric, _norm(frame.lte)),
     ]
-    scale = max(1.0, float(np.abs(s).max())) * n ** 1.5
+    scale = s_scale * n ** 1.5
     for decided, norm in checks:
         if decided:
             check(norm, 50.0 * tol * scale,

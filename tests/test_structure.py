@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homgeo import structure
 from homgeo.catalog import build
 from homgeo.curvature import ricci_tensor
 from homgeo.errors import ConsistencyError, SlotSymmetryViolation
@@ -115,6 +116,103 @@ def test_dimension_two_is_vectorial(seed, scale):
     assert np.array_equal(d.s1, a)
     assert np.abs(d.s2).max() == 0.0
     assert np.abs(d.s3).max() == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_norms_do_not_overflow(n):
+    # the norms are taken on the tensor divided by its largest entry, so
+    # entries near 1e200 give finite norms and no overflow warning
+    a = random_structure(n, 11)
+    unit = decompose(a).component_norms()
+    assert decompose(1e200 * a).component_norms() == pytest.approx(
+        [1e200 * v for v in unit], rel=1e-12)
+    assert StructureTensor(1e200 * a).norm() == pytest.approx(
+        1e200 * StructureTensor(a).norm(), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_classify_norms_do_not_overflow():
+    # brackets of size 1e100 in a metric of size 1e-200 give lte near 1e200
+    alg = build_lie_algebra(3, {(1, 2): {0: 1e100}, (2, 0): {1: 2e100}, (0, 1): {2: -3e100}})
+    dec = ReductiveDecomposition(alg, (), (0, 1, 2))
+    unit = classify(dec, InvariantMetric.identity(3))
+    big = classify(dec, InvariantMetric(1e-200 * np.eye(3)))
+    assert big.booleans() == unit.booleans()
+    assert big.norms["s2"] == pytest.approx(1e100 * unit.norms["s2"], rel=1e-12)
+
+
+def _random_inputs(n, seed):
+    """A structure tensor, a projected bracket and a stacked (S2, S3) pair."""
+    rng = np.random.default_rng([seed, n])
+    return {structure._split_formula: random_structure(n, seed),
+            structure._lte_formula: rng.standard_normal((n, n, n)),
+            structure._check_formula: rng.standard_normal((2, n, n, n))}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_operator_and_formulas_agree(n):
+    # n <= _OPERATOR_MAX_N reads the matrices, larger n the formulas;
+    # both sides of the cutoff are compared here
+    ops = structure._operator(n)
+    for scale in (1e-5, 1.0, 1e5):
+        for formula, x in _random_inputs(n, 3).items():
+            x = scale * x
+            matrix, slices = ops[formula]
+            y = matrix @ x.reshape(-1)
+            outputs = formula(x)
+            assert len(outputs) == len(slices)
+            for out, part in zip(outputs, slices):
+                assert np.abs(y[part] - out.reshape(-1)).max() <= 1e-13 * scale
+
+
+def test_operator_verification_catches_a_transposed_slot(monkeypatch):
+    # slots 1 and 2 of the input exchanged: the cyclic sum changes sign
+    # on the S-space, so the S3 projector is no longer idempotent
+    split = structure._split_formula
+    monkeypatch.setattr(structure, "_split_formula",
+                        lambda s: split(np.swapaxes(s, -3, -2)))
+    structure._operator.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="type projectors"):
+            structure._operator(3)
+        with pytest.raises(ConsistencyError, match="type projectors"):
+            decompose(random_structure(3, 0))
+    finally:
+        monkeypatch.undo()
+        structure._operator.cache_clear()
+
+
+def _rotated(entry, seed):
+    """The entry's space (k = 0) in a random orthonormal basis, metric carried along."""
+    n = entry.algebra.dim
+    q, r = np.linalg.qr(np.random.default_rng([seed, n]).standard_normal((n, n)))
+    q = q * np.sign(np.diagonal(r))
+    dec = ReductiveDecomposition(change_basis(entry.algebra, q), (), tuple(range(n)))
+    return dec, InvariantMetric(q.T @ entry.metric.matrix @ q)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("g", {"alpha": (1.5,)}),                                 # n = 2, operator
+    ("milnor3", {"lam": (1.0, 2.0, -3.0)}),                   # n = 3, operator
+    ("milnor3", {"lam": (1.0, 0.0, -1.0)}),
+    ("b2_product", {"rho": 1.0, "sigma": 2.0, "lam": 1.5}),   # n = 4, operator
+    ("g", {"alpha": (0.5, 1.0, 2.0, -0.7, 1.3)}),             # n = 6, formulas
+    ("g", {"alpha": (1.0, -1.0, 2.0, -2.0, 0.5, -0.5)}),      # n = 7, formulas
+])
+def test_orthogonal_basis_change_keeps_the_class(name, params):
+    # the type split is O(n)-equivariant, so the booleans and the three
+    # norms cannot depend on the orthonormal basis of m; an index
+    # transposed in a formula would break that
+    entry = build(name, **params)
+    assert entry.decomposition.dim_k == 0
+    before = classify(entry.decomposition, entry.metric)
+    for seed in range(3):
+        after = classify(*_rotated(entry, seed))
+        assert after.booleans() == before.booleans()
+        for k in ("s1", "s2", "s3"):
+            # a norm that is zero in one basis is roundoff in the other
+            assert after.norms[k] == pytest.approx(before.norms[k], rel=1e-10, abs=1e-12)
 
 
 def test_dimension_one_splits_to_zeros():
