@@ -358,9 +358,10 @@ def classify(dec, metric=None) -> ClassificationReport:
     tol = frame.tol
     n = frame.n
     eta = frame.eta
-    # delta_ac eta_b - delta_bc eta_a: the second term is the first with a, b exchanged
-    half = np.eye(n)[:, None, :] * eta[None, :, None]
-    vect_target = (half - half.transpose(1, 0, 2)) / max(n - 1, 1)
+    # (delta_ac eta_b - delta_bc eta_a) / (n-1): the second term is the
+    # first with a, b exchanged
+    half = np.eye(n)[:, None, :] * (eta / max(n - 1, 1))[None, :, None]
+    vect_target = half - half.transpose(1, 0, 2)
     # one abs-max over the residual blocks end to end
     size = n ** 3
     blocks = np.concatenate([*frame._lte_residuals, (frame.lte - vect_target).reshape(-1),
