@@ -179,9 +179,10 @@ def _lte_formula(lte):
 
 # The formulas above go through a cached dense matrix for n up to this
 # size and are evaluated directly above it.  Split, residuals and checks
-# together, matrices against formulas, in-process: 6 vs 56 us at n = 3,
-# 12 vs 64 at n = 4, 33 vs 66 at n = 5, 144 vs 65 at n = 6 and 790 vs
-# 66 at n = 8.  The matrices for n = 5 take about 1 MB.
+# together, matrices against formulas (medians of two in-process runs,
+# one OpenBLAS thread): 7-12 vs 39-56 us at n = 3, 13-16 vs 42-58 at
+# n = 4, 23-34 vs 38-59 at n = 5, 133 vs 37-41 at n = 6 and 800-850 vs
+# 54-71 at n = 8.  The matrices for n = 5 take about 1 MB.
 _OPERATOR_MAX_N = 5
 
 
@@ -228,8 +229,11 @@ def _operator(n: int) -> MappingProxyType:
 
 
 def _evaluate(formula, x) -> list:
-    """formula(x) as a list of flat arrays: one product with its _operator matrix
-    for n <= _OPERATOR_MAX_N, the formula itself above."""
+    """formula(x) as a list of flat arrays.
+
+    For n <= _OPERATOR_MAX_N this is one product with the formula's
+    _operator matrix; above it the formula itself runs.
+    """
     n = x.shape[-1]
     if n > _OPERATOR_MAX_N:
         return [out.reshape(-1) for out in formula(x)]
@@ -238,11 +242,28 @@ def _evaluate(formula, x) -> list:
     return [y[part] for part in slices]
 
 
+def _gram(rows, peak) -> list:
+    """Pairwise products of the flat arrays in rows divided by peak^2, taken on rows / peak.
+
+    With peak the largest entry no square overflows.
+    """
+    unit = np.array(rows) / peak
+    return np.einsum("ik,jk->ij", unit, unit).tolist()
+
+
 def _norm(a) -> float:
-    """Frobenius norm of a, taken on a / max|a| so that no square overflows."""
+    """Frobenius norm of a, through _gram."""
     peak = float(np.abs(a).max()) or 1.0
-    unit = (a / peak).reshape(-1)
-    return peak * math.sqrt(float(unit @ unit))
+    return peak * math.sqrt(_gram((a.reshape(-1),), peak)[0][0])
+
+
+def _block_maxima(*blocks) -> list:
+    """The max-abs entry of each array, from one abs and one reduceat over all of them."""
+    starts = [0]
+    for block in blocks[:-1]:
+        starts.append(starts[-1] + block.size)
+    flat = np.concatenate(blocks, axis=None)
+    return np.maximum.reduceat(np.abs(flat, out=flat), starts).tolist()
 
 
 def decompose(s) -> TypeDecomposition:
@@ -256,51 +277,46 @@ def decompose(s) -> TypeDecomposition:
     self-checks are bounded by the tensor's own scale.
     """
     a = (s if isinstance(s, StructureTensor) else StructureTensor(s)).components
-    n = a.shape[0]
     s1, three_s3, phi = _evaluate(_split_formula, a)
-    parts = np.empty((3, a.size))
-    parts[0] = s1
-    np.divide(three_s3, 3.0, out=parts[2])
-    np.subtract(a.reshape(-1), parts[0], out=parts[1])
-    parts[1] -= parts[2]
+    s3 = three_s3 / 3.0
+    s2 = a.reshape(-1) - s1 - s3
     # the norms and the pairwise products come from one Gram product of
-    # the parts, divided by the largest entry of S first so that no
-    # square overflows
-    peak = float(np.abs(a).max())
-    unit_scale = peak or 1.0
-    unit = parts / unit_scale
-    gram = np.einsum("ik,jk->ij", unit, unit).tolist()
+    # the parts, divided by the largest entry of S first
+    peak = float(np.abs(a).max()) or 1.0
+    gram = _gram((s1, s2, s3), peak)
     dec = TypeDecomposition(
-        *_frozen(parts).reshape(3, n, n, n), _frozen(phi),
-        {name: unit_scale * math.sqrt(gram[i][i])
-         for i, name in enumerate(("s1", "s2", "s3"))},
+        *(_frozen(part.reshape(a.shape)) for part in (s1, s2, s3)), _frozen(phi),
+        {name: peak * math.sqrt(gram[i][i]) for i, name in enumerate(("s1", "s2", "s3"))},
     )
-    _decomposition_selfcheck(a, parts, peak, max(abs(gram[0][1]), abs(gram[0][2]),
-                                                 abs(gram[1][2])))
+    _decomposition_selfcheck(a, dec, peak, max(abs(gram[0][1]), abs(gram[0][2]),
+                                               abs(gram[1][2])))
     return dec
 
 
-def _decomposition_selfcheck(a, parts, peak, overlap):
+def _decomposition_selfcheck(a, dec, peak, overlap):
     """Reconstruction, mutual orthogonality and the defining traces.
 
-    parts holds S1, S2, S3 flattened, peak is max |S|, and overlap the
-    largest pairwise product of the parts divided by peak^2; the
-    orthogonality bound is divided by peak^2 to match.
+    peak is max |S| (1 when S = 0), and overlap the largest pairwise
+    product of the parts divided by peak^2; the orthogonality bound is
+    divided by peak^2 to match.
     """
     scale = max(1.0, peak)
     slack = 1e-11 * scale
-    size = a.size
-    blocks = np.concatenate([a.reshape(-1) - parts.sum(axis=0),
-                             *_evaluate(_check_formula, parts[1:].reshape(2, *a.shape))])
-    recon, skew, trace, cyc = np.maximum.reduceat(
-        np.abs(blocks, out=blocks), [0, size, 2 * size, 2 * size + a.shape[0]]).tolist()
-    check(recon, slack, "type components do not reconstruct the tensor")
-    ratio = scale / (peak or 1.0)
-    check(overlap, 1e-11 * ratio * ratio,
-          "type components are not orthogonal")
+    check(float(np.abs(a - (dec.s1 + dec.s2 + dec.s3)).max()), slack,
+          "type components do not reconstruct the tensor")
+    ratio = scale / peak
+    check(overlap, 1e-11 * ratio * ratio, "type components are not orthogonal")
+    skew, trace, cyc = _block_maxima(*_evaluate(_check_formula, np.array((dec.s2, dec.s3))))
     check(skew, slack, "skew component is not totally skew")
     check(trace, slack, "traceless component has a nonzero trace")
     check(cyc, slack, "traceless cyclic component has a cyclic sum")
+
+
+def _vectorial_target(eta) -> np.ndarray:
+    """(delta_ac eta_b - delta_bc eta_a) / max(n-1, 1), a broadcast of eta."""
+    n = eta.shape[0]
+    half = np.eye(n)[:, None, :] * (eta / max(n - 1, 1))[None, :, None]
+    return half - half.transpose(1, 0, 2)  # the second term is the first with a, b exchanged
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,18 +372,10 @@ def classify(dec, metric=None) -> ClassificationReport:
     """
     frame = as_frame(dec, metric)
     tol = frame.tol
-    n = frame.n
     eta = frame.eta
-    # (delta_ac eta_b - delta_bc eta_a) / (n-1): the second term is the
-    # first with a, b exchanged
-    half = np.eye(n)[:, None, :] * (eta / max(n - 1, 1))[None, :, None]
-    vect_target = half - half.transpose(1, 0, 2)
-    # one abs-max over the residual blocks end to end
-    size = n ** 3
-    blocks = np.concatenate([*frame._lte_residuals, (frame.lte - vect_target).reshape(-1),
-                            frame.s.reshape(-1), eta])
-    cyc_res, nat_res, vect_res, sym_res, trace_res = np.maximum.reduceat(
-        np.abs(blocks, out=blocks), [0, size, 2 * size, 3 * size, 4 * size]).tolist()
+    types = frame.types  # split before the residual blocks are built
+    cyc_res, nat_res, vect_res, sym_res, trace_res = _block_maxima(
+        *frame._lte_residuals, frame.lte - _vectorial_target(eta), frame.s, eta)
 
     cyclic = cyc_res <= tol
     traceless = trace_res <= tol
@@ -383,7 +391,7 @@ def classify(dec, metric=None) -> ClassificationReport:
         vectorial=vectorial,
         naturally_reductive=naturally_reductive,
         symmetric=symmetric,
-        norms=dict(frame.types.norms),
+        norms=dict(types.norms),
         eta=tuple((-trace_vector(frame.dec.algebra)[list(frame.dec.m_indices)]).tolist()),
         residuals={
             "cyclic": cyc_res,
