@@ -373,7 +373,7 @@ def classify(dec, metric=None) -> ClassificationReport:
     frame = as_frame(dec, metric)
     tol = frame.tol
     eta = frame.eta
-    types = frame.types  # split before the residual blocks are built
+    types = frame.types  # first, so no residual block is alive while it is built
     cyc_res, nat_res, vect_res, sym_res, trace_res = _block_maxima(
         *frame._lte_residuals, frame.lte - _vectorial_target(eta), frame.s, eta)
 
