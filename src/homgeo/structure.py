@@ -179,10 +179,11 @@ def _lte_formula(lte):
 
 # The formulas above go through a cached dense matrix for n up to this
 # size and are evaluated directly above it.  Split, residuals and checks
-# together, matrices against formulas (medians of two in-process runs,
-# one OpenBLAS thread): 7-12 vs 39-56 us at n = 3, 13-16 vs 42-58 at
-# n = 4, 23-34 vs 38-59 at n = 5, 133 vs 37-41 at n = 6 and 800-850 vs
-# 54-71 at n = 8.  The matrices for n = 5 take about 1 MB.
+# together, matrices against formulas (medians of two in-process runs on
+# a shared 2-core Xeon, one OpenBLAS thread): 7-12 vs 39-56 us at n = 3,
+# 13-16 vs 42-58 at n = 4, 23-34 vs 38-59 at n = 5, 133 vs 37-41 at
+# n = 6 and 800-850 vs 54-71 at n = 8.  The matrices for n = 5 take
+# about 1 MB.
 _OPERATOR_MAX_N = 5
 
 
