@@ -7,10 +7,12 @@ ricci_routes, xi_curvatures, one curvature_diagonal_general call and
 the whole pipeline at n = 3, 6, 16, 20 (perfbench's solvable_large
 size) and 32; solve_cyclic on the su(2,1) and sp(1,1) models with their
 catalog gradings; one curvature_diagonal_general call on the su21_a3ii
-catalog space; classify and Frame.types on the b2_product (n = 4) and
-su21_a3ii (n = 6) catalog spaces, which fall on either side of the size
-up to which structure.py reads its formulas through cached matrices;
-and each per-entry check of verify.run_all, summed over
+catalog space; classify and Frame.types on the b2_product and
+b4_product (n = 4, dim k = 0 and 1) and su21_a3ii and sp11_a3iii
+(n = 6, dim k = 2 and 4) catalog spaces, which fall on either side of
+the size up to which structure.py reads its formulas through cached
+matrices; classify on a rotated g(alpha) at n = 5, the smallest size
+above that cutoff; and each per-entry check of verify.run_all, summed over
 the default catalog entries; all with time.perf_counter.
 Writes the median, the interquartile range and the repeat count of each
 case to OUT.json, with the git SHA, the Python/numpy/scipy versions and
@@ -36,8 +38,9 @@ reads), and ricci_routes and xi_curvatures run on a fresh Frame whose r4
 is already built.  classify is the user call on (dec, metric), so it
 includes building its Frame; pipeline is the five user calls classify,
 curvature_tensor, ricci_routes, einstein_check and xi_curvatures on one
-space, which share one Frame.  These, and the catalog classify and
-Frame.types cases, get a fresh metric object on every repeat, since
+space, which share one Frame.  These, the n = 5 classify and the
+catalog classify and Frame.types cases get a fresh metric object on
+every repeat, since
 consecutive calls on the same (dec, metric) objects reuse the last
 Frame built.  curvature_diagonal_general gets one pair of
 frame vectors and a Frame whose U is built.  A verify/<check> case
@@ -204,10 +207,19 @@ def bench_su21_diagonal() -> dict:
         lambda _: hg.curvature_diagonal_general(frame, None, x, y))}
 
 
+def bench_classify_n5() -> dict:
+    """classify on a rotated g(alpha) at n = 5, just above the operator cutoff."""
+    n = 5
+    brackets, _ = rotated_solvable(n, np.random.default_rng([SEED, n]))
+    dec = hg.ReductiveDecomposition(hg.build_lie_algebra(n, brackets), (), tuple(range(n)))
+    return {f"classify/n={n}": time_case(
+        lambda g: hg.classify(dec, g), lambda: hg.InvariantMetric.identity(n))}
+
+
 def bench_catalog_types() -> dict:
-    """classify and Frame.types on b2_product (n = 4) and su21_a3ii (n = 6)."""
+    """classify and Frame.types on the n = 4 and n = 6 catalog spaces."""
     cases = {}
-    for name in ("b2_product", "su21_a3ii"):
+    for name in ("b2_product", "b4_product", "su21_a3ii", "sp11_a3iii"):
         entry = next(e for e in hg.default_entries() if e.name == name)
 
         def fresh_metric(entry=entry):
@@ -267,6 +279,7 @@ def main(argv=None) -> int:
         cases.update((f"{layer}/n={n}", stats) for layer, stats in bench_size(n).items())
     cases.update(bench_models())
     cases.update(bench_su21_diagonal())
+    cases.update(bench_classify_n5())
     cases.update(bench_catalog_types())
     cases.update(bench_checks())
     for case, stats in cases.items():

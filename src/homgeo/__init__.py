@@ -8,7 +8,7 @@ and naturally reductive classification, curvature by several mutually
 checking routes, and the constraint solver for cyclic block metrics.
 """
 
-from .config import CATALOG_TOL, DEFAULT_SEED, DEFAULT_TOL
+from .config import DEFAULT_SEED, DEFAULT_TOL
 from .errors import (
     ConsistencyError,
     DegenerateKillingForm,

@@ -22,7 +22,6 @@ from inspect import signature
 
 import numpy as np
 
-from .config import CATALOG_TOL
 from .errors import ParamOutOfRange, UnknownEntry, check
 from .lie import (
     LieAlgebra,
@@ -286,8 +285,9 @@ def _matrix_model(matrices, labels, z, grading):
     """Algebra, grading, and order-3 automorphism of a complex matrix model.
 
     The structure constants of the closed list of matrices are built at
-    CATALOG_TOL and checked against Killing = 6 tr; theta is the real
-    matrix of X -> z X z^{-1} on their span.
+    from_tensor's default tolerance, and the Killing form is checked
+    against 6 tr at the algebra's tolerance; theta is the real matrix of
+    X -> z X z^{-1} on their span.
     """
     dim = len(matrices)
     basis = np.array([_real_coords(m) for m in matrices]).T
@@ -301,11 +301,11 @@ def _matrix_model(matrices, labels, z, grading):
                   f"matrix basis is not closed under brackets at ({i},{j})")
             tensor[i, j, :] = coeff
             tensor[j, i, :] = -coeff
-    alg = from_tensor(np.round(tensor, 12), basis_labels=labels, tol=CATALOG_TOL)
+    alg = from_tensor(np.round(tensor, 12), basis_labels=labels)
 
     expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
                            for x in matrices])
-    check(float(np.abs(killing_form(alg) - expected_b).max()), CATALOG_TOL,
+    check(float(np.abs(killing_form(alg) - expected_b).max()), alg.tol,
           "Killing form does not match six times the trace form")
 
     zinv = np.linalg.inv(z)

@@ -12,8 +12,9 @@ tolerance is set once, on its Frame (Frame(dec, metric, tol)), and every
 decision on the space reads it: ad_k invariance, the class booleans
 (ClassificationReport.tol records it) and the checks behind them.
 load_space passes its tolerance to the algebra it builds, and run_all
-its own to the Frames it builds.  The CLI sets both with --tolerance;
-the default is 1e-9.
+its own to every Frame it builds.  The CLI sets both with --tolerance.
+DEFAULT_TOL is the one default: every algebra, space and catalog entry
+built without a tolerance is built at it.
 """
 
 DEFAULT_TOL = 1e-9
@@ -21,7 +22,3 @@ DEFAULT_TOL = 1e-9
 # Random sampling (route-equivalence spot checks, random unit pairs) is
 # seeded so results are reproducible; the CLI exposes --seed.
 DEFAULT_SEED = 1729
-
-# Numerically extracted catalog data (matrix realizations) is compared
-# at a slightly looser tolerance than hand-entered constants.
-CATALOG_TOL = 1e-8

@@ -13,6 +13,7 @@ most one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -41,8 +42,12 @@ class ReductiveDecomposition:
 
     def __post_init__(self):
         dim = self.algebra.dim
-        k = tuple(int(i) for i in self.k_indices)
-        m = tuple(int(i) for i in self.m_indices)
+        try:  # int and numpy integers, never a float
+            k = tuple(map(operator.index, self.k_indices))
+            m = tuple(map(operator.index, self.m_indices))
+        except TypeError:
+            raise IndexOutOfRange(f"k={self.k_indices!r} and m={self.m_indices!r} "
+                                  "must hold integer indices") from None
         object.__setattr__(self, "k_indices", k)
         object.__setattr__(self, "m_indices", m)
         seen = set(k) | set(m)

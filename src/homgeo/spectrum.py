@@ -16,6 +16,7 @@ flat sections in diagonalizable metric Lie groups.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -50,8 +51,15 @@ class BlockGrading:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
-        signs = tuple(int(s) for s in self.signs)
+        try:  # int and numpy integers, never a float
+            blocks = tuple(tuple(map(operator.index, b)) for b in self.blocks)
+        except TypeError:
+            raise IndexOutOfRange(f"grading blocks {self.blocks!r} must hold integer "
+                                  "indices") from None
+        try:
+            signs = tuple(map(operator.index, self.signs))
+        except TypeError:
+            raise ParamOutOfRange(f"block signs must be +1 or -1, got {self.signs!r}") from None
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "signs", signs)
         if not blocks or any(not b for b in blocks):

@@ -177,14 +177,15 @@ def _lte_formula(lte):
     return cyclic_sum(lte), lte + np.swapaxes(lte, -1, -2)
 
 
-# The formulas above go through a cached dense matrix for n up to this
-# size and are evaluated directly above it.  Split, residuals and checks
-# together, matrices against formulas (medians of two in-process runs on
-# a shared 2-core Xeon, one OpenBLAS thread): 7-12 vs 39-56 us at n = 3,
-# 13-16 vs 42-58 at n = 4, 23-34 vs 38-59 at n = 5, 133 vs 37-41 at
-# n = 6 and 800-850 vs 54-71 at n = 8.  The matrices for n = 5 take
-# about 1 MB.
-_OPERATOR_MAX_N = 5
+# The formulas above go through a cached dense matrix for n <= 4, the
+# dimensions the paper classifies, and are evaluated directly above.
+# Split, residuals and checks, matrices against formulas (medians of two
+# in-process runs on a shared 2-core Xeon, one OpenBLAS thread): 7-12 vs
+# 39-56 us at n = 3, 13-16 vs 42-58 at n = 4, 23-34 vs 38-59 at n = 5 and
+# 133 vs 37-41 at n = 6.  No catalog space or workload has n = 5, and its
+# 1 MB of matrices took 125-140 ms to build and verify in a fresh process
+# under OpenBLAS's default thread pool (4 ms with one thread; n = 4: 1 ms).
+_OPERATOR_MAX_N = 4
 
 
 def _matrix(formula, shape):

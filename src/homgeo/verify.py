@@ -104,7 +104,7 @@ def _is_abelian(algebra, tol) -> bool:
 
 
 def _check_classification(entry, frame, rng):
-    report = classify(Frame(entry.decomposition, entry.metric, max(frame.tol, 1e-8)))
+    report = classify(frame)
     bad = entry.expected.mismatches(report)
     if bad:
         got = {k: report.booleans()[k] for k in bad if k != "eta"}
@@ -161,8 +161,8 @@ def _check_scaling_covariance(entry, frame, rng):
     base = sectional_curvature(frame, None, x, y)
     worst = 0.0
     for t in (0.5, 2.0):
-        scaled = InvariantMetric(t * entry.metric.matrix)
-        got = sectional_curvature(entry.decomposition, scaled, x, y)
+        scaled = Frame(entry.decomposition, InvariantMetric(t * entry.metric.matrix), frame.tol)
+        got = sectional_curvature(scaled, None, x, y)
         worst = max(worst, abs(got - base / t))
     return [_result("scaling_covariance", worst, 1e-9 * max(1.0, abs(base)))]
 
@@ -203,7 +203,7 @@ def _check_structure_tensor(entry, frame, rng):
 
 
 def _check_foliation(entry, frame, rng):
-    if _is_unimodular(entry.algebra, max(frame.tol, 1e-10)):
+    if _is_unimodular(entry.algebra, frame.tol):
         return []
     fol = foliation_data(frame)
     # h_mean against the mean of the second fundamental form h = h_coeff xi
@@ -225,10 +225,9 @@ def _check_foliation(entry, frame, rng):
 
 
 def _check_einstein_obstruction(entry, frame, rng):
-    guard = max(frame.tol, 1e-10)
     if not (entry.expected.cyclic
-            and _is_unimodular(entry.algebra, guard)
-            and not _is_abelian(entry.algebra, guard)):
+            and _is_unimodular(entry.algebra, frame.tol)
+            and not _is_abelian(entry.algebra, frame.tol)):
         return []
     rep = einstein_check(frame)
     return [CheckResult(
@@ -306,7 +305,8 @@ def run_all(tol=DEFAULT_TOL, seed=DEFAULT_SEED, entries=None) -> VerificationRep
 
     Results are sorted by check name; a HomgeoError inside a check is
     reported as a failure of that check rather than aborting the run.
-    Each entry's checks read the tolerance from the entry's Frame.
+    Every Frame an entry's checks read is built at tol: the entry's own
+    and the two rescaled spaces of the scaling check.
     """
     if entries is None:
         entries = default_entries()

@@ -13,6 +13,7 @@ from homgeo.catalog import (
     default_entries,
     list_entries,
 )
+from homgeo.config import DEFAULT_TOL
 from homgeo.errors import ParamOutOfRange, UnknownEntry
 from homgeo.io import space_from_dict, space_to_dict
 from homgeo.lie import killing_form
@@ -66,6 +67,11 @@ def test_default_entries_match_expected_labels():
     for entry in entries + [build(name, **params) for name, params in GRID]:
         report = classify(entry.decomposition, entry.metric)
         assert entry.expected.mismatches(report) == [], entry.label
+
+
+def test_entries_are_built_at_the_default_tolerance():
+    for entry in default_entries():
+        assert entry.algebra.tol == DEFAULT_TOL, entry.label
 
 
 def test_derived_fields_are_not_stored():

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import homgeo
-from homgeo.catalog import build
+from homgeo import reductive
+from homgeo.catalog import build, default_entries
 from homgeo.curvature import (
     curvature_tensor,
     einstein_check,
@@ -215,6 +216,25 @@ def test_a_failure_is_not_kept(monkeypatch):
             curvature_tensor(dec, g)
     assert counts["Frame"] == 1
     assert counts["r4"] == 3
+
+
+def test_run_all_builds_three_frames_per_entry_at_its_tolerance(monkeypatch):
+    # the entry's own Frame and the scaling check's two rescaled spaces;
+    # none of them goes through the (dec, metric) slot
+    dec, g = g_space()
+    kept = as_frame(dec, g)
+    tols = []
+    init = Frame.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tols.append(self.tol)
+
+    monkeypatch.setattr(Frame, "__init__", recording_init)
+    assert run_all(tol=1e-12).ok
+    assert len(tols) == 3 * len(default_entries())
+    assert set(tols) == {1e-12}
+    assert reductive._last_frame is kept
 
 
 def test_threads_get_the_frame_of_their_own_objects():

@@ -54,6 +54,19 @@ def test_partition_validation():
         ReductiveDecomposition(alg, (0, 1, 2), ())
 
 
+@pytest.mark.parametrize("k, m", [((), (0.0, 1.9, 2.7)), ((0.0,), (1, 2)), ((), (0, 1, "2"))])
+def test_partition_indices_must_be_integers(k, m):
+    # int() would truncate 1.9 to 1 and read "2" as 2
+    with pytest.raises(IndexOutOfRange, match="integer indices"):
+        ReductiveDecomposition(milnor(1.0, 1.0, 1.0), k, m)
+
+
+def test_partition_accepts_numpy_integers():
+    dec = ReductiveDecomposition(milnor(1.0, 1.0, 1.0), np.arange(0), np.arange(3))
+    assert dec.m_indices == (0, 1, 2)
+    assert all(type(i) is int for i in dec.m_indices)
+
+
 def test_check_reductive():
     # [e0, e1] = e0 leaks into k for k = (0,)
     alg = build_lie_algebra(2, {(0, 1): {0: 1.0}})

@@ -54,6 +54,18 @@ def test_grading_validation():
     assert g.k_indices(5) == (4,)
 
 
+def test_grading_indices_and_signs_must_be_integers():
+    # int() would read these as ((0, 1),) and (1,)
+    with pytest.raises(IndexOutOfRange, match="integer indices"):
+        BlockGrading(blocks=((0.5, 1.2),), signs=(1,))
+    for sign in (1.9, 1.0, "1"):
+        with pytest.raises(ParamOutOfRange, match=r"\+1 or -1"):
+            BlockGrading(blocks=((0, 1),), signs=(sign,))
+    g = BlockGrading(blocks=(np.arange(2),), signs=(np.int64(-1),))
+    assert g.blocks == ((0, 1),) and g.signs == (-1,)
+    assert all(type(i) is int for i in g.blocks[0] + g.signs)
+
+
 def test_grading_decomposition_su21():
     alg, grading, _ = su21_model()
     dec = grading_decomposition(alg, grading)

@@ -215,6 +215,16 @@ def test_orthogonal_basis_change_keeps_the_class(name, params):
             assert after.norms[k] == pytest.approx(before.norms[k], rel=1e-10, abs=1e-12)
 
 
+def test_operator_cache_holds_only_the_small_sizes():
+    # n = 4 reads the matrices; n = 5, above the cutoff, runs the formulas
+    # and builds none
+    structure._operator.cache_clear()
+    classify(*_rotated(build("g", alpha=(0.5, 1.0, 2.0, -0.7)), 0))
+    assert structure._operator.cache_info().currsize == 0
+    classify(*_rotated(build("g", alpha=(0.5, 1.0, 2.0)), 0))
+    assert structure._operator.cache_info().currsize == 1
+
+
 def test_dimension_one_splits_to_zeros():
     d = decompose(np.zeros((1, 1, 1)))
     for part in (d.s1, d.s2, d.s3, d.phi):
