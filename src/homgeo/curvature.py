@@ -164,7 +164,9 @@ def einstein_check(dec, metric=None) -> EinsteinReport:
     ric = frame.ricci_routes["trace"]
     n = frame.n
     lam = float(np.trace(ric)) / n
-    dev = float(np.abs(ric - lam * np.eye(n)).max())
+    shifted = ric.copy()
+    shifted.flat[::n + 1] -= lam  # Ric - lam I
+    dev = float(np.abs(shifted).max())
     check_tol = max(frame.tol, 1e-9 * max(1.0, float(np.abs(ric).max())))
     return EinsteinReport(ric, lam, dev, dev <= check_tol)
 

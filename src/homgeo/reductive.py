@@ -13,12 +13,14 @@ most one.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -138,6 +140,7 @@ class Frame:
     ad_k : (dim_k, n, n) ad_k[w, d, c] = <[k_w, f_c], f_d>
     eta : (n,) canonical trace form, eta[a] = -tr ad_{f_a}, which are
         also the frame coordinates of its metric dual xi; c = |eta|
+    eta_m : (n,) the same form on the m-index basis vectors
     tol : the tolerance of every decision made on this space; it is set
         here and nowhere else.  Reductivity, a property of the brackets,
         is checked at dec.algebra.tol
@@ -166,9 +169,14 @@ class Frame:
         self.metric = metric
         self.tol = tol
         self.n = n
-        self.q = np.linalg.inv(chol).T
+        # the factor's inverse, by triangular inversion; the check below
+        # is what vouches for it, whatever the routine returned
+        inv, _ = lapack.dtrtri(chol, lower=1)
+        self.q = inv.T
         self.q_inv = chol.T
-        ortho = float(np.abs(self.q.T @ metric.matrix @ self.q - np.eye(n)).max())
+        resid = self.q.T @ metric.matrix @ self.q
+        resid.flat[::n + 1] -= 1.0
+        ortho = float(np.abs(resid).max())
         ortho_bound = 1e-12 * n * float(np.abs(chol).max()) * float(np.abs(self.q).max())
         check(ortho, ortho_bound, "frame is not orthonormal for the metric")
         algebra = dec.algebra
@@ -196,9 +204,9 @@ class Frame:
         else:
             self.ad_k = np.zeros((0, n, n))
 
-        tau = trace_vector(algebra)
-        self.eta = -(frame_g.T @ tau)
-        self.c = float(np.linalg.norm(self.eta))
+        self.eta_m = -trace_vector(algebra)[m_idx]
+        self.eta = self.eta_m @ self.q
+        self.c = math.sqrt(float(self.eta @ self.eta))
 
     # coordinate helpers ------------------------------------------------
     def m_coords(self, v_frame):
@@ -299,8 +307,8 @@ class Frame:
         """
         gamma = 0.5 * self.lte + self.u
         scale = max(1.0, float(np.abs(gamma).max()))
-        compat = float(np.abs(gamma + np.einsum("abc->acb", gamma)).max())
-        tors = float(np.abs(gamma - np.einsum("abc->bac", gamma) - self.lte).max())
+        compat = float(np.abs(gamma + gamma.transpose(0, 2, 1)).max())
+        tors = float(np.abs(gamma - gamma.transpose(1, 0, 2) - self.lte).max())
         check(compat, 1e-11 * scale, "connection coefficients fail metric compatibility")
         check(tors, 1e-11 * scale, "connection coefficients fail the torsion identity")
         return _frozen(gamma)
@@ -329,11 +337,14 @@ class Frame:
             right = np.concatenate([right, np.swapaxes(self.ad_k, 1, 2)])
         r4 = left.reshape(n * n, n + dim_k) @ right.reshape(n + dim_k, n * n)
         r4 = r4.reshape(n, n, n, n)
+        # gamma is checked skew in its last two slots, so G_b @ G_a is the
+        # transpose of G_a @ G_b and each commutator takes one product
         slices = _slices(n)
         for s, prod in slices:
             part = r4[s]
-            part += np.matmul(gamma[s, None], gamma[None, :], out=prod)  # G_a @ G_b
-            part -= np.matmul(gamma[None, :], gamma[s, None], out=prod)  # G_b @ G_a
+            np.matmul(gamma[s, None], gamma[None, :], out=prod)  # G_a @ G_b
+            part += prod
+            part -= prod.transpose(0, 1, 3, 2)
 
         def peak(x):
             return float(np.abs(x, out=x).max())
@@ -375,28 +386,33 @@ class Frame:
         is raised; the worst gap over all route pairs is kept as
         ricci_gap.
         """
-        lte = self.lte
+        n, lte = self.n, self.lte
         b_m = self.killing_m
+        rows = lte.reshape(n, n * n)  # rows[x, (a, c)] = lte[x, a, c]
+        cols = lte.reshape(n * n, n)  # cols[(a, b), x] = lte[a, b, x]
         routes = {"trace": np.einsum("xaya->xy", self.r4)}
 
-        xi_term = np.einsum("a,axy->xy", self.eta, lte)
+        xi_term = (self.eta @ rows).reshape(n, n)  # sum_a eta[a] lte[a, x, y]
         routes["general"] = (
-            -0.5 * np.einsum("xac,yac->xy", lte, lte)
+            -0.5 * (rows @ rows.T)
             - 0.5 * b_m
-            + 0.25 * np.einsum("abx,aby->xy", lte, lte)
+            + 0.25 * (cols.T @ cols)
             + 0.5 * (xi_term + xi_term.T)
         )
 
         if self.cyclic_residual <= self.tol:
-            eta_u = np.einsum("xyc,c->xy", self.u, self.eta)
-            # the trace of rc over its second and fourth slots
-            iso = np.einsum("xaw,way->xy", self.k_part, self.ad_k)
+            eta_u = self.u @ self.eta
+            # the trace of rc over its second and fourth slots,
+            # sum_(a, w) k_part[x, a, w] ad_k[w, a, y]; a zero matrix when k is empty
+            dim_k = self.dec.dim_k
+            iso = (self.k_part.reshape(n, n * dim_k)
+                   @ self.ad_k.transpose(1, 0, 2).reshape(n * dim_k, n))
             routes["cyclic"] = eta_u - b_m - 0.5 * (iso + iso.T)
-            if self.dec.dim_k == 0:
+            if dim_k == 0:
                 routes["cyclic_trivial_isotropy"] = eta_u - b_m
 
         names = list(routes)
-        stack = np.array(list(routes.values()))
+        stack = _frozen(np.array(list(routes.values())))
         scale = max(1.0, float(np.abs(stack).max()))
         gaps = np.abs(stack[1:] - stack[0]).max(axis=(1, 2))
         for name, gap in zip(names[1:], gaps):
@@ -404,7 +420,8 @@ class Frame:
                   f"Ricci routes '{names[0]}' and '{name}' disagree")
         # the largest entrywise spread is the worst gap over all route pairs
         self.ricci_gap = float((stack.max(axis=0) - stack.min(axis=0)).max())
-        return MappingProxyType({name: _frozen(m) for name, m in routes.items()})
+        # each route a read-only view of one row of the stack
+        return MappingProxyType(dict(zip(names, stack)))
 
 
 # The Frame the last (dec, metric) call built.  It holds both objects, so

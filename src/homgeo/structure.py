@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import ConsistencyError, SlotSymmetryViolation, check
-from .lie import _frozen, trace_vector
+from .lie import _frozen
 from .reductive import as_frame, cyclic_sum
 
 # the six class booleans, in report order
@@ -315,9 +315,11 @@ def _decomposition_selfcheck(a, dec, peak, overlap):
 
 
 def _vectorial_target(eta) -> np.ndarray:
-    """(delta_ac eta_b - delta_bc eta_a) / max(n-1, 1), a broadcast of eta."""
+    """(delta_ac eta_b - delta_bc eta_a) / max(n-1, 1), from eta written on a diagonal."""
     n = eta.shape[0]
-    half = np.eye(n)[:, None, :] * (eta / max(n - 1, 1))[None, :, None]
+    half = np.zeros((n, n, n))  # half[a, c, b] = delta_ac eta_b / max(n-1, 1)
+    half.reshape(n * n, n)[::n + 1] = eta / max(n - 1, 1)
+    half = half.transpose(0, 2, 1)
     return half - half.transpose(1, 0, 2)  # the second term is the first with a, b exchanged
 
 
@@ -394,7 +396,7 @@ def classify(dec, metric=None) -> ClassificationReport:
         naturally_reductive=naturally_reductive,
         symmetric=symmetric,
         norms=dict(types.norms),
-        eta=tuple((-trace_vector(frame.dec.algebra)[list(frame.dec.m_indices)]).tolist()),
+        eta=tuple(frame.eta_m.tolist()),
         residuals={
             "cyclic": cyc_res,
             "traceless": trace_res,

@@ -157,6 +157,8 @@ def _check_killing_identity(entry, frame, rng):
 
 
 def _check_scaling_covariance(entry, frame, rng):
+    if frame.n < 2:  # a 1-dimensional m has no plane
+        return []
     x, y = np.eye(frame.n)[:2]
     base = sectional_curvature(frame, None, x, y)
     worst = 0.0

@@ -16,9 +16,9 @@ from homgeo.catalog import (
 from homgeo.config import DEFAULT_TOL
 from homgeo.errors import ParamOutOfRange, UnknownEntry
 from homgeo.io import space_from_dict, space_to_dict
-from homgeo.lie import killing_form
+from homgeo.lie import build_lie_algebra, killing_form
 from homgeo import verify
-from homgeo.reductive import Frame, foliation_data
+from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition, foliation_data
 from homgeo.structure import classify
 from homgeo.verify import _check_grading_relations, _model_checks, run_all
 
@@ -129,6 +129,20 @@ def test_foliation_mean_curvature_reads_the_second_fundamental_form(monkeypatch,
     report = run_all(entries=[build("g", alpha=(0.5, 1.0, 2.0))])
     result, = (r for r in report.results if r.name.endswith("::foliation_mean_curvature"))
     assert result.passed is (factor == 1.0)
+
+
+def test_run_all_on_a_one_dimensional_space():
+    # R: a 1-dimensional m has no 2-plane, so the scaling check does not
+    # apply there, as the foliation check does not on unimodular spaces
+    line = ReductiveDecomposition(build_lie_algebra(1, {}), (), (0,))
+    expected = ExpectedClass(cyclic=True, traceless=True, vectorial=True,
+                             naturally_reductive=True, symmetric=True, eta=(0.0,))
+    entry = CatalogEntry("line", {}, line, InvariantMetric.identity(1), expected, "R")
+    report = run_all(entries=[entry])
+    names = [r.name for r in report.results if r.name.startswith("line()::")]
+    assert all(r.passed for r in report.results)
+    assert "line()::classification" in names
+    assert not any("scaling" in name for name in names)
 
 
 def test_model_checks_read_the_cone():

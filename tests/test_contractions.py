@@ -346,6 +346,27 @@ def test_cyclic_route_isotropy_term():
         assert_close(routes["cyclic"], eta_u - frame.killing_m - 0.5 * (iso + iso.T))
 
 
+@pytest.mark.parametrize("name", sorted(CURVATURE_SPACES))
+def test_ricci_routes_match_their_index_formulas(name):
+    """The general and cyclic routes against their defining einsums."""
+    frame = frame_of(name)
+    lte, eta, routes = frame.lte, frame.eta, frame.ricci_routes
+    b_m = np.einsum("ia,ij,jb->ab", frame.frame_g, killing_form(frame.dec.algebra),
+                    frame.frame_g)
+    xi_term = np.einsum("a,axy->xy", eta, lte)
+    general = (-0.5 * np.einsum("xac,yac->xy", lte, lte) - 0.5 * b_m
+               + 0.25 * np.einsum("abx,aby->xy", lte, lte) + 0.5 * (xi_term + xi_term.T))
+    assert_close(routes["general"], general)
+    assert ("cyclic" in routes) == (frame.cyclic_residual <= frame.tol)
+    if "cyclic" in routes:
+        eta_u = np.einsum("xyc,c->xy", frame.u, eta)
+        iso = np.einsum("xaw,way->xy", frame.k_part, frame.ad_k)
+        assert_close(routes["cyclic"], eta_u - b_m - 0.5 * (iso + iso.T))
+    if "cyclic_trivial_isotropy" in routes:
+        assert frame.dec.dim_k == 0
+        assert_close(routes["cyclic_trivial_isotropy"], eta_u - b_m)
+
+
 @pytest.mark.parametrize("dim_k", ISOTROPY)
 def test_frame_calls_never_build_rc(dim_k):
     frame = lie_frame(5, dim_k, 50 + dim_k)

@@ -8,6 +8,7 @@ from homgeo.errors import (
     NotReductive,
     UnimodularInput,
 )
+from homgeo import reductive
 from homgeo.lie import build_lie_algebra, killing_form
 from homgeo.reductive import (
     Frame,
@@ -147,14 +148,52 @@ def test_frame_checks_its_inverse_cholesky_factor(monkeypatch):
     stiff = Frame(dec, InvariantMetric(rot @ np.diag([1e-4, 1.0, 1e4]) @ rot.T))
     assert np.allclose(stiff.q.T @ stiff.metric.matrix @ stiff.q, np.eye(3), atol=1e-9)
 
-    inv = np.linalg.inv
+    # the inverse of the lower Cholesky factor, off by a little
+    dtrtri = reductive.lapack.dtrtri
     for perturb in (lambda a: a * (1.0 + 1e-8),
                     lambda a: a + 1e-8 * np.triu(np.ones_like(a), 1)):
-        monkeypatch.setattr(np.linalg, "inv", lambda a, p=perturb: p(inv(a)))
+        def inverse(a, lower, p=perturb):
+            inv, info = dtrtri(a, lower=lower)
+            return p(inv), info
+
+        monkeypatch.setattr(reductive.lapack, "dtrtri", inverse)
         with pytest.raises(ConsistencyError, match="not orthonormal"):
             Frame(dec, InvariantMetric(g))
     monkeypatch.undo()
     Frame(dec, InvariantMetric(g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 20])
+def test_frame_refuses_exactly_the_metrics_cholesky_refuses(n):
+    # at the positive-definite boundary: one eigenvalue at or next to 0,
+    # diagonal or in a random basis, where roundoff decides the sign.  At
+    # n = 6 and 20 LAPACK's dpotrf, called directly, disagrees with
+    # np.linalg.cholesky on about 1 % of such matrices
+    dec = ReductiveDecomposition(build_lie_algebra(n, {}), (), tuple(range(n)))
+    rng = np.random.default_rng([11, n])
+    seen = set()
+    for smallest in (0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-16, -1e-16, 1e-15, -1e-15):
+        for trial in range(40):
+            eig = rng.uniform(0.5, 2.0, n)
+            eig[rng.integers(n)] = smallest
+            rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            metric = InvariantMetric(np.diag(eig) if trial == 0 else rot @ np.diag(eig) @ rot.T)
+            try:
+                np.linalg.cholesky(metric.matrix)
+            except np.linalg.LinAlgError:
+                refused = True
+            else:
+                refused = False
+            seen.add(refused)
+            frame_refused = False
+            try:
+                Frame(dec, metric)
+            except InvalidMetric:
+                frame_refused = True
+            except ConsistencyError:  # accepted, but too ill-conditioned for the orthonormal check
+                pass
+            assert frame_refused == refused, (smallest, trial)
+    assert seen == {True, False}
 
 
 def test_frame_eta_values():
