@@ -7,7 +7,11 @@ triple of blocks: the eigenvalues of the metric relative to B must sum
 to zero over every triple that the bracket couples.  solve_cyclic
 builds those equations, intersects with the positivity chamber
 (lam_a * eps_a > 0, where eps_a is the sign of B on the block), and
-reports the resulting solution cone.
+reports the resulting solution cone.  Whether the kernel meets the
+chamber is decided by Gordan's alternative through one non-negative
+least-squares problem, and the answer carries a checked certificate
+either way: a chamber point, or a convex combination of the signed
+coordinate vectors orthogonal to the kernel.
 
 The module also carries the order-3 automorphism splitting used by
 3-symmetric presentations, and the commuting-pair witness search for
@@ -22,7 +26,6 @@ from itertools import accumulate, combinations
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     ConsistencyError,
@@ -129,8 +132,13 @@ def cyclic_metric(algebra: LieAlgebra, grading: BlockGrading, lam) -> InvariantM
     if not np.isfinite(lam).all():
         raise ParamOutOfRange(f"coefficients must be finite, got {lam.tolist()}")
     restrictions = _block_killing(algebra, grading)
-    return InvariantMetric(scipy.linalg.block_diag(
-        *(coeff * sub for coeff, sub in zip(lam, restrictions))))
+    matrix = np.zeros((len(grading.m_indices),) * 2)
+    start = 0
+    for coeff, sub in zip(lam, restrictions):
+        stop = start + len(sub)
+        matrix[start:stop, start:stop] = coeff * sub
+        start = stop
+    return InvariantMetric(matrix)
 
 
 def _block_couplings(algebra: LieAlgebra, grading: BlockGrading) -> np.ndarray:
@@ -162,6 +170,81 @@ def active_triples(algebra: LieAlgebra, grading: BlockGrading) -> list:
     return sorted({tuple(sorted(map(int, t))) for t in hits if t[0] <= t[1]})
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson active-set solution of min |a y - b| over y >= 0.
+
+    Lawson and Hanson, Solving Least Squares Problems (1974), ch. 23.
+    Raises ConsistencyError after 3 * n least-squares solves, n the
+    number of columns of a.
+    """
+    n = a.shape[1]
+    tol = 10 * max(a.shape) * np.finfo(float).eps * max(1.0, float(np.abs(a).sum(axis=0).max()))
+    y = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    grow = True
+    for _ in range(3 * n):
+        if grow:  # free the coordinate with the steepest descent, if any descends
+            w = a.T @ (b - a @ y)
+            w[passive] = -np.inf
+            j = int(np.argmax(w))
+            if w[j] <= tol:
+                return y
+            passive[j] = True
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        grow = bool(z[passive].min() > 0)
+        if grow:
+            y = z
+        else:  # move toward z until a coordinate reaches zero, and fix it there
+            blocked = passive & (z <= 0)
+            y += np.min(y[blocked] / (y[blocked] - z[blocked])) * (z - y)
+            passive &= y > tol
+            y[~passive] = 0.0
+            grow = not passive.any()
+    raise ConsistencyError(f"non-negative least squares did not converge in {3 * n} steps")
+
+
+def _chamber_point(rows: np.ndarray, signs) -> tuple[np.ndarray, np.ndarray | None]:
+    """Kernel basis of rows, and a kernel point in the chamber signs * lam > 0.
+
+    Returns (N, lam) with N an orthonormal kernel basis and lam a chamber
+    point scaled to max |lam| = 1, or (N, None) when the kernel misses
+    the chamber.  By Gordan's alternative exactly one certificate
+    exists: x with signs * (N x) > 0, or y >= 0 with sum(y) = 1 and
+    N^T (signs * y) = 0.  Both come from one NNLS problem,
+    min |P y|^2 + (1 - sum(y))^2 over y >= 0, with P the projector onto
+    signs * N.  At its optimum rho = 1 - sum(y) is the squared residual
+    and P y >= rho, so signs * (P y) is a chamber point when rho > 0 and
+    y is the certificate when rho = 0.  Whichever comes back is checked
+    here without trusting the solver; if neither holds, ConsistencyError.
+    """
+    nb = rows.shape[1]
+    null = scipy.linalg.null_space(rows) if len(rows) else np.eye(nb)
+    eps = np.asarray(signs, dtype=float)
+    chamber = eps[:, None] * null
+    proj = chamber @ chamber.T
+    target = np.zeros(nb + 1)
+    target[-1] = 1.0
+    y = _nnls(np.vstack([proj, np.ones(nb)]), target)
+
+    margins = proj @ y  # eps * lam before scaling
+    top = float(margins.max())
+    # the absolute floor comes first: roundoff of P y = 0 can be all positive
+    if top > 1e-9 and float(margins.min()) > 1e-6 * top:
+        lam = eps * margins / top
+        if len(rows):
+            check(float(np.abs(rows @ lam).max()), 1e-8,
+                  "chamber point violates the cyclic constraints")
+        return null, lam
+    residual = float(np.linalg.norm(null.T @ (eps * y)))
+    if float(y.min()) >= 0.0 and abs(float(y.sum()) - 1.0) <= 1e-9 and residual <= 1e-9:
+        return null, None
+    raise ConsistencyError(
+        f"chamber undecided: largest margin {top:.3e} gives no chamber point, and the "
+        f"Gordan certificate has sum {float(y.sum()):.6g} and residual {residual:.3e}"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CyclicSolutionFamily:
     """Solution cone of the cyclic condition on a block-metric family.
@@ -189,9 +272,14 @@ def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading) -> CyclicSolutionFa
 
     Returns the linear constraints (sum of lam over each active triple,
     with multiplicity), a basis of their kernel, and the feasibility of
-    the positivity chamber lam_a * eps_a > 0, decided by maximizing the
-    chamber margin with a linear program.  Every decision is made at the
-    algebra's tolerance.
+    the positivity chamber lam_a * eps_a > 0.  Feasibility is decided by
+    Gordan's alternative, solved as one non-negative least-squares
+    problem: a feasible answer carries a chamber point, scaled to
+    max |lam| = 1, that satisfies every constraint; an infeasible one a
+    convex combination of the signed coordinate vectors orthogonal to
+    the kernel.  Both are checked, and ConsistencyError is raised when
+    neither holds.  The active triples are read at the algebra's
+    tolerance.
     """
     _block_killing(algebra, grading)
     nb = len(grading.blocks)
@@ -201,38 +289,9 @@ def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading) -> CyclicSolutionFa
     for r, trip in enumerate(triples):
         for a in trip:
             rows[r, a] += 1.0
-    null = scipy.linalg.null_space(rows) if len(triples) else np.eye(nb)
+    null, sample = _chamber_point(rows, grading.signs)
+    feasible = sample is not None
     r = null.shape[1]
-
-    feasible = False
-    sample = None
-    if r:
-        eps = np.asarray(grading.signs, dtype=float)
-        # variables (x, t): maximize t with eps*(N x) in [t, 1]
-        a_ub = np.zeros((2 * nb, r + 1))
-        b_ub = np.zeros(2 * nb)
-        chamber = eps[:, None] * null
-        a_ub[:nb, :r] = -chamber
-        a_ub[:nb, r] = 1.0
-        a_ub[nb:, :r] = chamber
-        b_ub[nb:] = 1.0
-        bounds = [(None, None)] * r + [(None, 1.0)]
-        res = scipy.optimize.linprog(
-            np.append(np.zeros(r), -1.0), A_ub=a_ub, b_ub=b_ub,
-            bounds=bounds, method="highs",
-        )
-        if not res.success:
-            raise ConsistencyError(
-                f"chamber linear program failed: {res.message}"
-            )
-        if res.x[-1] > 1e-6:
-            feasible = True
-            lam = null @ res.x[:r]
-            if len(triples):
-                worst = float(np.abs(rows @ lam).max())
-                check(worst, 1e-8 * max(1.0, float(np.abs(lam).max())),
-                      "chamber point violates the cyclic constraints")
-            sample = lam
 
     if all(s == -1 for s in grading.signs):
         # with every block compact the coefficients are all negative, so
@@ -240,7 +299,7 @@ def solve_cyclic(algebra: LieAlgebra, grading: BlockGrading) -> CyclicSolutionFa
         expected = len(triples) == 0
         if expected != feasible:
             raise ConsistencyError(
-                "compact-case feasibility disagrees with the chamber program"
+                "compact-case feasibility disagrees with the chamber decision"
             )
 
     if not feasible:

@@ -1,10 +1,19 @@
+import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
+import homgeo.spectrum as spectrum
 from homgeo.catalog import sp11_model, su21_model
 from homgeo.errors import (
+    ConsistencyError,
     DegenerateKillingForm,
     IndexOutOfRange,
     NoWitness,
@@ -12,10 +21,12 @@ from homgeo.errors import (
     NotOrder3,
     ParamOutOfRange,
 )
-from homgeo.lie import build_lie_algebra, change_basis, from_tensor
+from homgeo.lie import build_lie_algebra, change_basis, from_tensor, killing_form
+from homgeo.reductive import InvariantMetric
 from homgeo.spectrum import (
     BlockGrading,
     _block_couplings,
+    _chamber_point,
     active_triples,
     cyclic_metric,
     flat_section_witness,
@@ -91,6 +102,44 @@ def test_cyclic_metric_rejects_non_finite_coefficients(bad):
         warnings.simplefilter("error")  # refused before any arithmetic warns
         with pytest.raises(ParamOutOfRange, match="finite"):
             cyclic_metric(alg, grading, [-1.0, bad, 1.0])
+
+
+def _random_model_grading(model, rng):
+    """A random grading of a model algebra: same-sign indices in random blocks.
+
+    The Killing form is diagonal on the model basis except for the
+    negative pair (0, 1) of su(2,1), which stays in one block; indices
+    left out of every block form k.
+    """
+    alg, _, _ = model()
+    diag = np.diagonal(killing_form(alg))
+    units = [[0, 1]] if model is su21_model else []
+    units += [[i] for i in range(alg.dim) if not units or i > 1]
+    blocks, signs = [], []
+    for sign in (-1, 1):
+        same = [units[i] for i in rng.permutation(len(units)) if diag[units[i][0]] * sign > 0]
+        cuts = sorted(rng.choice(np.arange(1, len(same)), size=rng.integers(0, len(same)),
+                                 replace=False))
+        for part in np.split(np.arange(len(same)), cuts):
+            if rng.random() < 0.8 or not blocks:
+                blocks.append([i for u in part for i in same[u]])
+                signs.append(sign)
+    order = rng.permutation(len(blocks))
+    return alg, BlockGrading([blocks[i] for i in order], [signs[i] for i in order])
+
+
+def test_cyclic_metric_equals_block_diag_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = [(*su21_model()[:2], [-1.0, 0.5, 0.5]), (*sp11_model()[:2], [-1.0, 0.5])]
+    for model in (su21_model, sp11_model) * 20:
+        alg, grading = _random_model_grading(model, rng)
+        cases.append((alg, grading, rng.normal(size=len(grading.blocks))))
+    for alg, grading, lam in cases:
+        b = killing_form(alg)
+        want = InvariantMetric(scipy.linalg.block_diag(
+            *(c * b[np.ix_(blk, blk)] for c, blk in zip(lam, grading.blocks))))
+        got = cyclic_metric(alg, grading, lam)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_cyclic_metric_sign_declaration_checked():
@@ -243,6 +292,140 @@ def test_solve_cyclic_compact_infeasible():
     fam1 = solve_cyclic(alg, BlockGrading(((0, 1, 2),), (-1,)))
     assert fam1.triples == ((0, 0, 0),)
     assert not fam1.feasible
+
+
+def _lp_chamber(rows, signs):
+    """Whether the kernel of rows meets the chamber signs * lam > 0, by linear program.
+
+    The oracle for _chamber_point: maximise t subject to
+    signs * (N x) in [t, 1] over an orthonormal kernel basis N, with
+    HiGHS; the kernel meets the open chamber when t > 1e-6.
+    """
+    nb = rows.shape[1]
+    null = scipy.linalg.null_space(rows) if len(rows) else np.eye(nb)
+    r = null.shape[1]
+    if not r:
+        return False
+    chamber = np.asarray(signs, dtype=float)[:, None] * null
+    a_ub = np.zeros((2 * nb, r + 1))
+    a_ub[:nb, :r] = -chamber
+    a_ub[:nb, r] = 1.0
+    a_ub[nb:, :r] = chamber
+    b_ub = np.concatenate([np.zeros(nb), np.ones(nb)])
+    res = scipy.optimize.linprog(np.append(np.zeros(r), -1.0), A_ub=a_ub, b_ub=b_ub,
+                                 bounds=[(None, None)] * r + [(None, 1.0)], method="highs")
+    assert res.success, res.message
+    return res.x[-1] > 1e-6
+
+
+def _chamber_cases(seed, per_pattern):
+    """Constraint rows of random active-triple sets, per_pattern for each sign pattern.
+
+    Every sign pattern of 1 to 6 blocks appears; each case takes 0 to
+    nb distinct unordered triples (repeats allowed within a triple),
+    and each triple adds one to a block's entry per occurrence, as in
+    solve_cyclic.
+    """
+    rng = np.random.default_rng(seed)
+    for nb in range(1, 7):
+        triples = list(itertools.combinations_with_replacement(range(nb), 3))
+        for signs in itertools.product((-1, 1), repeat=nb):
+            for _ in range(per_pattern):
+                picked = rng.choice(len(triples), size=min(int(rng.integers(0, nb + 1)),
+                                                           len(triples)), replace=False)
+                rows = np.zeros((len(picked), nb))
+                for r, t in enumerate(picked):
+                    for a in triples[t]:
+                        rows[r, a] += 1.0
+                yield rows, signs
+
+
+def test_chamber_decision_matches_a_linear_program():
+    decided = feasible = 0
+    for rows, signs in _chamber_cases(11, 16):
+        null, lam = _chamber_point(rows, signs)
+        assert (lam is not None) == _lp_chamber(rows, signs), (rows.tolist(), signs)
+        assert null.shape[0] == rows.shape[1]
+        decided += 1
+        if lam is not None:
+            feasible += 1
+            assert np.abs(lam).max() == 1.0
+            assert (np.asarray(signs) * lam).min() > 1e-6
+            if len(rows):
+                assert np.abs(rows @ lam).max() <= 1e-8
+    assert decided == 2016
+    assert 400 < feasible < 1600
+
+
+def test_chamber_infeasible_with_mixed_signs():
+    # the active triple (0, 0, 0) forces lam_0 = 0, so no chamber point
+    # exists whatever the signs; (0, 1, 2) alone would leave a cone
+    signs = (1, -1, 1)
+    null, lam = _chamber_point(np.array([[3.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), signs)
+    assert lam is None
+    assert null.shape == (3, 1) and abs(null[0, 0]) <= 1e-12
+    assert _chamber_point(np.array([[1.0, 1.0, 1.0]]), signs)[1] is not None
+    # here the solver's P y is roundoff of zero with every entry positive
+    # (largest 3.5e-17), which a margin ratio alone would take for a witness
+    rows = np.array([[0.0, 1, 1, 0, 0, 1], [2, 0, 0, 0, 1, 0], [2, 1, 0, 0, 0, 0],
+                     [0, 0, 0, 1, 0, 2]])
+    signs = (-1, 1, 1, 1, -1, -1)
+    assert not _lp_chamber(rows, signs)
+    assert _chamber_point(rows, signs)[1] is None
+
+
+def test_permuting_blocks_permutes_the_sample():
+    rng = np.random.default_rng(4)
+    for rows, signs in _chamber_cases(12, 1):
+        perm = rng.permutation(rows.shape[1])
+        _, lam = _chamber_point(rows, signs)
+        _, moved = _chamber_point(rows[:, perm], np.asarray(signs)[perm])
+        assert (lam is None) == (moved is None)
+        if lam is not None:
+            np.testing.assert_allclose(moved, lam[perm], rtol=0, atol=1e-12)
+    for model in (su21_model, sp11_model):
+        alg, grading, _ = model()
+        fam = solve_cyclic(alg, grading)
+        perm = np.roll(np.arange(len(grading.blocks)), 1)
+        moved = solve_cyclic(alg, BlockGrading([grading.blocks[i] for i in perm],
+                                               [grading.signs[i] for i in perm]))
+        assert moved.feasible and moved.description == fam.description
+        np.testing.assert_allclose(moved.sample, fam.sample[perm], rtol=0, atol=1e-12)
+
+
+def test_catalog_samples():
+    for model, want in ((su21_model, [-1.0, 0.5, 0.5]), (sp11_model, [-1.0, 0.5])):
+        alg, grading, _ = model()
+        np.testing.assert_allclose(solve_cyclic(alg, grading).sample, want, rtol=0, atol=1e-12)
+
+
+def test_chamber_undecided_raises(monkeypatch):
+    rows = np.array([[1.0, 1.0, 1.0]])
+    # y = 0 is neither a witness (no margin) nor a certificate (sum 0)
+    monkeypatch.setattr(spectrum, "_nnls", lambda a, b: np.zeros(a.shape[1]))
+    with pytest.raises(ConsistencyError, match="chamber undecided"):
+        _chamber_point(rows, (-1, 1, 1))
+
+
+def test_nnls_iteration_cap_raises(monkeypatch):
+    # a subproblem solver that always answers negative never lets a column in
+    monkeypatch.setattr(spectrum.np.linalg, "lstsq",
+                        lambda a, b, rcond: (-np.ones(a.shape[1]), None, None, None))
+    with pytest.raises(ConsistencyError, match="did not converge"):
+        _chamber_point(np.array([[1.0, 1.0, 1.0]]), (-1, 1, 1))
+
+
+def test_import_and_solve_leave_scipy_optimize_unloaded():
+    code = ("import sys, homgeo, homgeo.cli\n"
+            "from homgeo.catalog import su21_model\n"
+            "alg, grading, _ = su21_model()\n"
+            "assert homgeo.solve_cyclic(alg, grading).feasible\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_theta_split_cyclic_permutation():
