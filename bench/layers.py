@@ -6,7 +6,8 @@ Times build_lie_algebra, Frame, Frame.types, Frame.r4, classify,
 ricci_routes, xi_curvatures, one curvature_diagonal_general call and
 the whole pipeline at n = 3, 6, 16, 20 (perfbench's solvable_large
 size) and 32; solve_cyclic on the su(2,1) and sp(1,1) models with their
-catalog gradings; one curvature_diagonal_general call on the su21_a3ii
+catalog gradings, and cyclic_metric at the sample point it returns;
+one curvature_diagonal_general call on the su21_a3ii
 catalog space; classify and Frame.types on the b2_product and
 b4_product (n = 4, dim k = 0 and 1) and su21_a3ii and sp11_a3iii
 (n = 6, dim k = 2 and 4) catalog spaces, which fall on either side of
@@ -227,15 +228,19 @@ def bench_size(n: int) -> dict:
 
 
 def bench_models() -> dict:
-    """solve_cyclic on each 3-symmetric model, whose cone its catalog data states."""
+    """solve_cyclic on each 3-symmetric model, whose cone its catalog data states,
+    and cyclic_metric at the family's sample point."""
     cases = {}
     for model in _BLOCK_MODELS:
         alg, grading, _ = model.build()
         name, dimension = model.build.__name__, len(model.cone)
-        if hg.solve_cyclic(alg, grading).dimension != dimension:
+        family = hg.solve_cyclic(alg, grading)
+        if family.dimension != dimension:
             raise SystemExit(f"{name}: the cyclic family is not {dimension}-dimensional")
         cases[f"solve_cyclic/{name}"] = time_case(
             lambda _: hg.solve_cyclic(alg, grading))
+        cases[f"cyclic_metric/{name}"] = time_case(
+            lambda _: hg.cyclic_metric(alg, grading, family.sample))
     return cases
 
 
