@@ -251,6 +251,7 @@ def test_solve_cyclic_two_parameter_cone():
     assert s is not None
     assert abs(s.sum()) <= 1e-9 * np.abs(s).max()
     assert s[0] < 0 and s[1] > 0 and s[2] > 0
+    np.testing.assert_allclose(s, [-1.0, 0.5, 0.5], rtol=0, atol=1e-12)
     ev = np.linalg.eigvalsh(cyclic_metric(alg, grading, s).matrix)
     assert ev.min() > 0
 
@@ -278,6 +279,7 @@ def test_solve_cyclic_ray():
     assert ray[0] / ray[1] == pytest.approx(-2.0)
     s = fam.sample
     assert s[0] < 0 and s[1] > 0
+    np.testing.assert_allclose(s, [-1.0, 0.5], rtol=0, atol=1e-12)
 
 
 def test_solve_cyclic_compact_infeasible():
@@ -391,12 +393,6 @@ def test_permuting_blocks_permutes_the_sample():
                                                [grading.signs[i] for i in perm]))
         assert moved.feasible and moved.description == fam.description
         np.testing.assert_allclose(moved.sample, fam.sample[perm], rtol=0, atol=1e-12)
-
-
-def test_catalog_samples():
-    for model, want in ((su21_model, [-1.0, 0.5, 0.5]), (sp11_model, [-1.0, 0.5])):
-        alg, grading, _ = model()
-        np.testing.assert_allclose(solve_cyclic(alg, grading).sample, want, rtol=0, atol=1e-12)
 
 
 def test_chamber_undecided_raises(monkeypatch):
