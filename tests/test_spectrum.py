@@ -417,8 +417,7 @@ def test_import_and_solve_leave_scipy_optimize_unloaded():
             "alg, grading, _ = su21_model()\n"
             "assert homgeo.solve_cyclic(alg, grading).feasible\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
