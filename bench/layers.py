@@ -3,9 +3,9 @@
     python bench/layers.py OUT.json
 
 Times build_lie_algebra, Frame, Frame.types, Frame.r4, classify,
-ricci_routes, xi_curvatures, one curvature_diagonal_general call and
-the whole pipeline at n = 3, 6, 16, 20 (perfbench's solvable_large
-size) and 32; solve_cyclic on the su(2,1) and sp(1,1) models with their
+ricci_routes, xi_curvatures, one curvature_diagonal_general call, warm
+and cold, one cyclic_curvature_diagonal call and the whole pipeline at
+n = 3, 6, 16, 20 (perfbench's solvable_large size) and 32; solve_cyclic on the su(2,1) and sp(1,1) models with their
 catalog gradings, and cyclic_metric at the sample point it returns;
 one curvature_diagonal_general call on the su21_a3ii
 catalog space; classify and Frame.types on the b2_product and
@@ -55,8 +55,10 @@ space, which share one Frame.  These, the n = 5 classify and the
 catalog classify and Frame.types cases get a fresh metric object on
 every repeat, since
 consecutive calls on the same (dec, metric) objects reuse the last
-Frame built.  curvature_diagonal_general gets one pair of
-frame vectors and a Frame whose U is built.  A verify/<check> case
+Frame built.  curvature_diagonal_general and cyclic_curvature_diagonal
+get one pair of frame vectors and a Frame whose diagonal forms are
+built; curvature_diagonal_general.cold makes the same call on a fresh
+Frame, so it times building the form (and the U it reads) too.  A verify/<check> case
 runs that check on every default entry, on fresh Frames whose r4 and
 ricci_routes are built, each with its own seeded generator, outside the
 timed region; tensors a check reads beyond those (the type split, say)
@@ -223,6 +225,11 @@ def bench_size(n: int) -> dict:
         "xi_curvatures": time_case(hg.xi_curvatures, frame_with_r4),
         "curvature_diagonal_general": time_case(
             lambda _: hg.curvature_diagonal_general(plane, None, x, y)),
+        "curvature_diagonal_general.cold": time_case(
+            lambda frame: hg.curvature_diagonal_general(frame, None, x, y),
+            lambda: Frame(dec, metric)),
+        "cyclic_curvature_diagonal": time_case(
+            lambda _: hg.cyclic_curvature_diagonal(plane, None, x, y)),
         "pipeline": time_case(pipeline, fresh_metric),
     }
 

@@ -10,13 +10,17 @@ and Frame.ricci_routes; the functions here read them off the Frame of
 (dec, metric), or off a Frame passed as dec.  Consecutive calls on the
 same dec and metric objects share that Frame (reductive.as_frame keeps
 the last one), so they build the tensor once.  Two independent diagonal
-formulas (one general, one for cyclic brackets) and several Ricci
-routes, which must agree or raise ConsistencyError, guard the tensor
-assembly against sign slips.
+formulas (one general, from brackets and U, one for cyclic brackets,
+from brackets and S) and several Ricci routes, which must agree or
+raise ConsistencyError, guard the tensor assembly against sign slips.
+Each diagonal formula is a quadratic form in x (x) y, built once per
+Frame from the bracket data alone (Frame.diagonal_form_general and
+Frame.diagonal_form_cyclic), never from gamma or the tensor it checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,35 +59,32 @@ def _require_cyclic(frame: Frame) -> None:
         raise NotCyclic("the projected bracket has a nonzero cyclic sum")
 
 
+def _pair_form(form: np.ndarray, x, y):
+    """v @ form @ v at v = x (x) y, for one pair or row by row over stacks.
+
+    x and y have shape (n,) or (s, n), and leading axes broadcast; one
+    pair gives a float, a stack the (s,) array of its rows' values.
+    """
+    v = np.asarray(x, dtype=float)[..., :, None] * np.asarray(y, dtype=float)[..., None, :]
+    n = math.isqrt(form.shape[0])
+    if v.shape[-2:] != (n, n):
+        raise ValueError(f"x and y must be frame coordinate vectors of length {n}, "
+                         f"got lengths {v.shape[-2]} and {v.shape[-1]}")
+    v = v.reshape(v.shape[:-2] + (n * n,))
+    return _float_or_rows(((v @ form) * v).sum(axis=-1))
+
+
 def curvature_diagonal_general(dec, metric, x, y):
     """<R(X,Y)X, Y> from brackets and U alone, for any reductive space.
 
     x, y are frame coordinate vectors of shape (n,), which gives a
     float, or stacks of shape (s, n), which give the (s,) array of the
-    row pairs' values.  Inner brackets are full algebra brackets
-    (k-components included) before projecting to m.
+    row pairs' values.  The value is the quadratic form
+    Frame.diagonal_form_general at x (x) y, built on the first call per
+    Frame; inner brackets are full algebra brackets (k-components
+    included) before projecting to m.
     """
-    frame = as_frame(dec, metric)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    alg = frame.dec.algebra
-    xg = frame.g_coords(x)
-    yg = frame.g_coords(y)
-    bxy = alg.bracket(xg, yg)
-    bxy_m = frame.m_part_frame(bxy)
-    xxy = frame.m_part_frame(alg.bracket(xg, bxy))
-    yyx = frame.m_part_frame(alg.bracket(yg, alg.bracket(yg, xg)))
-    u = frame.u
-    uxy = np.einsum("...a,...b,abc->...c", x, y, u)
-    uxx = np.einsum("...a,...b,abc->...c", x, x, u)
-    uyy = np.einsum("...a,...b,abc->...c", y, y, u)
-    # the inner products of the formula, summed over the last axis at once
-    return _float_or_rows((
-        -0.75 * bxy_m * bxy_m
-        - 0.5 * (xxy * y + yyx * x)
-        + uxy * uxy
-        - uxx * uyy
-    ).sum(axis=-1))
+    return _pair_form(as_frame(dec, metric).diagonal_form_general, x, y)
 
 
 def cyclic_curvature_diagonal(dec, metric, x, y):
@@ -91,27 +92,14 @@ def cyclic_curvature_diagonal(dec, metric, x, y):
 
     x, y are frame coordinate vectors of shape (n,), which gives a
     float, or stacks of shape (s, n), which give the (s,) array of the
-    row pairs' values.  Raises NotCyclic when the cyclic sum of the
-    projected bracket does not vanish.
+    row pairs' values.  The value is the quadratic form
+    Frame.diagonal_form_cyclic at x (x) y, built on the first call per
+    Frame.  Raises NotCyclic, before building anything, when the cyclic
+    sum of the projected bracket does not vanish.
     """
     frame = as_frame(dec, metric)
     _require_cyclic(frame)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    alg = frame.dec.algebra
-    xg = frame.g_coords(x)
-    yg = frame.g_coords(y)
-    bxy = alg.bracket(xg, yg)
-    bxy_m = frame.m_part_frame(bxy)
-    k_act = frame.m_part_frame(alg.bracket(frame.k_part_g(bxy), xg))
-
-    s = frame.s
-    sxy = np.einsum("...a,...b,abc->...c", x, y, s)
-    syx = np.einsum("...a,...b,abc->...c", y, x, s)
-    sxx = np.einsum("...a,...b,abc->...c", x, x, s)
-    syy = np.einsum("...a,...b,abc->...c", y, y, s)
-    return _float_or_rows(
-        (k_act * y - bxy_m * bxy_m + sxy * syx - sxx * syy).sum(axis=-1))
+    return _pair_form(frame.diagonal_form_cyclic, x, y)
 
 
 def sectional_curvature(dec, metric, x, y) -> float:

@@ -278,6 +278,64 @@ class Frame:
         return _frozen(rc.reshape(n, n, n, n))
 
     @cached_property
+    def _bracket_pairs(self) -> tuple:
+        """(br, p): br[a,b] = [f_a, f_b] as a g-vector, k part included, and
+        p[c,j,d] = <[f_c, e_j]_m, f_d>, so p[c] @ v is [f_c, v]_m for a g-vector v.
+
+        Both diagonal forms read them; neither builds gamma or r4.
+        """
+        n, dim = self.n, self.dec.algebra.dim
+        ad = (self.frame_g.T @ self.dec.algebra.tensor.reshape(dim, dim * dim)).reshape(
+            n, dim, dim)  # ad[c, j] = [f_c, e_j]
+        return self.frame_g.T @ ad, ad @ self._m_proj
+
+    def _pair_matrix(self, left, right, t) -> np.ndarray:
+        """Read-only (n*n, n*n) F with v @ F @ v = <left(X,Y), right(X,Y)> - <t(X,X), t(Y,Y)>
+        at v = x (x) y, where left, right and t are (n, n, r) bilinear maps in frame slots.
+
+        F[(a,b),(c,d)] = left[a,b] @ right[c,d] - t[a,c] @ t[b,d]: one product over
+        the stacked last slot, and one batch of n*n small products.
+        """
+        nn = self.n * self.n
+        form = left.reshape(nn, -1) @ right.reshape(nn, -1).T
+        form -= np.matmul(t[:, None], np.swapaxes(t, 1, 2)[None]).reshape(nn, nn)
+        return _frozen(form)
+
+    @cached_property
+    def diagonal_form_general(self) -> np.ndarray:
+        """(n*n, n*n) F with <R(X,Y)X, Y> = v @ F @ v at v = x (x) y, from brackets and U.
+
+        <R(X,Y)X,Y> = -3/4 |[X,Y]_m|^2 - 1/2 <[X,[X,Y]]_m, Y> - 1/2 <[Y,[Y,X]]_m, X>
+        + |U(X,Y)|^2 - <U(X,X), U(Y,Y)>, inner brackets in full (k part
+        included) before projecting to m.  Built from the bracket tensor,
+        lte and U alone, never from gamma or r4, so it checks them.
+        """
+        br, p = self._bracket_pairs
+        # <[Y,[Y,X]]_m, X> is -<[X,[X,Y]]_m, Y> with the roles of the
+        # two slots of p exchanged
+        ad_pair = p.transpose(0, 2, 1) - p.transpose(2, 0, 1)
+        u = self.u
+        left = np.concatenate([self.lte, u, br], axis=2)
+        right = np.concatenate([-0.75 * self.lte, u, -0.5 * ad_pair], axis=2)
+        return self._pair_matrix(left, right, u)
+
+    @cached_property
+    def diagonal_form_cyclic(self) -> np.ndarray:
+        """(n*n, n*n) F with <R(X,Y)X, Y> = v @ F @ v at v = x (x) y, from brackets and S.
+
+        <R(X,Y)X,Y> = <[[X,Y]_k, X], Y> - |[X,Y]_m|^2 + <S(X,Y), S(Y,X)>
+        - <S(X,X), S(Y,Y)>, which holds on cyclic spaces only; the caller
+        checks that first.  Like diagonal_form_general it reads neither
+        gamma nor r4.
+        """
+        br, p = self._bracket_pairs
+        s = self.s
+        left = np.concatenate([br * self._k_mask, self.lte, s], axis=2)
+        right = np.concatenate([-p.transpose(0, 2, 1), -self.lte, s.transpose(1, 0, 2)],
+                               axis=2)
+        return self._pair_matrix(left, right, s)
+
+    @cached_property
     def killing_m(self) -> np.ndarray:
         """Killing form restricted to m, in frame coordinates."""
         return _frozen(self.frame_g.T @ killing_form(self.dec.algebra) @ self.frame_g)

@@ -95,8 +95,23 @@ def grading_decomposition(algebra: LieAlgebra, grading: BlockGrading) -> Reducti
     )
 
 
+# The last (algebra, grading, restrictions) _block_killing validated.  It
+# holds both objects, so their identities cannot be recycled while it is here.
+_last_blocks = None
+
+
 def _block_killing(algebra, grading):
-    """Validate the per-block Killing restrictions and return them."""
+    """Validate the per-block Killing restrictions and return them, read-only.
+
+    Both arguments are frozen, so a result stays valid for them: the last
+    one is kept in a single slot and returned while the next call passes
+    the same algebra object and the same grading object (compared with
+    is), as reductive.as_frame does.  A call that raises keeps nothing.
+    """
+    global _last_blocks
+    last = _last_blocks  # read once: another thread may replace it
+    if last is not None and last[0] is algebra and last[1] is grading:
+        return last[2]
     grading.k_indices(algebra.dim)  # IndexOutOfRange for an index outside the algebra
     tol = algebra.tol
     b = killing_form(algebra)
@@ -113,12 +128,14 @@ def _block_killing(algebra, grading):
             raise ParamOutOfRange(
                 f"Killing form on block {blk} does not have sign {sign:+d}"
             )
-        restrictions.append(sub)
+        restrictions.append(_frozen(sub))
     # cross-block orthogonality keeps the family block diagonal
     for bi, bj in combinations(grading.blocks, 2):
         off = float(np.abs(b[np.ix_(bi, bj)]).max())
         check(off, max(tol, 1e-10) * scale,
               f"blocks {bi} and {bj} are not Killing-orthogonal", ParamOutOfRange)
+    restrictions = tuple(restrictions)
+    _last_blocks = (algebra, grading, restrictions)
     return restrictions
 
 

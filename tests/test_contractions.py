@@ -492,6 +492,127 @@ def test_curvature_diagonals_on_stacks(name, diagonal):
     assert_close(got, np.einsum("sa,sb,sc,sd,abcd->s", x, y, x, y, frame.r4))
 
 
+def general_by_brackets(frame, x, y):
+    """<R(X,Y)X, Y> from LieAlgebra.bracket and U, one vector at a time or row by row.
+
+    The per-vector form of the general route: -3/4 |[X,Y]_m|^2
+    - 1/2 (<[X,[X,Y]]_m, Y> + <[Y,[Y,X]]_m, X>) + |U(X,Y)|^2 - <U(X,X), U(Y,Y)>.
+    """
+    alg = frame.dec.algebra
+    xg, yg = frame.g_coords(x), frame.g_coords(y)
+    bxy = alg.bracket(xg, yg)
+    bxy_m = frame.m_part_frame(bxy)
+    xxy = frame.m_part_frame(alg.bracket(xg, bxy))
+    yyx = frame.m_part_frame(alg.bracket(yg, alg.bracket(yg, xg)))
+    u = frame.u
+    uxy = np.einsum("...a,...b,abc->...c", x, y, u)
+    uxx = np.einsum("...a,...b,abc->...c", x, x, u)
+    uyy = np.einsum("...a,...b,abc->...c", y, y, u)
+    return (-0.75 * bxy_m * bxy_m - 0.5 * (xxy * y + yyx * x)
+            + uxy * uxy - uxx * uyy).sum(axis=-1)
+
+
+def cyclic_by_brackets(frame, x, y):
+    """<R(X,Y)X, Y> from LieAlgebra.bracket and S, one vector at a time or row by row.
+
+    The per-vector form of the cyclic route: <[[X,Y]_k, X], Y> - |[X,Y]_m|^2
+    + <S(X,Y), S(Y,X)> - <S(X,X), S(Y,Y)>.
+    """
+    alg = frame.dec.algebra
+    xg, yg = frame.g_coords(x), frame.g_coords(y)
+    bxy = alg.bracket(xg, yg)
+    bxy_m = frame.m_part_frame(bxy)
+    k_act = frame.m_part_frame(alg.bracket(frame.k_part_g(bxy), xg))
+    s = frame.s
+    sxy = np.einsum("...a,...b,abc->...c", x, y, s)
+    syx = np.einsum("...a,...b,abc->...c", y, x, s)
+    sxx = np.einsum("...a,...b,abc->...c", x, x, s)
+    syy = np.einsum("...a,...b,abc->...c", y, y, s)
+    return (k_act * y - bxy_m * bxy_m + sxy * syx - sxx * syy).sum(axis=-1)
+
+
+def diagonal_space(name):
+    """A curvature space (each is cyclic) or a default catalog entry, by name or label."""
+    if name in CURVATURE_SPACES:
+        return frame_of(name), True
+    entry = next(e for e in default_entries() if e.label == name)
+    return Frame(entry.decomposition, entry.metric), entry.expected.cyclic
+
+
+@pytest.mark.parametrize(
+    "name", sorted(CURVATURE_SPACES) + [entry.label for entry in default_entries()])
+def test_diagonal_forms_match_the_bracket_formulas(name):
+    """Both quartic forms give what the per-vector bracket formulas give.
+
+    Single pairs, stacks, and one vector against a stack, on every
+    curvature space and every default catalog entry.
+    """
+    frame, cyclic = diagonal_space(name)
+    routes = [(curvature_diagonal_general, general_by_brackets)]
+    if cyclic:
+        routes.append((cyclic_curvature_diagonal, cyclic_by_brackets))
+    x, y = stack_pair(frame, 5 * frame.n)
+    for route, oracle in routes:
+        assert_close(route(frame, None, x, y), oracle(frame, x, y))
+        got = route(frame, None, x[0], y[0])
+        assert type(got) is float
+        assert_close(got, oracle(frame, x[0], y[0]))
+        assert_close(route(frame, None, x[0], y), oracle(frame, np.broadcast_to(x[0], y.shape), y))
+        assert_close(route(frame, None, x, y[1]), oracle(frame, x, np.broadcast_to(y[1], x.shape)))
+
+
+def count_form_builds(monkeypatch):
+    counts = []
+    build = Frame._pair_matrix
+
+    def counting(self, *args):
+        counts.append(self)
+        return build(self, *args)
+
+    monkeypatch.setattr(Frame, "_pair_matrix", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["so2_heisenberg", "n5-k2"])
+def test_diagonal_forms_are_built_once_and_read_only(name, monkeypatch):
+    counts = count_form_builds(monkeypatch)
+    fresh = frame_of(name)
+    frame = Frame(fresh.dec, fresh.metric)
+    x, y = stack_pair(frame, 7)
+    for _ in range(3):
+        curvature_diagonal_general(frame, None, x, y)
+    assert len(counts) == 1 and "diagonal_form_cyclic" not in vars(frame)
+    for _ in range(3):
+        cyclic_curvature_diagonal(frame, None, x[0], y[0])
+    assert counts == [frame, frame]
+    for form in (frame.diagonal_form_general, frame.diagonal_form_cyclic):
+        assert form.shape == (frame.n ** 2,) * 2
+        assert not form.flags.writeable
+        with pytest.raises(ValueError):
+            form[0, 0] = 1.0
+    # the routes check r4; they must not be read from it
+    assert "r4" not in vars(frame) and "gamma" not in vars(frame)
+
+
+def test_cyclic_route_builds_nothing_on_a_non_cyclic_space(monkeypatch):
+    counts = count_form_builds(monkeypatch)
+    fresh = frame_of("raw-n3-k2")
+    frame = Frame(fresh.dec, fresh.metric)
+    with pytest.raises(NotCyclic):
+        cyclic_curvature_diagonal(frame, None, [1.0, 0, 0], [0, 1.0, 0])
+    assert counts == []
+    assert "_bracket_pairs" not in vars(frame) and "diagonal_form_cyclic" not in vars(frame)
+
+
+def test_diagonal_routes_refuse_vectors_of_the_wrong_length():
+    frame = frame_of("n3-k0")
+    for route in (curvature_diagonal_general, cyclic_curvature_diagonal):
+        with pytest.raises(ValueError, match="length 3"):
+            route(frame, None, np.ones(1), np.ones(9))
+        with pytest.raises(ValueError, match="length 3"):
+            route(frame, None, np.ones((4, 2)), np.ones((4, 3)))
+
+
 @pytest.mark.parametrize("name", sorted(BRACKET_SPACES))
 def test_killing_quadratic_on_stacks(name):
     frame = frame_of(name)

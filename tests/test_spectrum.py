@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -153,6 +154,62 @@ def test_degenerate_killing_rejected():
     alg = milnor(1.0, 0.0, -1.0)  # Killing form diag(0, 2, 0)
     with pytest.raises(DegenerateKillingForm):
         cyclic_metric(alg, BlockGrading(((0,),), (1,)), [1.0])
+
+
+def count_killing_forms(monkeypatch):
+    calls = []
+
+    def counting(algebra):
+        calls.append(algebra)
+        return killing_form(algebra)
+
+    monkeypatch.setattr(spectrum, "killing_form", counting)
+    return calls
+
+
+def fresh_su21():
+    """su(2,1) and its grading as objects no earlier call has seen."""
+    alg, grading, _ = su21_model()
+    return dataclasses.replace(alg), BlockGrading(grading.blocks, grading.signs)
+
+
+def test_block_killing_runs_once_per_algebra_and_grading(monkeypatch):
+    calls = count_killing_forms(monkeypatch)
+    alg, grading = fresh_su21()
+    family = solve_cyclic(alg, grading)
+    first = cyclic_metric(alg, grading, family.sample)
+    second = cyclic_metric(alg, grading, family.sample)
+    assert calls == [alg]
+    assert first.matrix.tobytes() == second.matrix.tobytes()
+    restrictions = spectrum._block_killing(alg, grading)
+    assert all(not sub.flags.writeable for sub in restrictions)
+    # an equal grading is another object, so it is validated again
+    equal = BlockGrading(grading.blocks, grading.signs)
+    assert cyclic_metric(alg, equal, family.sample).matrix.tobytes() == first.matrix.tobytes()
+    assert calls == [alg, alg]
+    other = dataclasses.replace(alg)
+    cyclic_metric(other, equal, family.sample)
+    assert calls == [alg, alg, other]
+
+
+def test_block_killing_keeps_no_refused_grading(monkeypatch):
+    calls = count_killing_forms(monkeypatch)
+    su21, _ = fresh_su21()
+    cases = [
+        (milnor(1.0, 0.0, -1.0), BlockGrading(((0,),), (1,)), DegenerateKillingForm),
+        (su21, BlockGrading(((2, 3), (4, 5), (6, 7)), (1, 1, 1)), ParamOutOfRange),
+        (su21, BlockGrading(((0,), (1,), (2, 3), (4, 5), (6, 7)), (1, 1, -1, 1, 1)),
+         ParamOutOfRange),
+    ]
+    for alg, grading, error in cases:
+        for _ in range(2):
+            with pytest.raises(error):
+                solve_cyclic(alg, grading)
+    assert len(calls) == 2 * len(cases)
+    for _ in range(2):  # refused before the Killing form is formed
+        with pytest.raises(IndexOutOfRange):
+            cyclic_metric(su21, OUTSIDE_GRADINGS[0], [1.0, 1.0, 1.0])
+    assert len(calls) == 2 * len(cases)
 
 
 # blocks past the end of su(2,1), and negative blocks numpy would wrap to 6 and 7
