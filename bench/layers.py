@@ -5,8 +5,9 @@
 Times build_lie_algebra, Frame, Frame.types, Frame.r4, classify,
 ricci_routes, xi_curvatures, one curvature_diagonal_general call, warm
 and cold, one cyclic_curvature_diagonal call and the whole pipeline at
-n = 3, 6, 16, 20 (perfbench's solvable_large size) and 32; solve_cyclic on the su(2,1) and sp(1,1) models with their
-catalog gradings, and cyclic_metric at the sample point it returns;
+n = 3, 6, 16, 20 (perfbench's solvable_large size) and 32;
+solve_cyclic on the su(2,1) and sp(1,1) models with their catalog
+gradings, and cyclic_metric at the sample point it returns;
 one curvature_diagonal_general call on the su21_a3ii
 catalog space; classify and Frame.types on the b2_product and
 b4_product (n = 4, dim k = 0 and 1) and su21_a3ii and sp11_a3iii
@@ -58,10 +59,10 @@ consecutive calls on the same (dec, metric) objects reuse the last
 Frame built.  curvature_diagonal_general and cyclic_curvature_diagonal
 get one pair of frame vectors and a Frame whose diagonal forms are
 built; curvature_diagonal_general.cold makes the same call on a fresh
-Frame, so it times building the form (and the U it reads) too.  A verify/<check> case
-runs that check on every default entry, on fresh Frames whose r4 and
-ricci_routes are built, each with its own seeded generator, outside the
-timed region; tensors a check reads beyond those (the type split, say)
+Frame, so it times building the form (and the U it reads) too.  A
+verify/<check> case runs that check on every default entry, on fresh
+Frames whose r4 and ricci_routes are built, each with its own seeded
+generator, outside the timed region; tensors a check reads beyond those (the type split, say)
 are built inside it, as in run_all.  OpenBLAS runs one thread unless
 OPENBLAS_NUM_THREADS is set.
 """

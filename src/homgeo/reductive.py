@@ -311,8 +311,8 @@ class Frame:
         lte and U alone, never from gamma or r4, so it checks them.
         """
         br, p = self._bracket_pairs
-        # <[Y,[Y,X]]_m, X> is -<[X,[X,Y]]_m, Y> with the roles of the
-        # two slots of p exchanged
+        # [Y,X] = -[X,Y], so at v = x (x) y the term <[Y,[Y,X]]_m, X> is
+        # the <[X,[X,Y]]_m, Y> term negated, with the outer slots of p swapped
         ad_pair = p.transpose(0, 2, 1) - p.transpose(2, 0, 1)
         u = self.u
         left = np.concatenate([self.lte, u, br], axis=2)

@@ -198,7 +198,8 @@ def test_block_killing_keeps_no_refused_grading(monkeypatch):
     cases = [
         (milnor(1.0, 0.0, -1.0), BlockGrading(((0,),), (1,)), DegenerateKillingForm),
         (su21, BlockGrading(((2, 3), (4, 5), (6, 7)), (1, 1, 1)), ParamOutOfRange),
-        (su21, BlockGrading(((0,), (1,), (2, 3), (4, 5), (6, 7)), (1, 1, -1, 1, 1)),
+        # the isotropy directions 0 and 1 as two blocks: B(e0, e1) = -6
+        (su21, BlockGrading(((0,), (1,), (2, 3), (4, 5), (6, 7)), (-1, -1, -1, 1, 1)),
          ParamOutOfRange),
     ]
     for alg, grading, error in cases:
