@@ -56,7 +56,10 @@ space, which share one Frame.  These, the n = 5 classify and the
 catalog classify and Frame.types cases get a fresh metric object on
 every repeat, since
 consecutive calls on the same (dec, metric) objects reuse the last
-Frame built.  curvature_diagonal_general and cyclic_curvature_diagonal
+Frame built.  The solve_cyclic and cyclic_metric cases get a fresh
+grading object on every repeat, since spectrum keeps the Killing-form
+restrictions of the last (algebra, grading) pair it validated.
+curvature_diagonal_general and cyclic_curvature_diagonal
 get one pair of frame vectors and a Frame whose diagonal forms are
 built; curvature_diagonal_general.cold makes the same call on a fresh
 Frame, so it times building the form (and the U it reads) too.  A
@@ -69,6 +72,7 @@ OPENBLAS_NUM_THREADS is set.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -237,7 +241,7 @@ def bench_size(n: int) -> dict:
 
 def bench_models() -> dict:
     """solve_cyclic on each 3-symmetric model, whose cone its catalog data states,
-    and cyclic_metric at the family's sample point."""
+    and cyclic_metric at the family's sample point, each on a fresh grading object."""
     cases = {}
     for model in _BLOCK_MODELS:
         alg, grading, _ = model.build()
@@ -245,10 +249,14 @@ def bench_models() -> dict:
         family = hg.solve_cyclic(alg, grading)
         if family.dimension != dimension:
             raise SystemExit(f"{name}: the cyclic family is not {dimension}-dimensional")
+
+        def fresh_grading(grading=grading):
+            return dataclasses.replace(grading)
+
         cases[f"solve_cyclic/{name}"] = time_case(
-            lambda _: hg.solve_cyclic(alg, grading))
+            lambda g: hg.solve_cyclic(alg, g), fresh_grading)
         cases[f"cyclic_metric/{name}"] = time_case(
-            lambda _: hg.cyclic_metric(alg, grading, family.sample))
+            lambda g: hg.cyclic_metric(alg, g, family.sample), fresh_grading)
     return cases
 
 

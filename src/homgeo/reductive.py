@@ -550,8 +550,15 @@ def foliation_data(dec, metric=None) -> FoliationData:
     """Second fundamental form and mean curvature of the canonical foliation.
 
     Requires a non-unimodular space (c > 0); raises UnimodularInput
-    otherwise.  Internal identities (symmetry of h, U(xi,xi) = 0 and
-    the trace identity xi = -sum_i U(d_i, d_i)) are verified.
+    otherwise.  The columns of d_basis are the Gram-Schmidt basis of the
+    projected frame vectors P e_a, P = I - xi xi^T / c^2, taken in index
+    order with one left out: the first whose Gram-Schmidt residual norm
+    is at most max(sqrt(tol), 1e-8), or the last if there is none.
+    [d_basis | xi / c] is checked to be an orthogonal matrix within
+    1e-12 n, and ConsistencyError is raised otherwise or when a second
+    column is dependent.  Internal identities (symmetry of h,
+    U(xi,xi) = 0 and the trace identity xi = -sum_i U(d_i, d_i)) are
+    verified.
     """
     frame = as_frame(dec, metric)
     tol = frame.tol
@@ -562,21 +569,34 @@ def foliation_data(dec, metric=None) -> FoliationData:
         )
     c2 = frame.c ** 2
 
-    # Orthonormal basis of ker eta: project frame vectors and Gram-Schmidt
-    # in index order, keeping the first n-1 independent directions.
-    cols = []
-    for a in range(n):
-        v = np.eye(n)[a] - (frame.eta[a] / c2) * frame.eta
-        for u in cols:
-            v = v - (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > max(np.sqrt(tol), 1e-8):
-            cols.append(v / norm)
-        if len(cols) == n - 1:
-            break
-    if len(cols) != n - 1:
+    # While no column is left out, column a's Gram-Schmidt residual norm
+    # is sqrt(tail[a+1] / tail[a]), tail[a] = sum_{b >= a} v_b^2, v = eta / c.
+    # Gram-Schmidt on the kept columns is their QR factorisation with
+    # R's diagonal positive.
+    thr = max(math.sqrt(tol), 1e-8)
+    v = frame.eta / frame.c
+    skip, tail = n - 1, 0.0  # tail = tail[a + 1] on entry to the loop body
+    for a, sq in zip(range(n - 1, -1, -1), reversed((v * v).tolist())):
+        if tail <= thr * thr * (tail + sq):
+            skip = a
+        tail += sq
+    p = v[:, None] * -v  # symmetric: its kept rows are the kept columns
+    p.reshape(-1)[::n + 1] += 1.0
+    if skip < n - 1:
+        p[skip:n - 1] = p[skip + 1:]
+    qr, tau, _ = lapack.dgeqrfp(p[:n - 1].T, overwrite_a=1)
+    if not min(qr.diagonal().tolist()) > thr:
         raise ConsistencyError("failed to build an orthonormal basis of ker eta")
-    d_basis = np.array(cols).T
+    q, _, _ = lapack.dorgqr(qr, tau, overwrite_a=1)
+    # [q | v] must be an orthogonal matrix: the check is what vouches
+    # for the factorisation, whatever the routines returned
+    full = p.T
+    full[:, :n - 1] = q
+    full[:, n - 1] = v
+    gram = p @ full
+    gram.reshape(-1)[::n + 1] -= 1.0
+    check(np.abs(gram).max(), 1e-12 * n, "failed to build an orthonormal basis of ker eta")
+    d_basis = _frozen(q)
 
     u = frame.u
     u_dd = _pullback(u, d_basis)
@@ -585,12 +605,12 @@ def foliation_data(dec, metric=None) -> FoliationData:
 
     sym = float(np.abs(h_coeff - h_coeff.T).max())
     u_xi = frame.eta @ (frame.eta @ u)
-    trace_id = np.einsum("iic->c", u_dd) + frame.eta
+    trace_id = u_dd.trace() + frame.eta
     worst = max(sym, float(np.abs(u_xi).max()) / max(c2, 1.0),
                 float(np.abs(trace_id).max()) / max(frame.c, 1.0))
     check(worst, max(tol, 1e-10), "foliation identities failed")
     return FoliationData(
-        d_basis=_frozen(d_basis),
+        d_basis=d_basis,
         h_coeff=_frozen(h_coeff),
         h_mean=_frozen(h_mean),
         xi=_frozen(frame.eta.copy()),

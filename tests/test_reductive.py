@@ -9,7 +9,7 @@ from homgeo.errors import (
     UnimodularInput,
 )
 from homgeo import reductive
-from homgeo.lie import build_lie_algebra, killing_form
+from homgeo.lie import build_lie_algebra, from_tensor, killing_form
 from homgeo.reductive import (
     Frame,
     InvariantMetric,
@@ -262,6 +262,109 @@ def test_foliation_hyperbolic_plane_family():
     # leaves are spanned by the scaled directions
     assert np.abs(fol.d_basis[0, :]).max() <= 1e-12
     assert np.allclose(fol.h_vector(0, 0), -0.5 * fol.xi)
+
+
+def solvable_along(direction, t=1.0):
+    """g(alpha) in an orthonormal basis whose trace form eta points along direction.
+
+    [e0, ei] = t alpha_i ei, and the basis e'_a = sum_i h[i,a] e_i comes
+    from the reflection h taking e0 to the unit direction; eta(e'_a) is
+    h[0,a] = direction_a times sum alpha, and the identity metric stays
+    orthonormal.  Jacobi is checked at a tolerance that grows with t^2.
+    """
+    u = np.asarray(direction, dtype=float)
+    u = u / np.linalg.norm(u)
+    n = len(u)
+    w = np.eye(n)[0] - u
+    h = np.eye(n) if not w.any() else np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)
+    alpha = t * np.linspace(0.5, 2.0, n - 1)
+    ad = (h[1:].T * alpha) @ h[1:]  # [e0, e'_b] in the new basis
+    tensor = np.einsum("a,bc->abc", h[0], ad)
+    tensor = tensor - tensor.transpose(1, 0, 2)
+    alg = from_tensor(tensor, tol=max(1e-9, 1e-13 * t * t))
+    return ReductiveDecomposition(alg, (), tuple(range(n)))
+
+
+def gram_schmidt_basis(frame):
+    """Orthonormal basis of ker eta by modified Gram-Schmidt, one column at a time,
+    and the index of the column it leaves out: the projected frame vectors in
+    index order, keeping the first n-1 independent directions."""
+    n, tol, c2 = frame.n, frame.tol, frame.c ** 2
+    cols, skipped = [], n - 1
+    for a in range(n):
+        v = np.eye(n)[a] - (frame.eta[a] / c2) * frame.eta
+        for u in cols:
+            v = v - (u @ v) * u
+        norm = np.linalg.norm(v)
+        if norm > max(np.sqrt(tol), 1e-8):
+            cols.append(v / norm)
+        else:
+            skipped = a
+        if len(cols) == n - 1:
+            break
+    assert len(cols) == n - 1
+    return np.array(cols).T, skipped
+
+
+def _directions():
+    rng = np.random.default_rng(20)
+    cases = [(f"random-n{n}", rng.standard_normal(n), 1e-9, n - 1) for n in (2, 3, 4, 6, 16, 20, 32)]
+    cases += [
+        ("along-e0", np.eye(5)[0], 1e-9, 0),
+        ("zeros-in-the-middle", [1.0, 0.0, 0.0, 2.0, 0.0, -1.0, 0.5], 1e-9, 6),
+        ("zero-tail", [1.0, -2.0, 0.0, 0.0, 0.0], 1e-9, 1),
+        ("tail-1e-6", [0.8, -0.6, 1e-6], 1e-9, 1),
+        ("tail-1e-6-n16", np.r_[rng.standard_normal(15), 0.0] / 4.0 + 1e-6 * np.eye(16)[15],
+         1e-9, 14),
+        ("tail-1e-3", [0.3, 0.5, -0.8, 1e-3], 1e-9, 3),
+        ("tail-1e-3-loose", [0.3, 0.5, -0.8, 1e-3], 1e-4, 2),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("t", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("name, direction, tol, skipped", _directions(),
+                         ids=[case[0] for case in _directions()])
+def test_foliation_basis_is_the_gram_schmidt_basis(name, direction, tol, skipped, t):
+    frame = Frame(solvable_along(direction, t), InvariantMetric.identity(len(direction)), tol)
+    want, left_out = gram_schmidt_basis(frame)
+    assert left_out == skipped
+    d = foliation_data(frame).d_basis
+    assert d.shape == (frame.n, frame.n - 1)
+    assert np.abs(d - want).max() <= 1e-12
+    assert np.abs(d.T @ d - np.eye(frame.n - 1)).max() <= 1e-12
+    assert np.abs(frame.eta @ d).max() <= 1e-12 * frame.c
+
+
+def test_foliation_checks_its_factorisation(monkeypatch):
+    dec = solvable_along([0.3, 0.5, -0.8, 0.1])
+    g = InvariantMetric.identity(4)
+    message = "failed to build an orthonormal basis of ker eta"
+    # the orthogonal factor, off by a little
+    dorgqr = reductive.lapack.dorgqr
+    for perturb in (lambda q: q * (1.0 + 1e-8),
+                    lambda q: q + 1e-8 * np.triu(np.ones_like(q))):
+        def orthogonal(a, tau, overwrite_a=0, p=perturb):
+            q, work, info = dorgqr(a, tau, overwrite_a=overwrite_a)
+            return p(q), work, info
+
+        monkeypatch.setattr(reductive.lapack, "dorgqr", orthogonal)
+        with pytest.raises(ConsistencyError, match=message):
+            foliation_data(Frame(dec, g))
+    monkeypatch.undo()
+    # a second dependent column in the triangular factor
+    dgeqrfp = reductive.lapack.dgeqrfp
+
+    def factor(a, overwrite_a=0):
+        qr, tau, info = dgeqrfp(a, overwrite_a=overwrite_a)
+        qr[1, 1] = 0.0
+        return qr, tau, info
+
+    monkeypatch.setattr(reductive.lapack, "dgeqrfp", factor)
+    with pytest.raises(ConsistencyError, match=message):
+        foliation_data(Frame(dec, g))
+    monkeypatch.undo()
+    foliation_data(Frame(dec, g))
 
 
 def test_killing_restriction_helper():
