@@ -590,10 +590,9 @@ def foliation_data(dec, metric=None) -> FoliationData:
     q, _, _ = lapack.dorgqr(qr, tau, overwrite_a=1)
     # [q | v] must be an orthogonal matrix: the check is what vouches
     # for the factorisation, whatever the routines returned
-    full = p.T
-    full[:, :n - 1] = q
-    full[:, n - 1] = v
-    gram = p @ full
+    p[:n - 1] = q.T
+    p[n - 1] = v
+    gram = p @ p.T
     gram.reshape(-1)[::n + 1] -= 1.0
     check(np.abs(gram).max(), 1e-12 * n, "failed to build an orthonormal basis of ker eta")
     d_basis = _frozen(q)
