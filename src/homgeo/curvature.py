@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePlane, NotCyclic, check
-from .reductive import Frame, as_frame, foliation_data
+from .reductive import Frame, as_frame
 
 
 def levi_civita(dec, metric=None) -> np.ndarray:
@@ -184,7 +184,7 @@ def xi_curvatures(dec, metric=None) -> XiCurvatureReport:
     frame = as_frame(dec, metric)
     tol = frame.tol
     _require_cyclic(frame)
-    fol = foliation_data(frame)
+    fol = frame.foliation
     n = frame.n
     d = fol.d_basis  # (n, n-1), frame coordinates
     c2 = frame.c ** 2

@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -248,6 +247,20 @@ def trace_vector(algebra: LieAlgebra) -> np.ndarray:
     return np.einsum("imm->i", algebra.tensor)
 
 
+def _null_space(a, rcond=None) -> np.ndarray:
+    """Orthonormal columns spanning the null space of the matrix a.
+
+    In a full SVD a = u diag(s) vh, these are the rows of vh past the
+    singular values above max(s) * rcond; rcond defaults to
+    eps * max(a.shape), the rule of scipy.linalg.null_space.
+    """
+    _, s, vh = np.linalg.svd(a)
+    if rcond is None:
+        rcond = np.finfo(float).eps * max(a.shape)
+    rank = int(np.sum(s > np.amax(s, initial=0.0) * rcond))
+    return vh[rank:].T
+
+
 def unimodular_kernel(algebra: LieAlgebra):
     """Kernel of X -> tr(ad_X).
 
@@ -261,7 +274,7 @@ def unimodular_kernel(algebra: LieAlgebra):
         return True, np.zeros((0, 0))
     if np.abs(tau).max() <= tol:
         return True, _frozen(np.eye(algebra.dim))
-    basis = scipy.linalg.null_space(tau[None, :])
+    basis = _null_space(tau[None, :])
     proj = basis @ basis.T
     # w[i, :, c] = [e_i, basis_c] must lie in the kernel again
     w = np.tensordot(algebra.tensor, basis, axes=([1], [0]))

@@ -20,7 +20,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -169,10 +168,9 @@ class Frame:
         self.metric = metric
         self.tol = tol
         self.n = n
-        # the factor's inverse, by triangular inversion; the check below
-        # is what vouches for it, whatever the routine returned
-        inv, _ = lapack.dtrtri(chol, lower=1)
-        self.q = inv.T
+        # the factor's inverse; the check below is what vouches for it,
+        # whatever the routine returned
+        self.q = np.linalg.inv(chol).T
         self.q_inv = chol.T
         resid = self.q.T @ metric.matrix @ self.q
         resid.flat[::n + 1] -= 1.0
@@ -481,6 +479,65 @@ class Frame:
         # each route a read-only view of one row of the stack
         return MappingProxyType(dict(zip(names, stack)))
 
+    @cached_property
+    def foliation(self) -> FoliationData:
+        """The canonical foliation of a non-unimodular space; see foliation_data."""
+        tol = self.tol
+        n = self.n
+        if self.c <= max(tol, 1e-12):
+            raise UnimodularInput(
+                "canonical trace form vanishes; the foliation needs c > 0"
+            )
+        c2 = self.c ** 2
+
+        # While no column is left out, column a's Gram-Schmidt residual norm
+        # is sqrt(tail[a+1] / tail[a]), tail[a] = sum_{b >= a} v_b^2, v = eta / c.
+        # Gram-Schmidt on the kept columns is their QR factorisation with
+        # R's diagonal positive.
+        thr = max(math.sqrt(tol), 1e-8)
+        v = self.eta / self.c
+        skip, tail = n - 1, 0.0  # tail = tail[a + 1] on entry to the loop body
+        for a, sq in zip(range(n - 1, -1, -1), reversed((v * v).tolist())):
+            if tail <= thr * thr * (tail + sq):
+                skip = a
+            tail += sq
+        p = v[:, None] * -v  # symmetric: its kept rows are the kept columns
+        p.reshape(-1)[::n + 1] += 1.0
+        if skip < n - 1:
+            p[skip:n - 1] = p[skip + 1:]
+        q, r = np.linalg.qr(p[:n - 1].T)
+        diag = r.diagonal()
+        if not min(map(abs, diag.tolist())) > thr:
+            raise ConsistencyError("failed to build an orthonormal basis of ker eta")
+        q *= np.copysign(1.0, diag)  # R's diagonal positive: the Gram-Schmidt basis
+        # [q | v] must be an orthogonal matrix: the check is what vouches
+        # for the factorisation, whatever the routine returned
+        p[:n - 1] = q.T
+        p[n - 1] = v
+        gram = p @ p.T
+        gram.reshape(-1)[::n + 1] -= 1.0
+        check(np.abs(gram).max(), 1e-12 * n, "failed to build an orthonormal basis of ker eta")
+        d_basis = _frozen(q)
+
+        u = self.u
+        u_dd = _pullback(u, d_basis)
+        h_coeff = u_dd @ self.eta / c2
+        h_mean = -self.eta / (n - 1)
+
+        sym = float(np.abs(h_coeff - h_coeff.T).max())
+        u_xi = self.eta @ (self.eta @ u)
+        trace_id = u_dd.trace() + self.eta
+        worst = max(sym, float(np.abs(u_xi).max()) / max(c2, 1.0),
+                    float(np.abs(trace_id).max()) / max(self.c, 1.0))
+        check(worst, max(tol, 1e-10), "foliation identities failed")
+        return FoliationData(
+            d_basis=d_basis,
+            h_coeff=_frozen(h_coeff),
+            h_mean=_frozen(h_mean),
+            xi=_frozen(self.eta.copy()),
+            c=self.c,
+        )
+
 
 # The Frame the last (dec, metric) call built.  It holds both objects, so
 # their identities cannot be recycled while it is here.
@@ -558,60 +615,7 @@ def foliation_data(dec, metric=None) -> FoliationData:
     1e-12 n, and ConsistencyError is raised otherwise or when a second
     column is dependent.  Internal identities (symmetry of h,
     U(xi,xi) = 0 and the trace identity xi = -sum_i U(d_i, d_i)) are
-    verified.
+    verified.  The result is built once per Frame (Frame.foliation); a
+    call that raises keeps nothing, so the next one raises again.
     """
-    frame = as_frame(dec, metric)
-    tol = frame.tol
-    n = frame.n
-    if frame.c <= max(tol, 1e-12):
-        raise UnimodularInput(
-            "canonical trace form vanishes; the foliation needs c > 0"
-        )
-    c2 = frame.c ** 2
-
-    # While no column is left out, column a's Gram-Schmidt residual norm
-    # is sqrt(tail[a+1] / tail[a]), tail[a] = sum_{b >= a} v_b^2, v = eta / c.
-    # Gram-Schmidt on the kept columns is their QR factorisation with
-    # R's diagonal positive.
-    thr = max(math.sqrt(tol), 1e-8)
-    v = frame.eta / frame.c
-    skip, tail = n - 1, 0.0  # tail = tail[a + 1] on entry to the loop body
-    for a, sq in zip(range(n - 1, -1, -1), reversed((v * v).tolist())):
-        if tail <= thr * thr * (tail + sq):
-            skip = a
-        tail += sq
-    p = v[:, None] * -v  # symmetric: its kept rows are the kept columns
-    p.reshape(-1)[::n + 1] += 1.0
-    if skip < n - 1:
-        p[skip:n - 1] = p[skip + 1:]
-    qr, tau, _ = lapack.dgeqrfp(p[:n - 1].T, overwrite_a=1)
-    if not min(qr.diagonal().tolist()) > thr:
-        raise ConsistencyError("failed to build an orthonormal basis of ker eta")
-    q, _, _ = lapack.dorgqr(qr, tau, overwrite_a=1)
-    # [q | v] must be an orthogonal matrix: the check is what vouches
-    # for the factorisation, whatever the routines returned
-    p[:n - 1] = q.T
-    p[n - 1] = v
-    gram = p @ p.T
-    gram.reshape(-1)[::n + 1] -= 1.0
-    check(np.abs(gram).max(), 1e-12 * n, "failed to build an orthonormal basis of ker eta")
-    d_basis = _frozen(q)
-
-    u = frame.u
-    u_dd = _pullback(u, d_basis)
-    h_coeff = u_dd @ frame.eta / c2
-    h_mean = -frame.eta / (n - 1)
-
-    sym = float(np.abs(h_coeff - h_coeff.T).max())
-    u_xi = frame.eta @ (frame.eta @ u)
-    trace_id = u_dd.trace() + frame.eta
-    worst = max(sym, float(np.abs(u_xi).max()) / max(c2, 1.0),
-                float(np.abs(trace_id).max()) / max(frame.c, 1.0))
-    check(worst, max(tol, 1e-10), "foliation identities failed")
-    return FoliationData(
-        d_basis=d_basis,
-        h_coeff=_frozen(h_coeff),
-        h_mean=_frozen(h_mean),
-        xi=_frozen(frame.eta.copy()),
-        c=frame.c,
-    )
+    return as_frame(dec, metric).foliation

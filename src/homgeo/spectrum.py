@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConsistencyError,
@@ -37,7 +36,7 @@ from .errors import (
     ParamOutOfRange,
     check,
 )
-from .lie import LieAlgebra, _frozen, _pullback, killing_form
+from .lie import LieAlgebra, _frozen, _null_space, _pullback, killing_form
 from .reductive import InvariantMetric, ReductiveDecomposition
 
 
@@ -236,7 +235,7 @@ def _chamber_point(rows: np.ndarray, signs) -> tuple[np.ndarray, np.ndarray | No
     here without trusting the solver; if neither holds, ConsistencyError.
     """
     nb = rows.shape[1]
-    null = scipy.linalg.null_space(rows) if len(rows) else np.eye(nb)
+    null = _null_space(rows) if len(rows) else np.eye(nb)
     eps = np.asarray(signs, dtype=float)
     chamber = eps[:, None] * null
     proj = chamber @ chamber.T
@@ -391,7 +390,7 @@ def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
     u, s, _ = np.linalg.svd(phi)
     rank = int(np.sum(s > max(np.sqrt(tol), 1e-8) * max(1.0, s[0] if len(s) else 1.0)))
     k_basis = u[:, :rank]
-    m_basis = scipy.linalg.null_space(phi, rcond=max(np.sqrt(tol), 1e-8))
+    m_basis = _null_space(phi, rcond=max(np.sqrt(tol), 1e-8))
     if k_basis.shape[1] + m_basis.shape[1] != dim:
         raise ConsistencyError("fixed space and complement do not fill the algebra")
 

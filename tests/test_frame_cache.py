@@ -22,8 +22,9 @@ from homgeo.curvature import (
     ricci_routes,
     xi_curvatures,
 )
-from homgeo.errors import ConsistencyError, InvalidMetric
-from homgeo.reductive import Frame, InvariantMetric, as_frame
+from homgeo.errors import ConsistencyError, InvalidMetric, UnimodularInput
+from homgeo.lie import unimodular_kernel
+from homgeo.reductive import Frame, InvariantMetric, as_frame, foliation_data
 from homgeo.structure import classify, homogeneous_structure
 from homgeo.verify import run_all
 
@@ -130,11 +131,11 @@ def g_space():
 
 
 def count_builds(monkeypatch, fail=None):
-    """Count Frame builds and first accesses of r4 and ricci_routes.
+    """Count Frame builds and first accesses of r4, ricci_routes and foliation.
 
     With fail set, that property raises after counting its attempt.
     """
-    counts = {"Frame": 0, "r4": 0, "ricci_routes": 0}
+    counts = {"Frame": 0, "r4": 0, "ricci_routes": 0, "foliation": 0}
     init = Frame.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -142,7 +143,7 @@ def count_builds(monkeypatch, fail=None):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Frame, "__init__", counting_init)
-    for name in ("r4", "ricci_routes"):
+    for name in ("r4", "ricci_routes", "foliation"):
         def counted(self, name=name, func=Frame.__dict__[name].func):
             counts[name] += 1
             if name == fail:
@@ -166,7 +167,7 @@ def test_one_space_is_built_once(monkeypatch):
     dec, g = g_space()
     counts = count_builds(monkeypatch)
     pipeline(dec, g)
-    assert counts == {"Frame": 1, "r4": 1, "ricci_routes": 1}
+    assert counts == {"Frame": 1, "r4": 1, "ricci_routes": 1, "foliation": 1}
 
 
 def test_alternating_metrics_match_fresh_frames():
@@ -216,6 +217,30 @@ def test_a_failure_is_not_kept(monkeypatch):
             curvature_tensor(dec, g)
     assert counts["Frame"] == 1
     assert counts["r4"] == 3
+
+
+def test_a_failed_foliation_is_not_kept(monkeypatch):
+    # a unimodular space is refused on every call
+    frame = milnor_frame()
+    for _ in range(2):
+        with pytest.raises(UnimodularInput):
+            foliation_data(frame)
+    dec, g = g_space()
+    counts = count_builds(monkeypatch, fail="foliation")
+    for call in (foliation_data, xi_curvatures, foliation_data):
+        with pytest.raises(ConsistencyError, match="injected"):
+            call(dec, g)
+    assert counts["Frame"] == 1
+    assert counts["foliation"] == 3
+
+
+def test_run_all_builds_one_foliation_per_non_unimodular_entry(monkeypatch):
+    # _check_foliation and the xi_curvatures it calls read one Frame's foliation
+    counts = count_builds(monkeypatch)
+    assert run_all().ok
+    non_unimodular = sum(not unimodular_kernel(e.algebra)[0] for e in default_entries())
+    assert non_unimodular == 7
+    assert counts["foliation"] == non_unimodular
 
 
 def test_run_all_builds_three_frames_per_entry_at_its_tolerance(monkeypatch):

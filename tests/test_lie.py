@@ -2,8 +2,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from homgeo.catalog import default_entries
+from homgeo.catalog import default_entries, su21_model
+from homgeo.config import DEFAULT_TOL
 from homgeo.errors import (
     ConsistencyError,
     IndexOutOfRange,
@@ -14,6 +16,7 @@ from homgeo.errors import (
 from homgeo.lie import (
     Derivation,
     LieAlgebra,
+    _null_space,
     ad_matrix,
     build_lie_algebra,
     change_basis,
@@ -159,6 +162,38 @@ def test_trace_vector_and_unimodular_kernel():
     assert not uni
     assert basis.shape == (2, 1)
     assert abs(abs(basis[1, 0]) - 1.0) <= 1e-12
+
+
+def _null_space_cases():
+    rng = np.random.default_rng(2101)
+
+    def deficient(m, n, rank, noise=0.0):
+        a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        return a + noise * rng.standard_normal((m, n))
+
+    theta_rcond = max(np.sqrt(DEFAULT_TOL), 1e-8)  # the rcond theta_split passes
+    _, _, theta = su21_model()
+    eye = np.eye(len(theta))
+    return [
+        pytest.param(deficient(1, 4, 1), None, id="trace-row"),
+        pytest.param(deficient(3, 5, 2), None, id="wide"),
+        pytest.param(deficient(5, 3, 2), None, id="tall"),
+        pytest.param(deficient(6, 6, 3), None, id="square"),
+        pytest.param(deficient(8, 8, 6, 1e-14), None, id="square-noisy"),
+        pytest.param(np.zeros((1, 4)), None, id="zero-row"),
+        pytest.param(np.vstack([deficient(2, 4, 2), np.zeros(4)]), None, id="with-zero-row"),
+        pytest.param(deficient(6, 6, 4, 1e-9), theta_rcond, id="theta-rcond"),
+        pytest.param(eye + theta + theta @ theta, theta_rcond, id="theta-phi"),
+    ]
+
+
+@pytest.mark.parametrize("a, rcond", _null_space_cases())
+def test_null_space_matches_scipy(a, rcond):
+    got = _null_space(a, rcond=rcond)
+    want = scipy.linalg.null_space(a, rcond=rcond)
+    assert got.shape == want.shape
+    assert np.abs(got.T @ got - np.eye(got.shape[1])).max() <= 1e-12
+    assert np.abs(got @ got.T - want @ want.T).max() <= 1e-12
 
 
 def test_derivation_validation():

@@ -470,11 +470,20 @@ def test_nnls_iteration_cap_raises(monkeypatch):
 
 
 def test_import_and_solve_leave_scipy_optimize_unloaded():
+    # homgeo runs on numpy alone: importing it and calling each public route
+    # that once reached scipy loads no scipy module at all
     code = ("import sys, homgeo, homgeo.cli\n"
-            "from homgeo.catalog import su21_model\n"
-            "alg, grading, _ = su21_model()\n"
+            "from homgeo.catalog import build, su21_model\n"
+            "entry = build('g', alpha=(0.5, 1.0, 2.0))\n"
+            "dec, g = entry.decomposition, entry.metric\n"
+            "homgeo.classify(dec, g)\n"
+            "homgeo.xi_curvatures(dec, g)\n"
+            "alg, grading, theta = su21_model()\n"
             "assert homgeo.solve_cyclic(alg, grading).feasible\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']))\n")
+            "homgeo.theta_split(alg, theta)\n"
+            "assert not homgeo.unimodular_kernel(entry.algebra)[0]\n"
+            "assert homgeo.run_all().ok\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
