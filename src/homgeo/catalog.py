@@ -22,7 +22,8 @@ from inspect import signature
 
 import numpy as np
 
-from .errors import ParamOutOfRange, UnknownEntry, check
+from .config import bound, check
+from .errors import ParamOutOfRange, UnknownEntry
 from .lie import (
     LieAlgebra,
     build_lie_algebra,
@@ -59,8 +60,8 @@ class ExpectedClass(_ClassBooleans):
                if report.booleans()[name] != want]
         eta = np.asarray(self.eta, dtype=float)
         got = np.asarray(report.eta, dtype=float)
-        if eta.shape != got.shape or float(np.abs(eta - got).max()) > max(
-                report.tol, 1e-9 * max(1.0, float(np.abs(eta).max()))):
+        if eta.shape != got.shape or float(np.abs(eta - got).max()) > bound(
+                "expected_eta", max(1.0, float(np.abs(eta).max())), report.tol):
             bad.append("eta")
         return bad
 
@@ -96,7 +97,7 @@ def _entry(name, params, dec, metric, provenance, eta, *, cyclic, traceless,
 
 
 def _near(x, y) -> bool:
-    return abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+    return abs(x - y) <= bound("catalog_near", max(1.0, abs(x), abs(y)))
 
 
 def _real(value) -> float:
@@ -297,24 +298,21 @@ def _matrix_model(matrices, labels, z, grading):
             vec = _real_coords(matrices[i] @ matrices[j] - matrices[j] @ matrices[i])
             coeff = np.linalg.lstsq(basis, vec, rcond=None)[0]
             remainder = float(np.linalg.norm(basis @ coeff - vec))
-            check(remainder, 1e-9 * max(1.0, float(np.linalg.norm(vec))),
-                  f"matrix basis is not closed under brackets at ({i},{j})")
+            check("model_closure", remainder, max(1.0, float(np.linalg.norm(vec))), i=i, j=j)
             tensor[i, j, :] = coeff
             tensor[j, i, :] = -coeff
     alg = from_tensor(np.round(tensor, 12), basis_labels=labels)
 
     expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
                            for x in matrices])
-    check(float(np.abs(killing_form(alg) - expected_b).max()), alg.tol,
-          "Killing form does not match six times the trace form")
+    check("model_killing", float(np.abs(killing_form(alg) - expected_b).max()), tol=alg.tol)
 
     zinv = np.linalg.inv(z)
     cols = []
     for m in matrices:
         vec = _real_coords(z @ m @ zinv)
         coeff = np.linalg.lstsq(basis, vec, rcond=None)[0]
-        check(float(np.linalg.norm(basis @ coeff - vec)), 1e-9,
-              "conjugation does not preserve the span")
+        check("model_conjugation", float(np.linalg.norm(basis @ coeff - vec)))
         cols.append(coeff)
     return alg, grading, np.array(cols).T
 

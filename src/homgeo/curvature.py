@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlane, NotCyclic, check
+from .config import bound, check
+from .errors import DegeneratePlane, NotCyclic
 from .reductive import Frame, as_frame
 
 
@@ -114,7 +115,7 @@ def sectional_curvature(dec, metric, x, y) -> float:
     nx2 = float(xf @ xf)
     ny2 = float(yf @ yf)
     area2 = nx2 * ny2 - float(xf @ yf) ** 2
-    if area2 <= max(frame.tol, 1e-12) * max(1.0, nx2, ny2):
+    if area2 <= bound("degenerate_plane", max(1.0, nx2, ny2), frame.tol):
         raise DegeneratePlane("x and y do not span a nondegenerate plane")
     num = float(xf @ _quartic_form(frame.r4, yf) @ xf)
     return num / area2
@@ -155,8 +156,8 @@ def einstein_check(dec, metric=None) -> EinsteinReport:
     shifted = ric.copy()
     shifted.flat[::n + 1] -= lam  # Ric - lam I
     dev = float(np.abs(shifted).max())
-    check_tol = max(frame.tol, 1e-9 * max(1.0, float(np.abs(ric).max())))
-    return EinsteinReport(ric, lam, dev, dev <= check_tol)
+    limit = bound("einstein", max(1.0, float(np.abs(ric).max())), frame.tol)
+    return EinsteinReport(ric, lam, dev, dev <= limit)
 
 
 @dataclass(frozen=True)
@@ -194,11 +195,10 @@ def xi_curvatures(dec, metric=None) -> XiCurvatureReport:
     ad_xi = np.einsum("a,abc->cb", frame.eta, frame.lte)  # maps frame coords
     a_matrix = d.T @ ad_xi @ d
     a_sym = float(np.abs(a_matrix - a_matrix.T).max())
-    check(a_sym, max(tol, 1e-10) * max(1.0, float(np.abs(a_matrix).max())),
-          "ad_xi on D is not symmetric on a cyclic space")
+    check("xi_symmetry", a_sym, max(1.0, float(np.abs(a_matrix).max())), tol)
     kappa = float(np.trace(a_matrix)) / (n - 1)
     umb_defect = float(np.abs(a_matrix - kappa * np.eye(n - 1)).max())
-    umbilical = umb_defect <= max(tol, 1e-10 * max(1.0, c2))
+    umbilical = umb_defect <= bound("umbilical", max(1.0, c2), tol)
 
     # num[i] = R4(d_i, xi, d_i, xi); column i of bx is [xi, d_i]_m
     num = np.sum(d * (_quartic_form(frame.r4, frame.eta) @ d), axis=0)

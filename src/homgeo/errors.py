@@ -1,13 +1,10 @@
-"""Exception hierarchy and the one residual check.
+"""Exception hierarchy.
 
 ValidationError subclasses signal bad input (CLI exit code 1).
 ConsistencyError signals a failed internal cross-check, i.e. two
 independent routes to the same quantity disagreed (CLI exit code 2).
-
-Every self-check in the package that compares a residual with a bound
-calls check: it passes when the residual is at most the bound, and
-otherwise raises the site's error class with both numbers.  The bound
-is formed at each site.
+Each residual check raises the error class of its row in
+config.CHECKS.
 """
 
 
@@ -92,16 +89,3 @@ class ParseError(ValidationError):
 class ConsistencyError(HomgeoError):
     """Two independent computations of the same quantity disagreed."""
 
-
-def _residual_text(residual, bound) -> str:
-    """The text "residual R (bound B)" that every residual check reports."""
-    return f"residual {residual:.3e} (bound {bound:.1e})"
-
-
-def check(residual, bound, what, error=ConsistencyError) -> None:
-    """Raise error("what: residual R (bound B)") unless residual <= bound.
-
-    The test is `not residual <= bound`, so a NaN residual fails.
-    """
-    if not residual <= bound:
-        raise error(f"{what}: {_residual_text(residual, bound)}")

@@ -117,9 +117,11 @@ def algebra_from_dict(data, tol=DEFAULT_TOL, location: str = "algebra") -> LieAl
             key_loc = f"{loc}.out[{key!r}]"
             try:
                 k = int(key)
+                if str(k) != key:  # "02", " 2", "+2" and "1_0" would alias another key
+                    raise ValueError
             except (TypeError, ValueError):
-                raise ParseError(f"component key must be an integer string, "
-                                 f"got {key!r}", location=key_loc) from None
+                raise ParseError(f"component key must be an integer string in decimal "
+                                 f"form, got {key!r}", location=key_loc) from None
             if not 0 <= k < dim:
                 raise ParseError(f"index {k} out of range for dimension {dim}",
                                  location=key_loc)

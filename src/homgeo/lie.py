@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-from .errors import (
-    IndexOutOfRange,
-    JacobiViolation,
-    NotADerivation,
-    ParamOutOfRange,
-    check,
-)
+from .config import DEFAULT_TOL, bound, check, tolerance
+from .errors import IndexOutOfRange, ParamOutOfRange
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -158,7 +152,7 @@ def _algebra(upper: np.ndarray, basis_labels, tol: float) -> LieAlgebra:
         i, j, _ = np.argwhere(~finite)[0]
         raise ParamOutOfRange(f"bracket [e{i}, e{j}] has a non-finite coefficient")
     defect = jacobi_residual(tensor)
-    check(defect, tol, "Jacobi identity fails", JacobiViolation)
+    check("jacobi", defect, tol=tol)
     return LieAlgebra(dim, labels, _frozen(tensor), defect, tol)
 
 
@@ -170,9 +164,10 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieA
     for one coefficient add up in table order.  Every index is an int or
     a numpy integer in 0..dim-1, and a pair has exactly two; anything
     else raises IndexOutOfRange.  Raises JacobiViolation if the Jacobi
-    identity fails beyond tol, which the algebra keeps.
+    identity fails beyond tol, which the algebra keeps, and
+    ParamOutOfRange unless tol is finite and nonnegative.
     """
-    tol = float(tol)
+    tol = tolerance(tol)
     dim = int(dim)
     if dim < 0:
         raise IndexOutOfRange(f"dim must be nonnegative, got {dim}")
@@ -213,14 +208,14 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieA
 
 def from_tensor(tensor, basis_labels=None, tol=DEFAULT_TOL) -> LieAlgebra:
     """Build a LieAlgebra from a dense (dim, dim, dim) antisymmetric bracket tensor."""
-    tol = float(tol)
+    tol = tolerance(tol)
     tensor = np.asarray(tensor, dtype=float)
     if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
         raise IndexOutOfRange(f"bracket tensor must be (dim, dim, dim), got {tensor.shape}")
     if not np.isfinite(tensor).all():
         raise ParamOutOfRange("bracket tensor has a non-finite entry")
     skew = float(np.abs(tensor + np.transpose(tensor, (1, 0, 2))).max()) if tensor.size else 0.0
-    check(skew, tol, "bracket tensor not antisymmetric", IndexOutOfRange)
+    check("tensor_antisymmetry", skew, tol=tol)
     return _algebra(_upper(tensor), basis_labels, tol)
 
 
@@ -279,7 +274,7 @@ def unimodular_kernel(algebra: LieAlgebra):
     # w[i, :, c] = [e_i, basis_c] must lie in the kernel again
     w = np.tensordot(algebra.tensor, basis, axes=([1], [0]))
     worst = float(np.abs(w - proj @ w).max())
-    check(worst, max(tol, 1e-12), "unimodular kernel failed the ideal check")
+    check("unimodular_kernel", worst, tol=tol)
     return False, _frozen(basis)
 
 
@@ -303,7 +298,7 @@ def derivation(algebra: LieAlgebra, matrix) -> Derivation:
     """Validate matrix as a derivation, at the algebra's tolerance."""
     tol = algebra.tol
     defect = derivation_residual(algebra, matrix)
-    check(defect, tol, "matrix is not a derivation", NotADerivation)
+    check("derivation", defect, tol=tol)
     return Derivation(_frozen(matrix), defect)
 
 
@@ -333,5 +328,5 @@ def change_basis(algebra: LieAlgebra, p) -> LieAlgebra:
         raise ParamOutOfRange("change of basis matrix is singular") from None
     new = _pullback(algebra.tensor, p) @ pinv.T
     scale = max(1.0, float(np.abs(new).max()))
-    new[np.abs(new) < 1e-13 * scale] = 0.0  # rotation roundoff
+    new[np.abs(new) < bound("basis_roundoff", scale)] = 0.0  # rotation roundoff
     return _algebra(_upper(new), algebra.basis_labels, algebra.tol)

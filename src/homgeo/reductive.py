@@ -21,15 +21,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-from .errors import (
-    ConsistencyError,
-    IndexOutOfRange,
-    InvalidMetric,
-    NotReductive,
-    UnimodularInput,
-    check,
-)
+from .config import DEFAULT_TOL, bound, check, tolerance
+from .errors import ConsistencyError, IndexOutOfRange, InvalidMetric, UnimodularInput
 from .lie import LieAlgebra, _frozen, _pullback, _slices, _worst, killing_form, trace_vector
 
 
@@ -88,8 +81,8 @@ def check_reductive(dec: ReductiveDecomposition) -> ReductiveReport:
     if k:
         kk = float(np.abs(c[np.ix_(k, k)][:, :, m]).max())
         km = float(np.abs(c[np.ix_(k, m)][:, :, k]).max())
-    check(kk, tol, "splitting is not reductive ([k,k] leak)", NotReductive)
-    check(km, tol, "splitting is not reductive ([k,m] leak)", NotReductive)
+    check("reductive_kk", kk, tol=tol)
+    check("reductive_km", km, tol=tol)
     return ReductiveReport(kk, km)
 
 
@@ -108,8 +101,7 @@ class InvariantMetric:
         if not np.isfinite(mat).all():
             raise InvalidMetric("metric has a non-finite entry")
         sym = float(np.abs(mat - mat.T).max())
-        check(sym, 1e-12 * max(1.0, float(np.abs(mat).max())),
-              "metric is not symmetric", InvalidMetric)
+        check("metric_symmetry", sym, max(1.0, float(np.abs(mat).max())))
         object.__setattr__(self, "matrix", _frozen((mat + mat.T) / 2.0))
 
     @classmethod
@@ -140,9 +132,9 @@ class Frame:
     eta : (n,) canonical trace form, eta[a] = -tr ad_{f_a}, which are
         also the frame coordinates of its metric dual xi; c = |eta|
     eta_m : (n,) the same form on the m-index basis vectors
-    tol : the tolerance of every decision made on this space; it is set
-        here and nowhere else.  Reductivity, a property of the brackets,
-        is checked at dec.algebra.tol
+    tol : the tolerance of every decision made on this space, finite and
+        nonnegative; it is set here and nowhere else.  Reductivity, a
+        property of the brackets, is checked at dec.algebra.tol
 
     The cached properties below the coordinate helpers are built and
     verified on first access, then shared by every function handed this
@@ -151,6 +143,7 @@ class Frame:
     """
 
     def __init__(self, dec: ReductiveDecomposition, metric: InvariantMetric, tol=DEFAULT_TOL):
+        tol = tolerance(tol)
         check_reductive(dec)
         n = dec.dim_m
         if not isinstance(metric, InvariantMetric):
@@ -175,8 +168,8 @@ class Frame:
         resid = self.q.T @ metric.matrix @ self.q
         resid.flat[::n + 1] -= 1.0
         ortho = float(np.abs(resid).max())
-        ortho_bound = 1e-12 * n * float(np.abs(chol).max()) * float(np.abs(self.q).max())
-        check(ortho, ortho_bound, "frame is not orthonormal for the metric")
+        check("frame_orthonormality", ortho,
+              n * float(np.abs(chol).max()) * float(np.abs(self.q).max()))
         algebra = dec.algebra
         dim = algebra.dim
         m_idx = list(dec.m_indices)
@@ -198,7 +191,7 @@ class Frame:
                 adk[w] = self.q_inv @ vec[m_idx, :]
             self.ad_k = adk
             inv = float(np.abs(adk + np.transpose(adk, (0, 2, 1))).max())
-            check(inv, tol, "metric is not ad_k-invariant", InvalidMetric)
+            check("ad_k_invariance", inv, tol=tol)
         else:
             self.ad_k = np.zeros((0, n, n))
 
@@ -365,8 +358,8 @@ class Frame:
         scale = max(1.0, float(np.abs(gamma).max()))
         compat = float(np.abs(gamma + gamma.transpose(0, 2, 1)).max())
         tors = float(np.abs(gamma - gamma.transpose(1, 0, 2) - self.lte).max())
-        check(compat, 1e-11 * scale, "connection coefficients fail metric compatibility")
-        check(tors, 1e-11 * scale, "connection coefficients fail the torsion identity")
+        check("connection_compatibility", compat, scale)
+        check("connection_torsion", tors, scale)
         return _frozen(gamma)
 
     @cached_property
@@ -422,7 +415,7 @@ class Frame:
             out += r4[:, :, s].transpose(2, 0, 1, 3)
             defects.append(peak(out))
         worst = _worst(defects)
-        check(worst, 1e-10 * scale, "curvature tensor fails its algebraic symmetries")
+        check("curvature_symmetries", worst, scale)
         self.r4_defect = worst
         return _frozen(r4)
 
@@ -472,8 +465,7 @@ class Frame:
         scale = max(1.0, float(np.abs(stack).max()))
         gaps = np.abs(stack[1:] - stack[0]).max(axis=(1, 2))
         for name, gap in zip(names[1:], gaps):
-            check(gap, max(self.tol, 1e-9 * scale),
-                  f"Ricci routes '{names[0]}' and '{name}' disagree")
+            check("ricci_routes", gap, scale, self.tol, route=name)
         # the largest entrywise spread is the worst gap over all route pairs
         self.ricci_gap = float((stack.max(axis=0) - stack.min(axis=0)).max())
         # each route a read-only view of one row of the stack
@@ -484,7 +476,7 @@ class Frame:
         """The canonical foliation of a non-unimodular space; see foliation_data."""
         tol = self.tol
         n = self.n
-        if self.c <= max(tol, 1e-12):
+        if self.c <= bound("foliation_c", tol=tol):
             raise UnimodularInput(
                 "canonical trace form vanishes; the foliation needs c > 0"
             )
@@ -494,7 +486,7 @@ class Frame:
         # is sqrt(tail[a+1] / tail[a]), tail[a] = sum_{b >= a} v_b^2, v = eta / c.
         # Gram-Schmidt on the kept columns is their QR factorisation with
         # R's diagonal positive.
-        thr = max(math.sqrt(tol), 1e-8)
+        thr = bound("foliation_rank", tol=math.sqrt(tol))
         v = self.eta / self.c
         skip, tail = n - 1, 0.0  # tail = tail[a + 1] on entry to the loop body
         for a, sq in zip(range(n - 1, -1, -1), reversed((v * v).tolist())):
@@ -516,7 +508,7 @@ class Frame:
         p[n - 1] = v
         gram = p @ p.T
         gram.reshape(-1)[::n + 1] -= 1.0
-        check(np.abs(gram).max(), 1e-12 * n, "failed to build an orthonormal basis of ker eta")
+        check("foliation_basis", np.abs(gram).max(), n)
         d_basis = _frozen(q)
 
         u = self.u
@@ -529,7 +521,7 @@ class Frame:
         trace_id = u_dd.trace() + self.eta
         worst = max(sym, float(np.abs(u_xi).max()) / max(c2, 1.0),
                     float(np.abs(trace_id).max()) / max(self.c, 1.0))
-        check(worst, max(tol, 1e-10), "foliation identities failed")
+        check("foliation_identities", worst, tol=tol)
         return FoliationData(
             d_basis=d_basis,
             h_coeff=_frozen(h_coeff),
@@ -610,12 +602,13 @@ def foliation_data(dec, metric=None) -> FoliationData:
     otherwise.  The columns of d_basis are the Gram-Schmidt basis of the
     projected frame vectors P e_a, P = I - xi xi^T / c^2, taken in index
     order with one left out: the first whose Gram-Schmidt residual norm
-    is at most max(sqrt(tol), 1e-8), or the last if there is none.
-    [d_basis | xi / c] is checked to be an orthogonal matrix within
-    1e-12 n, and ConsistencyError is raised otherwise or when a second
-    column is dependent.  Internal identities (symmetry of h,
-    U(xi,xi) = 0 and the trace identity xi = -sum_i U(d_i, d_i)) are
-    verified.  The result is built once per Frame (Frame.foliation); a
-    call that raises keeps nothing, so the next one raises again.
+    is at most bound("foliation_rank", tol=sqrt(tol)), or the last if
+    there is none.  [d_basis | xi / c] is checked to be an orthogonal
+    matrix (row foliation_basis, at scale n); ConsistencyError is raised
+    otherwise or when a second column is dependent.  Internal identities
+    (symmetry of h, U(xi,xi) = 0 and the trace identity
+    xi = -sum_i U(d_i, d_i)) are verified.  The result is built once per
+    Frame (Frame.foliation); a call that raises keeps nothing, so the
+    next one raises again.
     """
     return as_frame(dec, metric).foliation

@@ -26,15 +26,14 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
+from .config import bound, check
 from .errors import (
     ConsistencyError,
     DegenerateKillingForm,
     IndexOutOfRange,
     NoWitness,
-    NotAutomorphism,
     NotOrder3,
     ParamOutOfRange,
-    check,
 )
 from .lie import LieAlgebra, _frozen, _null_space, _pullback, killing_form
 from .reductive import InvariantMetric, ReductiveDecomposition
@@ -119,7 +118,7 @@ def _block_killing(algebra, grading):
     for blk, sign in zip(grading.blocks, grading.signs):
         sub = b[np.ix_(blk, blk)]
         eig = np.linalg.eigvalsh(sub)
-        if float(np.abs(eig).min()) <= max(tol, 1e-12) * scale:
+        if float(np.abs(eig).min()) <= bound("block_killing_singular", scale, tol):
             raise DegenerateKillingForm(
                 f"Killing form is singular on block {blk}"
             )
@@ -131,8 +130,7 @@ def _block_killing(algebra, grading):
     # cross-block orthogonality keeps the family block diagonal
     for bi, bj in combinations(grading.blocks, 2):
         off = float(np.abs(b[np.ix_(bi, bj)]).max())
-        check(off, max(tol, 1e-10) * scale,
-              f"blocks {bi} and {bj} are not Killing-orthogonal", ParamOutOfRange)
+        check("block_orthogonality", off, scale, tol, bi=bi, bj=bj)
     restrictions = tuple(restrictions)
     _last_blocks = (algebra, grading, restrictions)
     return restrictions
@@ -246,14 +244,14 @@ def _chamber_point(rows: np.ndarray, signs) -> tuple[np.ndarray, np.ndarray | No
     margins = proj @ y  # eps * lam before scaling
     top = float(margins.max())
     # the absolute floor comes first: roundoff of P y = 0 can be all positive
-    if top > 1e-9 and float(margins.min()) > 1e-6 * top:
+    if top > bound("chamber_floor") and float(margins.min()) > bound("chamber_margin", top):
         lam = eps * margins / top
         if len(rows):
-            check(float(np.abs(rows @ lam).max()), 1e-8,
-                  "chamber point violates the cyclic constraints")
+            check("chamber_point", float(np.abs(rows @ lam).max()))
         return null, lam
     residual = float(np.linalg.norm(null.T @ (eps * y)))
-    if float(y.min()) >= 0.0 and abs(float(y.sum()) - 1.0) <= 1e-9 and residual <= 1e-9:
+    limit = bound("gordan_certificate")
+    if float(y.min()) >= 0.0 and abs(float(y.sum()) - 1.0) <= limit and residual <= limit:
         return null, None
     raise ConsistencyError(
         f"chamber undecided: largest margin {top:.3e} gives no chamber point, and the "
@@ -374,23 +372,21 @@ def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
         )
     eye = np.eye(dim)
     scale = max(1.0, float(np.abs(theta).max()))
-    check(float(np.abs(theta @ theta @ theta - eye).max()), max(tol, 1e-10) * scale ** 3,
-          "theta^3 is not the identity", NotOrder3)
-    if float(np.abs(theta - eye).max()) <= max(tol, 1e-10) * scale:
+    check("theta_order3", float(np.abs(theta @ theta @ theta - eye).max()), scale ** 3, tol)
+    if float(np.abs(theta - eye).max()) <= bound("theta_identity", scale, tol):
         raise NotOrder3("theta is the identity; the splitting is trivial")
 
     c = algebra.tensor
     lhs = _pullback(c, theta)
     rhs = c @ theta.T
     defect = float(np.abs(lhs - rhs).max())
-    check(defect, max(tol, 1e-10) * max(1.0, float(np.abs(c).max())) * scale ** 2,
-          "theta does not respect the bracket", NotAutomorphism)
+    check("theta_automorphism", defect, max(1.0, float(np.abs(c).max())) * scale ** 2, tol)
 
     phi = eye + theta + theta @ theta
     u, s, _ = np.linalg.svd(phi)
-    rank = int(np.sum(s > max(np.sqrt(tol), 1e-8) * max(1.0, s[0] if len(s) else 1.0)))
+    rank = int(np.sum(s > bound("theta_rank", max(1.0, s[0] if len(s) else 1.0), np.sqrt(tol))))
     k_basis = u[:, :rank]
-    m_basis = _null_space(phi, rcond=max(np.sqrt(tol), 1e-8))
+    m_basis = _null_space(phi, rcond=bound("theta_rank", tol=np.sqrt(tol)))
     if k_basis.shape[1] + m_basis.shape[1] != dim:
         raise ConsistencyError("fixed space and complement do not fill the algebra")
 
@@ -401,8 +397,7 @@ def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
         ad = np.einsum("i,ijk->kj", k_basis[:, w], c)
         ad_m = m_basis.T @ ad @ m_basis
         worst = max(worst, float(np.abs(j_matrix @ ad_m - ad_m @ j_matrix).max()))
-    check(worst, max(tol, 1e-9) * max(1.0, scale, float(np.abs(c).max())),
-          "order-3 splitting identities failed")
+    check("theta_splitting", worst, max(1.0, scale, float(np.abs(c).max())), tol)
     return Order3Split(
         theta=_frozen(theta),
         k_basis=_frozen(k_basis),
@@ -448,19 +443,17 @@ def flat_section_witness(algebra: LieAlgebra, eigen_list) -> tuple[int, int]:
             mix = abs(lams[i] + lams[j]) * float(
                 np.linalg.norm(algebra.bracket(vecs[i], vecs[j]))
             )
-            bound = max(tol, 1e-10) * scale * norms[i] * norms[j] * max(
-                1.0, abs(lams[i]) + abs(lams[j]))
-            check(mix, bound, f"eigen data is inconsistent: [v_{i}, v_{j}] does not vanish "
-                  "although the eigenvalues do not cancel", ParamOutOfRange)
+            check("witness_consistency", mix, scale * norms[i] * norms[j] * max(
+                1.0, abs(lams[i]) + abs(lams[j])), tol, i=i, j=j)
 
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            if float(np.linalg.norm(algebra.bracket(vecs[i], vecs[j]))) <= max(
-                    tol, 1e-10) * scale * norms[i] * norms[j]:
+            if float(np.linalg.norm(algebra.bracket(vecs[i], vecs[j]))) <= bound(
+                    "witness", scale * norms[i] * norms[j], tol):
                 return (i, j)
 
-    if abs(sum(lams)) <= max(tol, 1e-10) * max(
-            1.0, max((abs(v) for v in lams), default=0.0)):
+    if abs(sum(lams)) <= bound("no_witness", max(
+            1.0, max((abs(v) for v in lams), default=0.0)), tol):
         raise NoWitness(
             "no commuting pair exists among the given eigenvectors"
         )

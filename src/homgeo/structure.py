@@ -41,8 +41,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-from .errors import ConsistencyError, SlotSymmetryViolation, check
+from .config import DEFAULT_TOL, check
+from .errors import ConsistencyError, SlotSymmetryViolation
 from .lie import _frozen
 from .reductive import as_frame, cyclic_sum
 
@@ -64,7 +64,7 @@ class _SkewPairTensor:
 
     components: np.ndarray
     _swap: ClassVar[tuple]  # axes order exchanging the antisymmetric slot pair
-    _what: ClassVar[str]  # what the slot check's error says
+    _check: ClassVar[str]  # the slot check's row in config.CHECKS
 
     def __post_init__(self):
         a = np.asarray(self.components, dtype=float)
@@ -72,8 +72,7 @@ class _SkewPairTensor:
             raise SlotSymmetryViolation(
                 f"expected nonempty cubic rank-3 components, got {a.shape}")
         defect = float(np.abs(a + a.transpose(self._swap)).max())
-        check(defect, max(1e-9, 1e-12 * max(1.0, float(np.abs(a).max()))),
-              self._what, SlotSymmetryViolation)
+        check(self._check, defect, max(1.0, float(np.abs(a).max())), DEFAULT_TOL)
         object.__setattr__(self, "components", _frozen(a))
 
     @property
@@ -85,7 +84,7 @@ class _SkewPairTensor:
 class StructureTensor(_SkewPairTensor):
     """Lowered structure tensor, antisymmetric in the last two slots."""
 
-    _swap, _what = (0, 2, 1), "structure tensor not antisymmetric in slots 2,3"
+    _swap, _check = (0, 2, 1), "structure_tensor_skew"
 
     def norm(self) -> float:
         return _norm(self.components)
@@ -95,7 +94,7 @@ class StructureTensor(_SkewPairTensor):
 class TorsionTensor(_SkewPairTensor):
     """Lowered torsion tensor, antisymmetric in the first two slots."""
 
-    _swap, _what = (1, 0, 2), "torsion tensor not antisymmetric in slots 1,2"
+    _swap, _check = (1, 0, 2), "torsion_tensor_skew"
 
 
 def homogeneous_structure(dec, metric=None) -> StructureTensor:
@@ -129,8 +128,7 @@ def trace_form(t: TorsionTensor) -> np.ndarray:
     eta = np.einsum("xaa->x", t.components)
     via_s = contract_12(torsion_to_structure(t).components)
     gap = float(np.abs(eta - via_s).max())
-    check(gap, max(DEFAULT_TOL, 1e-12 * max(1.0, float(np.abs(t.components).max()))),
-          "trace form disagrees with the structure contraction")
+    check("trace_form_identity", gap, max(1.0, float(np.abs(t.components).max())), DEFAULT_TOL)
     return eta
 
 
@@ -221,12 +219,11 @@ def _operator(n: int) -> MappingProxyType:
     p3 = split[cyclic_rows] @ skew / 3.0
     projectors = (p1, skew - p1 - p3, p3)
     worst = max(float(np.abs(p @ p - p).max()) for p in projectors)
-    check(worst, 1e-12, "type projectors are not idempotent")
+    check("projector_idempotent", worst)
     worst = max(float(np.abs(projectors[i].T @ projectors[j]).max())
                 for i in range(3) for j in range(i + 1, 3))
-    check(worst, 1e-12, "type projectors are not mutually orthogonal")
-    check(float(np.abs(sum(projectors) - skew).max()), 1e-12,
-          "type projectors do not sum to the projector onto the S-space")
+    check("projector_orthogonal", worst)
+    check("projector_sum", float(np.abs(sum(projectors) - skew).max()))
     return MappingProxyType(ops)
 
 
@@ -303,15 +300,13 @@ def _decomposition_selfcheck(a, dec, peak, overlap):
     divided by peak^2 to match.
     """
     scale = max(1.0, peak)
-    slack = 1e-11 * scale
-    check(float(np.abs(a - (dec.s1 + dec.s2 + dec.s3)).max()), slack,
-          "type components do not reconstruct the tensor")
+    check("split_reconstruction", float(np.abs(a - (dec.s1 + dec.s2 + dec.s3)).max()), scale)
     ratio = scale / peak
-    check(overlap, 1e-11 * ratio * ratio, "type components are not orthogonal")
+    check("split_orthogonality", overlap, ratio * ratio)
     skew, trace, cyc = _block_maxima(*_evaluate(_check_formula, np.array((dec.s2, dec.s3))))
-    check(skew, slack, "skew component is not totally skew")
-    check(trace, slack, "traceless component has a nonzero trace")
-    check(cyc, slack, "traceless cyclic component has a cyclic sum")
+    check("split_skew", skew, scale)
+    check("split_trace", trace, scale)
+    check("split_cyclic", cyc, scale)
 
 
 def _vectorial_target(eta) -> np.ndarray:
@@ -417,17 +412,15 @@ def _classify_crosscheck(report, frame):
     vanishes, so 3 S3, the cyclic sum of S, is minus half the cyclic sum
     of the projected bracket lte (Tricerri-Vanhecke); the trace c12(S)
     equals eta; S - S1 has norm sqrt(s2^2 + s3^2); and S vanishes
-    exactly when lte does.  A wide guard band (factor 50) keeps the
+    exactly when lte does.  A wide guard band (crosscheck_norms) keeps the
     check meaningful without flapping at the threshold.
     """
     s, types, n, tol = frame.s, frame.types, frame.n, frame.tol
     s_scale = max(1.0, report.residuals["symmetric"])  # max |S|
-    check(float(np.abs(3.0 * types.s3.reshape(-1) + 0.5 * frame._lte_residuals[0]).max()),
-          1e-10 * s_scale,
-          "3 S3 does not equal minus half the cyclic sum of the projected bracket")
-    gap = float(np.abs(contract_12(s) - frame.eta).max())
-    check(gap, max(tol, 1e-11 * s_scale),
-          "c12(S) disagrees with the canonical trace form")
+    check("crosscheck_s3",
+          float(np.abs(3.0 * types.s3.reshape(-1) + 0.5 * frame._lte_residuals[0]).max()),
+          s_scale)
+    check("crosscheck_trace", float(np.abs(contract_12(s) - frame.eta).max()), s_scale, tol)
 
     checks = [
         (report.cyclic, types.norms["s3"]),
@@ -439,8 +432,7 @@ def _classify_crosscheck(report, frame):
     scale = s_scale * n ** 1.5
     for decided, norm in checks:
         if decided:
-            check(norm, 50.0 * tol * scale,
-                  "bracket-level classification disagrees with component norms")
+            check("crosscheck_norms", norm, scale, tol)
         elif norm <= tol / (50.0 * scale):
             raise ConsistencyError(
                 "component norms disagree with bracket-level classification"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import _BLOCK_MODELS, build, default_entries
-from .config import DEFAULT_SEED, DEFAULT_TOL
+from .config import DEFAULT_SEED, DEFAULT_TOL, _residual_text, bound, tolerance
 from .curvature import (
     _quartic_form,
     curvature_diagonal_general,
@@ -26,7 +26,7 @@ from .curvature import (
     sectional_curvature,
     xi_curvatures,
 )
-from .errors import HomgeoError, _residual_text
+from .errors import HomgeoError
 from .lie import killing_form, trace_vector
 from .reductive import Frame, InvariantMetric, closedness_residual, foliation_data
 from .spectrum import _block_couplings, flat_section_witness, solve_cyclic, theta_split
@@ -88,8 +88,9 @@ class VerificationReport:
         }
 
 
-def _result(name: str, residual: float, bound: float) -> CheckResult:
-    return CheckResult(name, residual <= bound, _residual_text(residual, bound))
+def _result(name: str, residual: float, scale: float = 1.0) -> CheckResult:
+    limit = bound(name, scale)
+    return CheckResult(name, residual <= limit, _residual_text(residual, limit))
 
 
 def _is_unimodular(algebra, tol) -> bool:
@@ -116,7 +117,7 @@ def _check_classification(entry, frame, rng):
 
 def _check_curvature_symmetries(entry, frame, rng):
     scale = max(1.0, float(np.abs(frame.r4).max()))
-    return [_result("curvature_symmetries", frame.r4_defect, 1e-10 * scale)]
+    return [_result("curvature_symmetries", frame.r4_defect, scale)]
 
 
 def _unit_rows(rng, shape):
@@ -137,7 +138,7 @@ def _check_diagonal_routes(entry, frame, rng):
     if entry.expected.cyclic:
         gaps.append(cyclic_curvature_diagonal(frame, None, x, y) - from_tensor)
     worst = float(np.abs(gaps).max())
-    return [_result("diagonal_routes", worst, 1e-8)]
+    return [_result("diagonal_routes", worst)]
 
 
 def _check_ricci_routes(entry, frame, rng):
@@ -153,7 +154,7 @@ def _check_killing_identity(entry, frame, rng):
     expected = np.einsum("si,ij,sj->s", xg, b_full, xg)
     got = killing_quadratic_via_brackets(frame, x)
     worst = float(np.abs(got - expected).max())
-    return [_result("killing_identity", worst, 1e-9)]
+    return [_result("killing_identity", worst)]
 
 
 def _check_scaling_covariance(entry, frame, rng):
@@ -166,18 +167,18 @@ def _check_scaling_covariance(entry, frame, rng):
         scaled = Frame(entry.decomposition, InvariantMetric(t * entry.metric.matrix), frame.tol)
         got = sectional_curvature(scaled, None, x, y)
         worst = max(worst, abs(got - base / t))
-    return [_result("scaling_covariance", worst, 1e-9 * max(1.0, abs(base)))]
+    return [_result("scaling_covariance", worst, max(1.0, abs(base)))]
 
 
 def _check_closedness(entry, frame, rng):
     res = closedness_residual(frame)
-    return [_result("closedness", res, 1e-10)]
+    return [_result("closedness", res)]
 
 
 def _check_trace_form(entry, frame, rng):
     eta2 = trace_form(TorsionTensor(-frame.lte))
     res = float(np.abs(eta2 - frame.eta).max())
-    return [_result("canonical_trace_form", res, 1e-10 * max(1.0, frame.c))]
+    return [_result("canonical_trace_form", res, max(1.0, frame.c))]
 
 
 def _check_structure_tensor(entry, frame, rng):
@@ -193,7 +194,7 @@ def _check_structure_tensor(entry, frame, rng):
     recon = float(np.abs(d.s1 + d.s2 + d.s3 - s.components).max())
     idem = 0.0
     for slot, comp in parts.items():
-        if float(np.abs(comp).max()) <= 1e-14 * scale:
+        if float(np.abs(comp).max()) <= bound("negligible_part", scale):
             continue
         again = decompose(comp)
         own = getattr(again, slot)
@@ -201,7 +202,7 @@ def _check_structure_tensor(entry, frame, rng):
         idem = max(idem, float(np.abs(own - comp).max()),
                    *(float(np.abs(o).max()) for o in others))
     res = max(round_trip, eta_gap, recon, idem)
-    return [_result("structure_decomposition", res, 1e-10 * scale)]
+    return [_result("structure_decomposition", res, scale)]
 
 
 def _check_foliation(entry, frame, rng):
@@ -211,15 +212,13 @@ def _check_foliation(entry, frame, rng):
     # h_mean against the mean of the second fundamental form h = h_coeff xi
     mean = np.trace(fol.h_coeff) * fol.xi / (frame.n - 1)
     res = float(np.abs(fol.h_mean - mean).max())
-    out = [_result("foliation_mean_curvature", res, 1e-12 * max(1.0, frame.c))]
+    out = [_result("foliation_mean_curvature", res, max(1.0, frame.c))]
     if entry.expected.cyclic:
         s_xi = np.einsum("a,abc->bc", fol.xi, frame.s)
-        out.append(_result("foliation_s_xi", float(np.abs(s_xi).max()),
-                           1e-10 * max(1.0, frame.c)))
+        out.append(_result("foliation_s_xi", float(np.abs(s_xi).max()), max(1.0, frame.c)))
         rep = xi_curvatures(frame)
-        out.append(_result("xi_radial_identity", rep.radial_residual,
-                           1e-9 * max(1.0, frame.c ** 2)))
-        negative = min(rep.sectional) < -1e-6
+        out.append(_result("xi_radial_identity", rep.radial_residual, max(1.0, frame.c ** 2)))
+        negative = min(rep.sectional) < -bound("xi_negative_curvature")
         out.append(CheckResult(
             "xi_negative_curvature", negative,
             f"min K(X, xi) = {min(rep.sectional):.6g}"))
@@ -245,7 +244,7 @@ def _check_grading_relations(entry, frame, rng):
     for a, b, part in entry.spans or ():
         allowed[a, b, part] = allowed[b, a, part] = True
     res = float(coupling[~allowed].max(initial=0.0))
-    return [_result("grading_relations", res, 1e-10)]
+    return [_result("grading_relations", res)]
 
 
 _ENTRY_CHECKS = (
@@ -282,7 +281,7 @@ def _model_checks(models=_BLOCK_MODELS):
         fam = solve_cyclic(alg, grading)
         cone = np.array(model.cone, dtype=float).T
         coeff = np.linalg.lstsq(fam.null_basis, cone, rcond=None)[0]
-        in_span = float(np.abs(fam.null_basis @ coeff - cone).max()) <= 1e-9
+        in_span = float(np.abs(fam.null_basis @ coeff - cone).max()) <= bound("cone_span")
         triples = sorted({tuple(sorted(t)) for t in model.spans if t[2] < len(grading.blocks)})
         ok = (fam.feasible and fam.dimension == np.linalg.matrix_rank(cone) and in_span
               and list(fam.triples) == triples)
@@ -307,9 +306,11 @@ def run_all(tol=DEFAULT_TOL, seed=DEFAULT_SEED, entries=None) -> VerificationRep
 
     Results are sorted by check name; a HomgeoError inside a check is
     reported as a failure of that check rather than aborting the run.
-    Every Frame an entry's checks read is built at tol: the entry's own
-    and the two rescaled spaces of the scaling check.
+    Every Frame an entry's checks read is built at tol, which must be
+    finite and nonnegative (ParamOutOfRange): the entry's own and the
+    two rescaled spaces of the scaling check.
     """
+    tol = tolerance(tol)
     if entries is None:
         entries = default_entries()
 

@@ -88,6 +88,14 @@ def test_algebra_document_errors(mangle, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["02", " 2", "+2", "2 ", "1_0", "٢"])
+def test_bracket_output_key_must_be_canonical(key):
+    doc = {"dim": 3, "brackets": [{"i": 0, "j": 1, "out": {"2": 1.0, key: 5.0}}]}
+    with pytest.raises(ParseError, match="decimal form") as err:
+        algebra_from_dict(doc)
+    assert err.value.location == f"algebra.brackets[0].out[{key!r}]"
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as err:
         algebra_from_dict({"dim": 2, "brackets": [{"i": 0, "j": 1, "out": 3}]})
@@ -232,6 +240,17 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, doc):
     assert code == 1
     assert err.startswith("error: ParseError") and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["classify", "curvature", "verify-all"])
+def test_cli_refuses_a_bad_tolerance(tmp_path, capsys, command, tol):
+    args = [command] if command == "verify-all" else [
+        command, write_space(tmp_path, milnor_space_doc(1.0, 2.0, -3.0))]
+    code = main(args + [f"--tolerance={tol}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ParamOutOfRange: tolerance must be finite and nonnegative")
 
 
 def test_cli_curvature_json(tmp_path, capsys):
