@@ -1,26 +1,21 @@
 """Shared numeric defaults and the one table of check bounds.
 
-Every bound a residual is compared with is a named row of CHECKS: the
-self-checks that raise, the decisions that only compare, and verify-all's
-results.  A row holds a constant rel, a tolerance weight (0, 1 or 50) and
-one of two shapes; bound(name, scale, tol) is max(weight * tol, rel) * scale
-(SCALED) or max(weight * tol, rel * scale) (FLOOR), so rel * scale at
-weight 0.  scale is the site's measure of its data, tol the tolerance of
-the object checked (sites that read sqrt(tol) pass it as tol).
-check(name, residual, scale, tol) raises the row's error, "what: residual
-R (bound B)", unless the residual is at most the bound; a NaN fails.
+Every bound a residual is compared with is a named row of CHECKS, read
+by the self-checks that raise, the decisions that only compare and
+verify-all's results.  bound(name, scale, tol) of a SCALED row is
+max(weight * tol, rel) * scale, of a FLOOR row max(weight * tol, rel *
+scale): scale measures the site's data, tol is the tolerance of the
+object checked (sqrt(tol) where a site reads that), weight is 0, 1 or 50.
+check(name, residual, scale, tol) raises the row's error, "what:
+residual R (bound B)", unless residual <= bound; a NaN fails.
 
-A tolerance is passed in only where an algebra or a Frame is built, and
-tolerance() refuses one that is negative or not finite.  An algebra keeps
-its tolerance (build_lie_algebra(..., tol), from_tensor(..., tol),
-load_algebra(path, tol)), and every check on its brackets reads it,
-reductivity of a splitting included.  A space's tolerance is set once, on
-its Frame (Frame(dec, metric, tol)), and every decision on the space reads
-it: ad_k invariance, the class booleans (ClassificationReport.tol records
-it) and the checks behind them.  load_space passes its tolerance to the
-algebra it builds, and run_all its own to every Frame it builds; the CLI
-sets both with --tolerance.  Whatever is built without a tolerance is
-built at DEFAULT_TOL.
+A tolerance, finite and nonnegative (tolerance()), is passed in only
+where an algebra or a Frame is built, and kept there: every check on an
+algebra's brackets reads its tol, reductivity included, and every
+decision on a space reads its Frame's (ClassificationReport.tol records
+it).  load_space passes its tolerance to the algebra it builds, run_all
+its own to every Frame it builds, and the CLI sets both with
+--tolerance.  Whatever is built without one is built at DEFAULT_TOL.
 """
 
 import math
