@@ -50,7 +50,6 @@ from .reductive import (
     ReductiveDecomposition,
     check_reductive,
     closedness_residual,
-    foliation_data,
 )
 from .structure import (
     ClassificationReport,
@@ -60,7 +59,6 @@ from .structure import (
     classify,
     cyclic_sum,
     decompose,
-    homogeneous_structure,
     structure_to_torsion,
     torsion_to_structure,
     trace_form,
@@ -72,10 +70,7 @@ from .curvature import (
     curvature_tensor,
     cyclic_curvature_diagonal,
     einstein_check,
-    levi_civita,
     ricci_routes,
-    ricci_tensor,
-    scalar_curvature,
     sectional_curvature,
     xi_curvatures,
 )

@@ -224,15 +224,17 @@ def _cmd_verify_all(args):
 
 # --- parser and entry point ----------------------------------------------
 
+# the options main echoes in the metadata and the text footer, with their text format
+_ECHOED = {"tolerance": "{:g}", "seed": "{}"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
-                        help=f"numeric tolerance (default {DEFAULT_TOL:g})")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"random seed (default {DEFAULT_SEED})")
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+                          help=f"numeric tolerance (default {DEFAULT_TOL:g})")
 
     parser = argparse.ArgumentParser(
         prog="homgeo",
@@ -241,17 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[tolerant],
                        help="classify a space file")
     p.add_argument("space", help="path to a space JSON file")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("curvature", parents=[common],
+    p = sub.add_parser("curvature", parents=[tolerant],
                        help="curvature report for a space file")
     p.add_argument("space", help="path to a space JSON file")
     p.set_defaults(func=_cmd_curvature)
 
-    p = sub.add_parser("solve-cyclic", parents=[common],
+    p = sub.add_parser("solve-cyclic", parents=[tolerant],
                        help="solve the cyclic condition on a block-metric family")
     p.add_argument("algebra", help="path to an algebra JSON file")
     p.add_argument("--grading", required=True,
@@ -265,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="JSON object of builder parameters")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("verify-all", parents=[common],
+    p = sub.add_parser("verify-all", parents=[tolerant],
                        help="run the invariant suite over the catalog")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"random seed of the sampled checks (default {DEFAULT_SEED})")
     p.set_defaults(func=_cmd_verify_all)
     return parser
 
@@ -288,13 +292,17 @@ def main(argv=None) -> int:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1
 
-    payload["metadata"] = {"tolerance": args.tolerance, "seed": args.seed}
+    # echo the options this subcommand has, and only those
+    echo = {name: getattr(args, name) for name in _ECHOED if name in args}
+    payload["metadata"] = echo
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
-        print(f"[tolerance {args.tolerance:g}, seed {args.seed}]")
+        if echo:
+            print("[" + ", ".join(f"{name} " + _ECHOED[name].format(value)
+                                  for name, value in echo.items()) + "]")
     return code
 
 

@@ -110,7 +110,7 @@ CHECKS = MappingProxyType({
     "theta_identity": Row(1e-10, 1, SCALED),
     "theta_automorphism": Row(1e-10, 1, SCALED, "theta does not respect the bracket",
                               NotAutomorphism),
-    "theta_rank": Row(1e-8, 1, SCALED),  # at sqrt(tol): rank and rcond of 1 + theta + theta^2
+    "theta_rank": Row(1e-8, 1, SCALED),  # at sqrt(tol): the rank of 1 + theta + theta^2
     "theta_splitting": Row(1e-9, 1, SCALED, "order-3 splitting identities failed"),
     "witness_consistency": Row(1e-10, 1, SCALED, "eigen data is inconsistent: [v_{i}, v_{j}] "
                                "does not vanish although the eigenvalues do not cancel",

@@ -30,11 +30,6 @@ from .errors import DegeneratePlane, NotCyclic
 from .reductive import Frame, as_frame
 
 
-def levi_civita(dec, metric=None) -> np.ndarray:
-    """Connection coefficients <nabla_{f_a} f_b, f_c>; see Frame.gamma."""
-    return as_frame(dec, metric).gamma
-
-
 def curvature_tensor(dec, metric=None) -> np.ndarray:
     """Lowered curvature R4[a,b,c,d] = <R(f_a,f_b) f_c, f_d>; see Frame.r4."""
     return as_frame(dec, metric).r4
@@ -128,15 +123,6 @@ def ricci_routes(dec, metric=None) -> dict:
     arrays.
     """
     return dict(as_frame(dec, metric).ricci_routes)
-
-
-def ricci_tensor(dec, metric=None) -> np.ndarray:
-    """Ricci tensor in frame components, cross-checked across routes."""
-    return as_frame(dec, metric).ricci_routes["trace"]
-
-
-def scalar_curvature(dec, metric=None) -> float:
-    return float(np.trace(ricci_tensor(dec, metric)))
 
 
 @dataclass(frozen=True)

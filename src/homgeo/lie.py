@@ -242,16 +242,15 @@ def trace_vector(algebra: LieAlgebra) -> np.ndarray:
     return np.einsum("imm->i", algebra.tensor)
 
 
-def _null_space(a, rcond=None) -> np.ndarray:
+def _null_space(a) -> np.ndarray:
     """Orthonormal columns spanning the null space of the matrix a.
 
     In a full SVD a = u diag(s) vh, these are the rows of vh past the
-    singular values above max(s) * rcond; rcond defaults to
-    eps * max(a.shape), the rule of scipy.linalg.null_space.
+    singular values above max(s) * rcond, rcond = eps * max(a.shape),
+    the default rule of scipy.linalg.null_space.
     """
     _, s, vh = np.linalg.svd(a)
-    if rcond is None:
-        rcond = np.finfo(float).eps * max(a.shape)
+    rcond = np.finfo(float).eps * max(a.shape)
     rank = int(np.sum(s > np.amax(s, initial=0.0) * rcond))
     return vh[rank:].T
 

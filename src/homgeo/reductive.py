@@ -200,10 +200,6 @@ class Frame:
         self.c = math.sqrt(float(self.eta @ self.eta))
 
     # coordinate helpers ------------------------------------------------
-    def m_coords(self, v_frame):
-        """Frame coordinates -> coordinates in the m-index basis."""
-        return self.q @ np.asarray(v_frame, dtype=float)
-
     def frame_coords(self, v_m):
         """m-index basis coordinates -> frame coordinates."""
         return self.q_inv @ np.asarray(v_m, dtype=float)
@@ -254,19 +250,6 @@ class Frame:
         from .structure import decompose
 
         return decompose(self.s)
-
-    @cached_property
-    def rc(self) -> np.ndarray:
-        """Canonical curvature rc[a,b,c,d] = <[[f_a,f_b]_k, f_c], f_d>.
-
-        Built only when read.  r4 forms this term in the same product as
-        its metric term, and ricci_routes takes its trace from k_part and
-        ad_k, so neither builds this n^4 array.
-        """
-        n, dim_k = self.n, self.dec.dim_k
-        rc = (self.k_part.reshape(n * n, dim_k)
-              @ np.swapaxes(self.ad_k, 1, 2).reshape(dim_k, n * n))
-        return _frozen(rc.reshape(n, n, n, n))
 
     @cached_property
     def _bracket_pairs(self) -> tuple:
@@ -427,9 +410,7 @@ class Frame:
           trace    contraction of the curvature tensor (always),
           general  the bracket/Killing-form formula (always),
           cyclic   trace form of U minus Killing form minus the isotropy
-                   correction (cyclic brackets only),
-          cyclic_trivial_isotropy  same with the correction dropped
-                   (cyclic brackets, empty k only).
+                   correction (cyclic brackets only).
 
         Every route must agree with the trace route, or ConsistencyError
         is raised; the worst gap over all route pairs is kept as
@@ -451,14 +432,12 @@ class Frame:
 
         if self.cyclic_residual <= self.tol:
             eta_u = self.u @ self.eta
-            # the trace of rc over its second and fourth slots,
+            # the trace of the canonical curvature <[[f_x, f_a]_k, f_y], f_a> over a,
             # sum_(a, w) k_part[x, a, w] ad_k[w, a, y]; a zero matrix when k is empty
             dim_k = self.dec.dim_k
             iso = (self.k_part.reshape(n, n * dim_k)
                    @ self.ad_k.transpose(1, 0, 2).reshape(n * dim_k, n))
             routes["cyclic"] = eta_u - b_m - 0.5 * (iso + iso.T)
-            if dim_k == 0:
-                routes["cyclic_trivial_isotropy"] = eta_u - b_m
 
         names = list(routes)
         stack = _frozen(np.array(list(routes.values())))
@@ -473,7 +452,20 @@ class Frame:
 
     @cached_property
     def foliation(self) -> FoliationData:
-        """The canonical foliation of a non-unimodular space; see foliation_data."""
+        """Second fundamental form and mean curvature of the canonical foliation.
+
+        Requires a non-unimodular space (c > 0); raises UnimodularInput
+        otherwise.  The columns of d_basis are the Gram-Schmidt basis of
+        the projected frame vectors P e_a, P = I - xi xi^T / c^2, taken in
+        index order with one left out: the first whose Gram-Schmidt
+        residual norm is at most bound("foliation_rank", tol=sqrt(tol)),
+        or the last if there is none.  [d_basis | xi / c] is checked to be
+        an orthogonal matrix (row foliation_basis, at scale n);
+        ConsistencyError is raised otherwise or when a second column is
+        dependent.  Internal identities (symmetry of h, U(xi,xi) = 0 and
+        the trace identity xi = -sum_i U(d_i, d_i)) are verified.  A read
+        that raises keeps nothing, so the next one raises again.
+        """
         tol = self.tol
         n = self.n
         if self.c <= bound("foliation_c", tol=tol):
@@ -544,10 +536,13 @@ def as_frame(dec, metric=None) -> Frame:
     and returned while both objects match by identity.  Both are frozen
     and their arrays read-only, so a shared Frame holds exactly what a
     fresh one would.  A Frame passed in is returned as it is and never
-    kept, and the slot holds at most one Frame.
+    kept, and the slot holds at most one Frame.  A Frame carries its
+    metric, so a metric passed with one raises InvalidMetric.
     """
     global _last_frame
     if isinstance(dec, Frame):
+        if metric is not None:
+            raise InvalidMetric("a Frame carries its metric; pass metric=None with a Frame")
         return dec
     last = _last_frame  # read once: another thread may replace it
     if last is not None and last.dec is dec and last.metric is metric:
@@ -589,26 +584,3 @@ class FoliationData:
     h_mean: np.ndarray
     xi: np.ndarray
     c: float
-
-    def h_vector(self, i: int, j: int) -> np.ndarray:
-        """h(d_i, d_j) as a frame-coordinate vector."""
-        return self.h_coeff[i, j] * self.xi
-
-
-def foliation_data(dec, metric=None) -> FoliationData:
-    """Second fundamental form and mean curvature of the canonical foliation.
-
-    Requires a non-unimodular space (c > 0); raises UnimodularInput
-    otherwise.  The columns of d_basis are the Gram-Schmidt basis of the
-    projected frame vectors P e_a, P = I - xi xi^T / c^2, taken in index
-    order with one left out: the first whose Gram-Schmidt residual norm
-    is at most bound("foliation_rank", tol=sqrt(tol)), or the last if
-    there is none.  [d_basis | xi / c] is checked to be an orthogonal
-    matrix (row foliation_basis, at scale n); ConsistencyError is raised
-    otherwise or when a second column is dependent.  Internal identities
-    (symmetry of h, U(xi,xi) = 0 and the trace identity
-    xi = -sum_i U(d_i, d_i)) are verified.  The result is built once per
-    Frame (Frame.foliation); a call that raises keeps nothing, so the
-    next one raises again.
-    """
-    return as_frame(dec, metric).foliation

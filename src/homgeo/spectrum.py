@@ -383,12 +383,11 @@ def theta_split(algebra: LieAlgebra, theta) -> Order3Split:
     check("theta_automorphism", defect, max(1.0, float(np.abs(c).max())) * scale ** 2, tol)
 
     phi = eye + theta + theta @ theta
-    u, s, _ = np.linalg.svd(phi)
+    # one SVD and one rank rule give both spaces, so their dimensions add up to dim
+    u, s, vh = np.linalg.svd(phi)
     rank = int(np.sum(s > bound("theta_rank", max(1.0, s[0] if len(s) else 1.0), np.sqrt(tol))))
     k_basis = u[:, :rank]
-    m_basis = _null_space(phi, rcond=bound("theta_rank", tol=np.sqrt(tol)))
-    if k_basis.shape[1] + m_basis.shape[1] != dim:
-        raise ConsistencyError("fixed space and complement do not fill the algebra")
+    m_basis = vh[rank:].T
 
     j_matrix = m_basis.T @ ((2.0 * theta + eye) / np.sqrt(3.0)) @ m_basis
     nm = m_basis.shape[1]

@@ -86,20 +86,12 @@ class StructureTensor(_SkewPairTensor):
 
     _swap, _check = (0, 2, 1), "structure_tensor_skew"
 
-    def norm(self) -> float:
-        return _norm(self.components)
-
 
 @dataclass(frozen=True, eq=False)
 class TorsionTensor(_SkewPairTensor):
     """Lowered torsion tensor, antisymmetric in the first two slots."""
 
     _swap, _check = (1, 0, 2), "torsion_tensor_skew"
-
-
-def homogeneous_structure(dec, metric=None) -> StructureTensor:
-    """Structure tensor S = (1/2) T^c - U in frame components (Frame.s)."""
-    return StructureTensor(as_frame(dec, metric).s)
 
 
 def structure_to_torsion(s: StructureTensor) -> TorsionTensor:
@@ -141,9 +133,6 @@ class TypeDecomposition:
     s3: np.ndarray
     phi: np.ndarray
     norms: dict = field(default_factory=dict)
-
-    def component_norms(self) -> tuple[float, float, float]:
-        return self.norms["s1"], self.norms["s2"], self.norms["s3"]
 
 
 def _split_formula(s):

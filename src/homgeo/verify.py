@@ -28,14 +28,14 @@ from .curvature import (
 )
 from .errors import HomgeoError
 from .lie import killing_form, trace_vector
-from .reductive import Frame, InvariantMetric, closedness_residual, foliation_data
+from .reductive import Frame, InvariantMetric, closedness_residual
 from .spectrum import _block_couplings, flat_section_witness, solve_cyclic, theta_split
 from .structure import (
+    StructureTensor,
     TorsionTensor,
     classify,
     contract_12,
     decompose,
-    homogeneous_structure,
     structure_to_torsion,
     torsion_to_structure,
     trace_form,
@@ -182,7 +182,7 @@ def _check_trace_form(entry, frame, rng):
 
 
 def _check_structure_tensor(entry, frame, rng):
-    s = homogeneous_structure(frame)
+    s = StructureTensor(frame.s)
     scale = max(1.0, float(np.abs(s.components).max()))
     t = structure_to_torsion(s)
     round_trip = float(np.abs(torsion_to_structure(t).components
@@ -208,7 +208,7 @@ def _check_structure_tensor(entry, frame, rng):
 def _check_foliation(entry, frame, rng):
     if _is_unimodular(entry.algebra, frame.tol):
         return []
-    fol = foliation_data(frame)
+    fol = frame.foliation
     # h_mean against the mean of the second fundamental form h = h_coeff xi
     mean = np.trace(fol.h_coeff) * fol.xi / (frame.n - 1)
     res = float(np.abs(fol.h_mean - mean).max())

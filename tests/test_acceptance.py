@@ -16,7 +16,6 @@ from homgeo.curvature import (
     curvature_tensor,
     cyclic_curvature_diagonal,
     einstein_check,
-    ricci_tensor,
     sectional_curvature,
     xi_curvatures,
 )
@@ -32,10 +31,9 @@ from homgeo.reductive import (
     InvariantMetric,
     ReductiveDecomposition,
     closedness_residual,
-    foliation_data,
 )
 from homgeo.spectrum import cyclic_metric, grading_decomposition, solve_cyclic
-from homgeo.structure import classify, decompose, homogeneous_structure
+from homgeo.structure import classify, decompose
 
 
 GRID = np.linspace(-3.0, 3.0, 11)
@@ -125,10 +123,10 @@ def test_criterion_03_route_equivalence(capsys):
 
 def test_criterion_04_ricci_identities(capsys):
     dec, g = _milnor(1.0, 0.0, -1.0)
-    gap_e11 = float(np.abs(ricci_tensor(dec, g) + killing_form(dec.algebra)).max())
+    gap_e11 = float(np.abs(einstein_check(dec, g).ricci + killing_form(dec.algebra)).max())
 
     dec, g = _milnor(1.0, 2.0, -3.0)
-    ev = np.linalg.eigvalsh(ricci_tensor(dec, g))
+    ev = np.linalg.eigvalsh(einstein_check(dec, g).ricci)
     signature_ok = (ev < -1e-9).sum() == 2 and (ev > 1e-9).sum() == 1
 
     einstein_gap = 0.0
@@ -273,11 +271,11 @@ def test_criterion_09_foliation(capsys):
     exact = True
     for a, b in ((1.0, 1.0), (0.5, 2.0), (2.0, -0.5)):
         dec, g = _g_space(a, b)
-        fol = foliation_data(dec, g)
+        frame = Frame(dec, g)
+        fol = frame.foliation
         exact &= np.array_equal(fol.h_mean, -0.5 * fol.xi)
         worst = max(worst, float(np.abs(fol.h_coeff - fol.h_coeff.T).max()))
-        s = homogeneous_structure(dec, g)
-        s_xi = np.einsum("a,abc->bc", fol.xi, s.components)
+        s_xi = np.einsum("a,abc->bc", fol.xi, frame.s)
         worst = max(worst, float(np.abs(s_xi).max()))
     ok = exact and worst <= 1e-10
     _emit(capsys, 9, ok,

@@ -17,8 +17,7 @@ from homgeo.config import DEFAULT_TOL
 from homgeo.errors import ParamOutOfRange, UnknownEntry
 from homgeo.io import space_from_dict, space_to_dict
 from homgeo.lie import build_lie_algebra, killing_form
-from homgeo import verify
-from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition, foliation_data
+from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition
 from homgeo.structure import classify
 from homgeo.verify import _check_grading_relations, _model_checks, run_all
 
@@ -121,11 +120,13 @@ def test_grading_check_reads_the_span_table():
 def test_foliation_mean_curvature_reads_the_second_fundamental_form(monkeypatch, factor):
     # h_mean is compared with the mean of h_coeff, so an h_coeff off by a
     # factor fails the check
+    foliation = Frame.foliation.func
+
     def scaled(frame):
-        fol = foliation_data(frame)
+        fol = foliation(frame)
         return replace(fol, h_coeff=factor * fol.h_coeff)
 
-    monkeypatch.setattr(verify, "foliation_data", scaled)
+    monkeypatch.setattr(Frame, "foliation", property(scaled))
     report = run_all(entries=[build("g", alpha=(0.5, 1.0, 2.0))])
     result, = (r for r in report.results if r.name.endswith("::foliation_mean_curvature"))
     assert result.passed is (factor == 1.0)

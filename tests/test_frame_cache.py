@@ -18,14 +18,13 @@ from homgeo.catalog import build, default_entries
 from homgeo.curvature import (
     curvature_tensor,
     einstein_check,
-    levi_civita,
     ricci_routes,
     xi_curvatures,
 )
 from homgeo.errors import ConsistencyError, InvalidMetric, UnimodularInput
 from homgeo.lie import unimodular_kernel
-from homgeo.reductive import Frame, InvariantMetric, as_frame, foliation_data
-from homgeo.structure import classify, homogeneous_structure
+from homgeo.reductive import Frame, InvariantMetric, as_frame
+from homgeo.structure import classify
 from homgeo.verify import run_all
 
 
@@ -37,15 +36,13 @@ def milnor_frame():
 def test_derived_tensors_are_shared():
     frame = milnor_frame()
     assert curvature_tensor(frame) is curvature_tensor(frame)
-    assert levi_civita(frame) is frame.gamma
-    assert homogeneous_structure(frame).components is frame.s
     assert classify(frame).norms == frame.types.norms
     assert einstein_check(frame).ricci is frame.ricci_routes["trace"]
 
 
 def test_derived_arrays_are_read_only():
     frame = milnor_frame()
-    arrays = [curvature_tensor(frame), levi_civita(frame), frame.u, frame.rc,
+    arrays = [curvature_tensor(frame), frame.gamma, frame.u,
               frame.killing_m, frame.s, *ricci_routes(frame).values()]
     for a in arrays:
         assert a.flags.writeable is False
@@ -88,9 +85,8 @@ def test_failing_ricci_routes_fails_its_check(monkeypatch):
     assert "ConsistencyError" in results["ricci_routes"].detail
 
 
-READERS = ("levi_civita", "curvature_tensor", "ricci_routes", "ricci_tensor",
-           "scalar_curvature", "einstein_check", "xi_curvatures", "classify",
-           "homogeneous_structure", "closedness_residual", "foliation_data")
+READERS = ("curvature_tensor", "ricci_routes", "einstein_check", "xi_curvatures", "classify",
+           "closedness_residual")
 PLANE_READERS = ("curvature_diagonal_general", "cyclic_curvature_diagonal",
                  "sectional_curvature")
 
@@ -119,6 +115,16 @@ def test_missing_metric_is_invalid():
     for call in calls:
         with pytest.raises(InvalidMetric):
             call()
+
+
+def test_a_frame_refuses_a_metric():
+    # a Frame carries its metric: one passed beside it would be ignored
+    frame = milnor_frame()
+    with pytest.raises(InvalidMetric):
+        einstein_check(frame, InvariantMetric(4.0 * np.eye(3)))
+    with pytest.raises(InvalidMetric):
+        as_frame(frame, frame.metric)
+    assert as_frame(frame) is frame
 
 
 # --- consecutive (dec, metric) calls share one Frame --------------------
@@ -187,7 +193,7 @@ def test_dropped_metrics_never_share_a_frame():
     dec, _ = g_space()
     for i in range(200):
         metric = InvariantMetric.from_diag([1.0 + 0.01 * i, 1.0, 2.0, 0.5])
-        got = levi_civita(dec, metric)
+        got = as_frame(dec, metric).gamma
         assert np.array_equal(got, Frame(dec, metric).gamma), i
         del metric, got
 
@@ -224,10 +230,14 @@ def test_a_failed_foliation_is_not_kept(monkeypatch):
     frame = milnor_frame()
     for _ in range(2):
         with pytest.raises(UnimodularInput):
-            foliation_data(frame)
+            frame.foliation
     dec, g = g_space()
     counts = count_builds(monkeypatch, fail="foliation")
-    for call in (foliation_data, xi_curvatures, foliation_data):
+
+    def foliation(dec, g):
+        return as_frame(dec, g).foliation
+
+    for call in (foliation, xi_curvatures, foliation):
         with pytest.raises(ConsistencyError, match="injected"):
             call(dec, g)
     assert counts["Frame"] == 1

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from homgeo.catalog import default_entries, su21_model
-from homgeo.config import DEFAULT_TOL
 from homgeo.errors import (
     ConsistencyError,
     IndexOutOfRange,
@@ -171,26 +170,24 @@ def _null_space_cases():
         a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
         return a + noise * rng.standard_normal((m, n))
 
-    theta_rcond = max(np.sqrt(DEFAULT_TOL), 1e-8)  # the rcond theta_split passes
     _, _, theta = su21_model()
     eye = np.eye(len(theta))
     return [
-        pytest.param(deficient(1, 4, 1), None, id="trace-row"),
-        pytest.param(deficient(3, 5, 2), None, id="wide"),
-        pytest.param(deficient(5, 3, 2), None, id="tall"),
-        pytest.param(deficient(6, 6, 3), None, id="square"),
-        pytest.param(deficient(8, 8, 6, 1e-14), None, id="square-noisy"),
-        pytest.param(np.zeros((1, 4)), None, id="zero-row"),
-        pytest.param(np.vstack([deficient(2, 4, 2), np.zeros(4)]), None, id="with-zero-row"),
-        pytest.param(deficient(6, 6, 4, 1e-9), theta_rcond, id="theta-rcond"),
-        pytest.param(eye + theta + theta @ theta, theta_rcond, id="theta-phi"),
+        pytest.param(deficient(1, 4, 1), id="trace-row"),
+        pytest.param(deficient(3, 5, 2), id="wide"),
+        pytest.param(deficient(5, 3, 2), id="tall"),
+        pytest.param(deficient(6, 6, 3), id="square"),
+        pytest.param(deficient(8, 8, 6, 1e-14), id="square-noisy"),
+        pytest.param(np.zeros((1, 4)), id="zero-row"),
+        pytest.param(np.vstack([deficient(2, 4, 2), np.zeros(4)]), id="with-zero-row"),
+        pytest.param(eye + theta + theta @ theta, id="theta-phi"),
     ]
 
 
-@pytest.mark.parametrize("a, rcond", _null_space_cases())
-def test_null_space_matches_scipy(a, rcond):
-    got = _null_space(a, rcond=rcond)
-    want = scipy.linalg.null_space(a, rcond=rcond)
+@pytest.mark.parametrize("a", _null_space_cases())
+def test_null_space_matches_scipy(a):
+    got = _null_space(a)
+    want = scipy.linalg.null_space(a)
     assert got.shape == want.shape
     assert np.abs(got.T @ got - np.eye(got.shape[1])).max() <= 1e-12
     assert np.abs(got @ got.T - want @ want.T).max() <= 1e-12

@@ -16,7 +16,6 @@ from homgeo.reductive import (
     ReductiveDecomposition,
     check_reductive,
     closedness_residual,
-    foliation_data,
 )
 from homgeo.structure import classify
 
@@ -133,7 +132,7 @@ def test_frame_orthonormality_and_coords():
     # coordinate round trips
     rng = np.random.default_rng(3)
     v = rng.standard_normal(3)
-    assert np.allclose(frame.frame_coords(frame.m_coords(v)), v, atol=1e-12)
+    assert np.allclose(frame.frame_coords(frame.q @ v), v, atol=1e-12)
     assert np.allclose(frame.m_part_frame(frame.g_coords(v)), v, atol=1e-12)
     # lowered bracket is antisymmetric in the first two slots
     assert np.allclose(frame.lte, -np.einsum("abc->bac", frame.lte), atol=1e-12)
@@ -224,9 +223,13 @@ def test_canonical_data_and_closedness():
     metric = InvariantMetric.identity(3)
     frame = Frame(dec, metric)
     assert np.allclose(frame.eta, 0.0)  # unimodular
-    # canonical curvature assembled from the isotropy action
+    # canonical curvature <[[f_a,f_b]_k, f_c], f_d>: from the isotropy
+    # action, and from the brackets of frame vectors
     rc = np.einsum("abw,wdc->abcd", frame.k_part, frame.ad_k)
-    assert np.array_equal(frame.rc, rc)
+    br = alg.bracket(frame.frame_g.T[:, None], frame.frame_g.T[None, :])
+    outer = alg.bracket(frame.k_part_g(br)[:, :, None], frame.frame_g.T[None, None])
+    assert np.abs(rc).max() > 0.1
+    assert np.allclose(rc, frame.m_part_frame(outer), rtol=0, atol=1e-12)
     assert closedness_residual(dec, metric) <= 1e-12
 
 
@@ -246,7 +249,7 @@ def test_closedness_on_non_unimodular_sums():
 def test_foliation_requires_non_unimodular():
     dec = ReductiveDecomposition(milnor(1.0, 1.0, 1.0), (), (0, 1, 2))
     with pytest.raises(UnimodularInput):
-        foliation_data(dec, InvariantMetric.identity(3))
+        Frame(dec, InvariantMetric.identity(3)).foliation
 
 
 def test_foliation_hyperbolic_plane_family():
@@ -254,13 +257,12 @@ def test_foliation_hyperbolic_plane_family():
     alpha = 1.0
     alg = g_solv(alpha, alpha)
     dec = ReductiveDecomposition(alg, (), (0, 1, 2))
-    fol = foliation_data(dec, InvariantMetric.identity(3))
+    fol = Frame(dec, InvariantMetric.identity(3)).foliation
     assert fol.c == pytest.approx(2.0 * alpha)
     assert np.allclose(fol.h_mean, -fol.xi / 2.0)
     assert np.allclose(fol.h_coeff, -0.5 * np.eye(2), atol=1e-12)
     # leaves are spanned by the scaled directions
     assert np.abs(fol.d_basis[0, :]).max() <= 1e-12
-    assert np.allclose(fol.h_vector(0, 0), -0.5 * fol.xi)
 
 
 def solvable_along(direction, t=1.0):
@@ -329,7 +331,7 @@ def test_foliation_basis_is_the_gram_schmidt_basis(direction, tol, skipped, t):
     frame = Frame(solvable_along(direction, t), InvariantMetric.identity(len(direction)), tol)
     want, left_out = gram_schmidt_basis(frame)
     assert left_out == skipped
-    d = foliation_data(frame).d_basis
+    d = frame.foliation.d_basis
     assert d.shape == (frame.n, frame.n - 1)
     assert np.abs(d - want).max() <= 1e-12
     assert np.abs(d.T @ d - np.eye(frame.n - 1)).max() <= 1e-12
@@ -350,7 +352,7 @@ def test_foliation_checks_its_factorisation(monkeypatch):
 
         monkeypatch.setattr(reductive.np.linalg, "qr", orthogonal)
         with pytest.raises(ConsistencyError, match=message):
-            foliation_data(Frame(dec, g))
+            Frame(dec, g).foliation
     monkeypatch.undo()
 
     # a second dependent column in the triangular factor
@@ -361,9 +363,9 @@ def test_foliation_checks_its_factorisation(monkeypatch):
 
     monkeypatch.setattr(reductive.np.linalg, "qr", factor)
     with pytest.raises(ConsistencyError, match=message):
-        foliation_data(Frame(dec, g))
+        Frame(dec, g).foliation
     monkeypatch.undo()
-    foliation_data(Frame(dec, g))
+    Frame(dec, g).foliation
 
 
 def test_killing_restriction_helper():

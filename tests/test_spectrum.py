@@ -514,6 +514,21 @@ def test_theta_split_model_dimensions():
     assert split.m_basis.shape[1] == 6
 
 
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_theta_split_without_fixed_vectors(blocks):
+    # 120-degree rotations of abelian R^2 and R^4 fix no vector: 1 + theta
+    # + theta^2 vanishes up to rounding, so k is empty and m is everything
+    c, s = -0.5, np.sqrt(3.0) / 2.0
+    theta = np.kron(np.eye(blocks), [[c, -s], [s, c]])
+    dim = 2 * blocks
+    split = theta_split(build_lie_algebra(dim, {}), theta)
+    assert split.k_basis.shape == (dim, 0)
+    assert split.m_basis.shape == (dim, dim)
+    assert np.allclose(split.m_basis.T @ split.m_basis, np.eye(dim), rtol=0, atol=1e-12)
+    j = split.j_matrix
+    assert np.allclose(j @ j, -np.eye(dim), rtol=0, atol=1e-12)
+
+
 def test_theta_split_guards():
     alg = milnor(1.0, 1.0, 1.0)
     with pytest.raises(NotOrder3):
