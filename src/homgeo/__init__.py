@@ -48,7 +48,6 @@ from .reductive import (
     Frame,
     InvariantMetric,
     ReductiveDecomposition,
-    check_reductive,
     closedness_residual,
 )
 from .structure import (

@@ -49,11 +49,6 @@ class ExpectedClass(_ClassBooleans):
     symmetric: bool
     eta: tuple
 
-    @property
-    def traceless_cyclic(self) -> bool:
-        """Traceless and cyclic with S != 0, as classify decides it."""
-        return self.traceless and self.cyclic and not self.symmetric
-
     def mismatches(self, report) -> list:
         """Names of fields on which a ClassificationReport disagrees; eta at report.tol."""
         bad = [name for name, want in self.booleans().items()
@@ -276,10 +271,11 @@ def b4_product(alpha: float, c: float, sign: int) -> CatalogEntry:
 # --- rank-one quotients with block metrics ----------------------------
 
 
-def _real_coords(matrix) -> np.ndarray:
-    """A complex matrix as one real vector: real parts, then imaginary parts."""
-    flat = np.asarray(matrix).ravel()
-    return np.concatenate([flat.real, flat.imag])
+def _real_coords(matrices) -> np.ndarray:
+    """Complex (..., r, r) matrices as real vectors: real parts, then imaginary parts."""
+    flat = np.asarray(matrices)
+    flat = flat.reshape(flat.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def _matrix_model(matrices, labels, z, grading):
@@ -288,33 +284,33 @@ def _matrix_model(matrices, labels, z, grading):
     The structure constants of the closed list of matrices are built at
     from_tensor's default tolerance, and the Killing form is checked
     against 6 tr at the algebra's tolerance; theta is the real matrix of
-    X -> z X z^{-1} on their span.
+    X -> z X z^{-1} on their span.  Each is one least-squares solve over
+    all its right-hand sides, checked at its worst column.
     """
     dim = len(matrices)
-    basis = np.array([_real_coords(m) for m in matrices]).T
+    mats = np.array(matrices)
+    basis = _real_coords(mats).T
+    i, j = np.triu_indices(dim, 1)
+    vecs = _real_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).T
+    coeffs = np.linalg.lstsq(basis, vecs, rcond=None)[0]
+    remainders = np.linalg.norm(basis @ coeffs - vecs, axis=0)
+    scales = np.maximum(1.0, np.linalg.norm(vecs, axis=0))
+    worst = int(np.argmax(remainders / scales))
+    check("model_closure", float(remainders[worst]), float(scales[worst]),
+          i=int(i[worst]), j=int(j[worst]))
     tensor = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vec = _real_coords(matrices[i] @ matrices[j] - matrices[j] @ matrices[i])
-            coeff = np.linalg.lstsq(basis, vec, rcond=None)[0]
-            remainder = float(np.linalg.norm(basis @ coeff - vec))
-            check("model_closure", remainder, max(1.0, float(np.linalg.norm(vec))), i=i, j=j)
-            tensor[i, j, :] = coeff
-            tensor[j, i, :] = -coeff
+    tensor[i, j] = coeffs.T
+    tensor[j, i] = -coeffs.T
     alg = from_tensor(np.round(tensor, 12), basis_labels=labels)
 
     expected_b = np.array([[6.0 * np.trace(x @ y).real for y in matrices]
                            for x in matrices])
     check("model_killing", float(np.abs(killing_form(alg) - expected_b).max()), tol=alg.tol)
 
-    zinv = np.linalg.inv(z)
-    cols = []
-    for m in matrices:
-        vec = _real_coords(z @ m @ zinv)
-        coeff = np.linalg.lstsq(basis, vec, rcond=None)[0]
-        check("model_conjugation", float(np.linalg.norm(basis @ coeff - vec)))
-        cols.append(coeff)
-    return alg, grading, np.array(cols).T
+    vecs = _real_coords(z @ mats @ np.linalg.inv(z)).T
+    theta = np.linalg.lstsq(basis, vecs, rcond=None)[0]
+    check("model_conjugation", float(np.linalg.norm(basis @ theta - vecs, axis=0).max()))
+    return alg, grading, theta
 
 
 @dataclass(frozen=True)

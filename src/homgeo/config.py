@@ -91,7 +91,7 @@ CHECKS = MappingProxyType({
     "crosscheck_s3": Row(1e-10, 0, SCALED, "3 S3 does not equal minus half the cyclic sum "
                          "of the projected bracket"),
     "crosscheck_trace": Row(1e-11, 1, FLOOR, "c12(S) disagrees with the canonical trace form"),
-    "crosscheck_norms": Row(0.0, 50, SCALED,
+    "crosscheck_norms": Row(1e-11, 50, SCALED,
                             "bracket-level classification disagrees with component norms"),
     # curvature
     "degenerate_plane": Row(1e-12, 1, SCALED),  # sin^2 of the angle, times |x|^2 |y|^2

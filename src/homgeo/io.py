@@ -214,11 +214,14 @@ def grading_to_dict(grading: BlockGrading) -> dict:
 class SpaceFile:
     """Parsed contents of a space document."""
 
-    algebra: LieAlgebra
     decomposition: ReductiveDecomposition
     metric: InvariantMetric
     grading: BlockGrading | None
     name: str | None
+
+    @property
+    def algebra(self) -> LieAlgebra:
+        return self.decomposition.algebra
 
 
 def space_from_dict(data, tol=DEFAULT_TOL) -> SpaceFile:
@@ -247,8 +250,7 @@ def space_from_dict(data, tol=DEFAULT_TOL) -> SpaceFile:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(f"expected a string, got {name!r}", location="name")
-    return SpaceFile(algebra=algebra, decomposition=dec, metric=metric,
-                     grading=grading, name=name)
+    return SpaceFile(decomposition=dec, metric=metric, grading=grading, name=name)
 
 
 def space_to_dict(dec: ReductiveDecomposition, metric: InvariantMetric,

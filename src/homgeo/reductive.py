@@ -2,13 +2,13 @@
 
 A homogeneous space is presented infinitesimally: a Lie algebra g, a
 coordinate splitting g = k + m given by two index sets, and an inner
-product on m.  Reductivity means [k, k] in k and [k, m] in m; the
-metric must be symmetric positive definite and ad_k-invariant.  All
-tensor components downstream are taken in an orthonormal frame of m,
-built by Frame, which also caches every tensor derived from the bracket
-data.  as_frame turns a (decomposition, metric) call into a Frame:
-consecutive calls on the same two objects share one, and it keeps at
-most one.
+product on m.  Reductivity means [k, k] in k and [k, m] in m, and a
+ReductiveDecomposition checks it when it is built; the metric must be
+symmetric positive definite and ad_k-invariant.  All tensor components
+downstream are taken in an orthonormal frame of m, built by Frame,
+which also caches every tensor derived from the bracket data.  as_frame
+turns a (decomposition, metric) call into a Frame: consecutive calls on
+the same two objects share one, and it keeps at most one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,11 @@ from .lie import LieAlgebra, _frozen, _pullback, _slices, _worst, killing_form, 
 
 @dataclass(frozen=True, eq=False)
 class ReductiveDecomposition:
-    """Index splitting g = k + m.  k may be empty (a metric Lie group), m not."""
+    """Reductive index splitting g = k + m.  k may be empty (a metric Lie group), m not.
+
+    [k, k] in k and [k, m] in m are checked here, at algebra.tol, and
+    NotReductive is raised otherwise.
+    """
 
     algebra: LieAlgebra
     k_indices: tuple[int, ...]
@@ -51,6 +55,10 @@ class ReductiveDecomposition:
             )
         if not m:
             raise IndexOutOfRange("m must contain at least one basis index")
+        if k:  # with k empty both brackets are trivially in place
+            c, tol = self.algebra.tensor, self.algebra.tol
+            check("reductive_kk", float(np.abs(c[np.ix_(k, k)][:, :, m]).max()), tol=tol)
+            check("reductive_km", float(np.abs(c[np.ix_(k, m)][:, :, k]).max()), tol=tol)
 
     @property
     def dim_m(self) -> int:
@@ -59,31 +67,6 @@ class ReductiveDecomposition:
     @property
     def dim_k(self) -> int:
         return len(self.k_indices)
-
-
-@dataclass(frozen=True)
-class ReductiveReport:
-    kk_residual: float
-    km_residual: float
-
-    @property
-    def residual(self) -> float:
-        return max(self.kk_residual, self.km_residual)
-
-
-def check_reductive(dec: ReductiveDecomposition) -> ReductiveReport:
-    """Verify [k,k] in k and [k,m] in m at dec.algebra.tol; raise NotReductive otherwise."""
-    tol = dec.algebra.tol
-    c = dec.algebra.tensor
-    k, m = list(dec.k_indices), list(dec.m_indices)
-    kk = 0.0
-    km = 0.0
-    if k:
-        kk = float(np.abs(c[np.ix_(k, k)][:, :, m]).max())
-        km = float(np.abs(c[np.ix_(k, m)][:, :, k]).max())
-    check("reductive_kk", kk, tol=tol)
-    check("reductive_km", km, tol=tol)
-    return ReductiveReport(kk, km)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +100,17 @@ class InvariantMetric:
         return self.matrix.shape[0]
 
 
+def _adjoint(frame_g: np.ndarray, tensor: np.ndarray) -> tuple:
+    """(ad, br) for frame vectors frame_g (dim_g, n) and a bracket tensor.
+
+    ad[c, j] = [f_c, e_j] and br[a, b] = [f_a, f_b] = frame_g.T @ ad, both as
+    g-vectors: the two products of _pullback(tensor, frame_g), the first kept.
+    """
+    dim, n = frame_g.shape
+    ad = (frame_g.T @ tensor.reshape(dim, dim * dim)).reshape(n, dim, dim)
+    return ad, frame_g.T @ ad
+
+
 class Frame:
     """Orthonormal frame of (m, metric) plus the bracket data in it.
 
@@ -134,7 +128,7 @@ class Frame:
     eta_m : (n,) the same form on the m-index basis vectors
     tol : the tolerance of every decision made on this space, finite and
         nonnegative; it is set here and nowhere else.  Reductivity, a
-        property of the brackets, is checked at dec.algebra.tol
+        property of the brackets, was checked when dec was built
 
     The cached properties below the coordinate helpers are built and
     verified on first access, then shared by every function handed this
@@ -144,7 +138,6 @@ class Frame:
 
     def __init__(self, dec: ReductiveDecomposition, metric: InvariantMetric, tol=DEFAULT_TOL):
         tol = tolerance(tol)
-        check_reductive(dec)
         n = dec.dim_m
         if not isinstance(metric, InvariantMetric):
             raise InvalidMetric(f"expected an InvariantMetric, got {type(metric).__name__}")
@@ -179,17 +172,13 @@ class Frame:
         frame_g[m_idx, :] = self.q
         self.frame_g = frame_g
 
-        c = algebra.tensor
-        br = _pullback(c, frame_g)
+        ad, br = _adjoint(frame_g, algebra.tensor)
         self.lte = br[:, :, m_idx] @ self.q_inv.T
         self.k_part = br[:, :, k_idx]
 
         if k_idx:
-            adk = np.empty((len(k_idx), n, n))
-            for w, kw in enumerate(k_idx):
-                vec = c[kw].T @ frame_g  # (dim_g, n): column c holds [k_w, f_c]
-                adk[w] = self.q_inv @ vec[m_idx, :]
-            self.ad_k = adk
+            # ad[c, w] = [f_c, k_w] = -[k_w, f_c]; its m part in frame coordinates
+            self.ad_k = adk = -(ad[:, k_idx][:, :, m_idx] @ self.q_inv.T).transpose(1, 2, 0)
             inv = float(np.abs(adk + np.transpose(adk, (0, 2, 1))).max())
             check("ad_k_invariance", inv, tol=tol)
         else:
@@ -258,10 +247,8 @@ class Frame:
 
         Both diagonal forms read them; neither builds gamma or r4.
         """
-        n, dim = self.n, self.dec.algebra.dim
-        ad = (self.frame_g.T @ self.dec.algebra.tensor.reshape(dim, dim * dim)).reshape(
-            n, dim, dim)  # ad[c, j] = [f_c, e_j]
-        return self.frame_g.T @ ad, ad @ self._m_proj
+        ad, br = _adjoint(self.frame_g, self.dec.algebra.tensor)
+        return br, ad @ self._m_proj
 
     def _pair_matrix(self, left, right, t) -> np.ndarray:
         """Read-only (n*n, n*n) F with v @ F @ v = <left(X,Y), right(X,Y)> - <t(X,X), t(Y,Y)>

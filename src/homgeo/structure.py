@@ -54,6 +54,11 @@ CLASS_FIELDS = ("cyclic", "traceless", "traceless_cyclic", "vectorial",
 class _ClassBooleans:
     """booleans() over CLASS_FIELDS, shared by reports and expectations."""
 
+    @property
+    def traceless_cyclic(self) -> bool:
+        """Traceless and cyclic with S != 0: S lies in the traceless cyclic class."""
+        return self.traceless and self.cyclic and not self.symmetric
+
     def booleans(self) -> dict:
         return {name: getattr(self, name) for name in CLASS_FIELDS}
 
@@ -311,8 +316,6 @@ def _vectorial_target(eta) -> np.ndarray:
 class ClassificationReport(_ClassBooleans):
     """Class membership booleans plus the norms and residuals behind them.
 
-    traceless_cyclic means a nonvanishing structure tensor lying in the
-    traceless cyclic class, i.e. traceless and cyclic and S != 0.
     eta holds the canonical trace form evaluated on the m-index basis
     vectors of the input decomposition.  tol is the tolerance the
     booleans were decided at, the Frame's; it is not part of the JSON
@@ -321,7 +324,6 @@ class ClassificationReport(_ClassBooleans):
 
     cyclic: bool
     traceless: bool
-    traceless_cyclic: bool
     vectorial: bool
     naturally_reductive: bool
     symmetric: bool
@@ -370,12 +372,10 @@ def classify(dec, metric=None) -> ClassificationReport:
     symmetric = sym_res <= tol
     vectorial = vect_res <= tol
     naturally_reductive = nat_res <= tol
-    traceless_cyclic = traceless and cyclic and not symmetric
 
     report = ClassificationReport(
         cyclic=cyclic,
         traceless=traceless,
-        traceless_cyclic=traceless_cyclic,
         vectorial=vectorial,
         naturally_reductive=naturally_reductive,
         symmetric=symmetric,

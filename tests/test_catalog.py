@@ -15,10 +15,10 @@ from homgeo.catalog import (
 )
 from homgeo.config import DEFAULT_TOL
 from homgeo.errors import ParamOutOfRange, UnknownEntry
-from homgeo.io import space_from_dict, space_to_dict
+from homgeo.io import SpaceFile, space_from_dict, space_to_dict
 from homgeo.lie import build_lie_algebra, killing_form
 from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition
-from homgeo.structure import classify
+from homgeo.structure import ClassificationReport, classify
 from homgeo.verify import _check_grading_relations, _model_checks, run_all
 
 
@@ -74,7 +74,8 @@ def test_entries_are_built_at_the_default_tolerance():
 
 
 def test_derived_fields_are_not_stored():
-    stored = {f.name for cls in (ExpectedClass, CatalogEntry) for f in fields(cls)}
+    stored = {f.name for cls in (ExpectedClass, CatalogEntry, ClassificationReport, SpaceFile)
+              for f in fields(cls)}
     assert not {"traceless_cyclic", "algebra"} & stored
     for entry in default_entries():
         assert entry.algebra is entry.decomposition.algebra

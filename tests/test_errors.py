@@ -87,6 +87,12 @@ def test_entry_points_refuse_a_bad_tolerance(tol):
         run_all(tol=tol, entries=[])
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_verification_passes_at_the_smallest_tolerances(tol):
+    # every row that compares roundoff with a multiple of tol has a floor
+    assert run_all(tol=tol).ok
+
+
 class _Reads(Mapping):
     """The check table, recording every row name read."""
 

@@ -14,9 +14,10 @@ from homgeo.reductive import (
     Frame,
     InvariantMetric,
     ReductiveDecomposition,
-    check_reductive,
     closedness_residual,
 )
+from homgeo.io import space_from_dict, space_to_dict
+from homgeo.spectrum import BlockGrading, grading_decomposition
 from homgeo.structure import classify
 
 
@@ -71,30 +72,40 @@ def test_check_reductive():
     # [e0, e1] = e0 leaks into k for k = (0,)
     alg = build_lie_algebra(2, {(0, 1): {0: 1.0}})
     with pytest.raises(NotReductive, match=r"\[k,m\] leak\): residual 1\.000e\+00 \(bound"):
-        check_reductive(ReductiveDecomposition(alg, (0,), (1,)))
+        ReductiveDecomposition(alg, (0,), (1,))
     # the other orientation is reductive
-    rep = check_reductive(ReductiveDecomposition(alg, (1,), (0,)))
-    assert rep.residual == 0.0
+    ReductiveDecomposition(alg, (1,), (0,))
     # Heisenberg with both generators as isotropy: [k,k] leaks into m
     heis = build_lie_algebra(3, {(0, 1): {2: 1.0}})
     with pytest.raises(NotReductive, match=r"\[k,k\] leak\): residual 1\.000e\+00 \(bound"):
-        check_reductive(ReductiveDecomposition(heis, (0, 1), (2,)))
+        ReductiveDecomposition(heis, (0, 1), (2,))
 
 
 def test_reductivity_reads_the_algebra_tolerance():
     # so(3) + R with k = (2, 3): [e3, e0] leaks 1e-7 into k, off the
-    # diagonal of ad_{e0}, so the trace form stays exactly zero
+    # diagonal of ad_{e0}, so the trace form stays exactly zero; the
+    # algebra's 1e-6 accepts the leak
     so3_r = {(0, 1): {2: 1.0}, (1, 2): {0: 1.0}, (2, 0): {1: 1.0}, (3, 0): {2: 1e-7}}
     dec = ReductiveDecomposition(build_lie_algebra(4, so3_r, tol=1e-6), (2, 3), (0, 1))
-    assert check_reductive(dec).km_residual == 1e-7
     rep = classify(dec, InvariantMetric.identity(2))  # a Frame at 1e-9
     assert rep.symmetric and rep.tol == 1e-9
-    # a 1e-5 [k, m] leak in an algebra built at 1e-9 is refused, whatever
-    # tolerance the Frame is given
+    # a 1e-5 [k, m] leak in an algebra built at 1e-9 is refused before
+    # any Frame, and so whatever tolerance a Frame would be given
     alg = build_lie_algebra(2, {(0, 1): {0: 1e-5}})
-    dec = ReductiveDecomposition(alg, (0,), (1,))
     with pytest.raises(NotReductive, match=r"residual 1\.000e-05 \(bound 1\.0e-09\)"):
-        Frame(dec, InvariantMetric.identity(1), 1e-3)
+        ReductiveDecomposition(alg, (0,), (1,))
+
+
+def test_a_non_reductive_splitting_is_refused_where_it_is_built():
+    # [e0, e1] = e0: k = (0,) leaks [k, m] into k
+    alg = build_lie_algebra(2, {(0, 1): {0: 1.0}})
+    with pytest.raises(NotReductive, match=r"\[k,m\] leak"):
+        grading_decomposition(alg, BlockGrading(((1,),), (1,)))
+    doc = space_to_dict(ReductiveDecomposition(alg, (), (0, 1)), InvariantMetric.identity(2))
+    doc["decomposition"] = {"k": [0], "m": [1]}
+    doc["metric"] = {"diag": [1.0]}
+    with pytest.raises(NotReductive, match=r"\[k,m\] leak"):
+        space_from_dict(doc)
 
 
 def test_metric_validation():

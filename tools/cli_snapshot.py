@@ -8,11 +8,12 @@ Writes, from the checkout this script sits in:
   with the label's brackets, commas and spaces turned into underscores);
 - classify and curvature --format json on each, at --tolerance 1e-9
   and 1e-6;
-- verify-all --format json at both tolerances and at 1e-12, which lies
+- verify-all --format json at both tolerances, at 1e-12, which lies
   below the floors verify once put under a run's tolerance (1e-8 for
   the classification check, 1e-10 for the unimodular and abelian
   guards), so a decision that moves between a floor and the tolerance
-  shows up; and at the default tolerance with --seed 1 and --seed 2,
+  shows up, and at 0, where only the check rows' roundoff floors are
+  left; and at the default tolerance with --seed 1 and --seed 2,
   so more sample draws are compared;
 - solve-cyclic --format json on the su(2,1) and sp(1,1) models with
   their gradings, at both tolerances;
@@ -57,7 +58,7 @@ from homgeo import InvariantMetric, build, cli, default_entries  # noqa: E402
 from homgeo.io import dump_space, grading_to_dict, space_to_dict  # noqa: E402
 
 TOLERANCES = ("1e-9", "1e-6")
-VERIFY_TOLERANCES = TOLERANCES + ("1e-12",)
+VERIFY_TOLERANCES = TOLERANCES + ("1e-12", "0")
 CATALOG_BUILDS = (
     ("milnor3", {"lam": [0.0, 0.0, 0.0]}),
     ("milnor3", {"lam": [-1.0, 2.0, 0.5]}),
