@@ -89,7 +89,7 @@ def test_entry_points_refuse_a_bad_tolerance(tol):
 
 @pytest.mark.parametrize("tol", [0.0, 1e-300])
 def test_verification_passes_at_the_smallest_tolerances(tol):
-    # every row that compares roundoff with a multiple of tol has a floor
+    # 0 is a valid tolerance: roundoff in the component norms stays under crosscheck_norms' floor
     assert run_all(tol=tol).ok
 
 

@@ -9,6 +9,7 @@ from homgeo.errors import (
     UnimodularInput,
 )
 from homgeo import reductive
+from homgeo.io import space_from_dict, space_to_dict
 from homgeo.lie import build_lie_algebra, from_tensor, killing_form
 from homgeo.reductive import (
     Frame,
@@ -16,7 +17,6 @@ from homgeo.reductive import (
     ReductiveDecomposition,
     closedness_residual,
 )
-from homgeo.io import space_from_dict, space_to_dict
 from homgeo.spectrum import BlockGrading, grading_decomposition
 from homgeo.structure import classify
 
