@@ -14,7 +14,9 @@ b4_product (n = 4, dim k = 0 and 1) and su21_a3ii and sp11_a3iii
 (n = 6, dim k = 2 and 4) catalog spaces, which fall on either side of
 the size up to which structure.py reads its formulas through cached
 matrices; classify on a rotated g(alpha) at n = 5, the smallest size
-above that cutoff; and each per-entry check of verify.run_all, summed over
+above that cutoff; killing_form, and LieAlgebra.bracket of a (10, 1, dim)
+stack against a (dim, dim) one, on rotated g(alpha) tables at dim = 3,
+10 and 20; and each per-entry check of verify.run_all, summed over
 the default catalog entries; all with time.perf_counter.
 Writes the median, the interquartile range and the repeat count of each
 case to OUT.json, with the git SHA, the Python/numpy/scipy versions and
@@ -99,6 +101,7 @@ from homgeo.catalog import _BLOCK_MODELS  # noqa: E402
 from homgeo.reductive import Frame  # noqa: E402
 
 SIZES = (3, 6, 16, 20, 32)
+LIE_DIMS = (3, 10, 20)
 SEED = 5
 MIN_REPEATS = 21
 MIN_SECONDS = 0.3
@@ -319,6 +322,21 @@ def bench_checks() -> dict:
     return cases
 
 
+def bench_lie_products() -> dict:
+    """killing_form, and one bracket of a (10, 1, dim) stack against a (dim, dim) one,
+    on rotated g(alpha) tables at dim = 3, 10 and 20."""
+    cases = {}
+    for dim in LIE_DIMS:
+        brackets, _ = rotated_solvable(dim, np.random.default_rng([SEED, dim]))
+        alg = hg.build_lie_algebra(dim, brackets)
+        x = np.random.default_rng([SEED, dim, 2]).standard_normal((10, 1, dim))
+        y = np.random.default_rng([SEED, dim, 3]).standard_normal((dim, dim))
+        cases[f"killing_form/dim={dim}"] = time_case(lambda _, alg=alg: hg.killing_form(alg))
+        cases[f"bracket/dim={dim}"] = time_case(
+            lambda _, alg=alg, x=x, y=y: alg.bracket(x, y))
+    return cases
+
+
 def git_sha() -> str:
     """HEAD's SHA, with -dirty appended when tracked files differ from it."""
     try:
@@ -343,6 +361,7 @@ def main(argv=None) -> int:
     cases.update(bench_su21_diagonal())
     cases.update(bench_classify_n5())
     cases.update(bench_catalog_types())
+    cases.update(bench_lie_products())
     cases.update(bench_checks())
     for case, stats in cases.items():
         batch_min = (f"  batch min {stats['batch_min_median_ms']:7.4f} ms, "

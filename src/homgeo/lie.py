@@ -125,8 +125,12 @@ class LieAlgebra:
 
         x and y may also be stacks of vectors along leading axes, which
         broadcast against each other; the bracket is taken row by row.
+        Two matrix products: ad[..., j, k] = sum_i x_i c[i, j, k], then y @ ad.
         """
-        return np.einsum("...i,...j,ijk->...k", x, y, self.tensor)
+        dim = self.dim
+        ad = np.asarray(x, dtype=float) @ self.tensor.reshape(dim, dim * dim)
+        ad = ad.reshape(ad.shape[:-1] + (dim, dim))
+        return (np.asarray(y, dtype=float)[..., None, :] @ ad)[..., 0, :]
 
     def __repr__(self):
         nz = len(self.brackets)
@@ -231,9 +235,13 @@ def ad_matrix(algebra: LieAlgebra, x) -> np.ndarray:
 
 
 def killing_form(algebra: LieAlgebra) -> np.ndarray:
-    """Killing form B(X, Y) = tr(ad_X ad_Y) as a symmetric matrix."""
-    c = algebra.tensor
-    b = np.einsum("ilm,jml->ij", c, c)
+    """Killing form B(X, Y) = tr(ad_X ad_Y) as a symmetric matrix.
+
+    B[i, j] = sum_lm c[i, l, m] c[j, m, l]: one product of the tensor's
+    (dim, dim^2) view with that of its transpose in the last two slots.
+    """
+    c, dim = algebra.tensor, algebra.dim
+    b = c.reshape(dim, dim * dim) @ c.transpose(0, 2, 1).reshape(dim, dim * dim).T
     return _frozen((b + b.T) / 2.0)
 
 

@@ -18,7 +18,9 @@ import numpy as np
 from .catalog import _BLOCK_MODELS, build, default_entries
 from .config import DEFAULT_SEED, DEFAULT_TOL, _residual_text, bound, tolerance
 from .curvature import (
+    _plane,
     _quartic_form,
+    _r4_pair,
     curvature_diagonal_general,
     cyclic_curvature_diagonal,
     einstein_check,
@@ -158,6 +160,13 @@ def _check_killing_identity(entry, frame, rng):
 
 
 def _check_scaling_covariance(entry, frame, rng):
+    """K(t g) = K(g) / t at t = 0.5 and 2, on the plane of the first two m-basis vectors.
+
+    K(g) is read from the entry's R4.  Each rescaled metric goes through
+    its own Frame (Cholesky, connection), and K(t g) is contracted from
+    that Frame's connection without forming its R4, so the check also
+    ties the two routes together.
+    """
     if frame.n < 2:  # a 1-dimensional m has no plane
         return []
     x, y = np.eye(frame.n)[:2]
@@ -165,7 +174,8 @@ def _check_scaling_covariance(entry, frame, rng):
     worst = 0.0
     for t in (0.5, 2.0):
         scaled = Frame(entry.decomposition, InvariantMetric(t * entry.metric.matrix), frame.tol)
-        got = sectional_curvature(scaled, None, x, y)
+        xf, yf, area2 = _plane(scaled, x, y)
+        got = _r4_pair(scaled, xf, yf) / area2
         worst = max(worst, abs(got - base / t))
     return [_result("scaling_covariance", worst, max(1.0, abs(base)))]
 
@@ -317,10 +327,11 @@ def run_all(tol=DEFAULT_TOL, seed=DEFAULT_SEED, entries=None) -> VerificationRep
     results = []
     for pos, entry in enumerate(entries):
         rng = np.random.default_rng(seed + 101 * pos)
+        label = entry.label  # formatted from the params on every read
         try:
             frame = Frame(entry.decomposition, entry.metric, tol)
         except HomgeoError as exc:
-            results.append(CheckResult(f"{entry.label}::frame", False,
+            results.append(CheckResult(f"{label}::frame", False,
                                        f"{type(exc).__name__}: {exc}"))
             continue
         for check in _ENTRY_CHECKS:
@@ -328,10 +339,10 @@ def run_all(tol=DEFAULT_TOL, seed=DEFAULT_SEED, entries=None) -> VerificationRep
             try:
                 for res in check(entry, frame, rng):
                     results.append(CheckResult(
-                        f"{entry.label}::{res.name}", res.passed, res.detail))
+                        f"{label}::{res.name}", res.passed, res.detail))
             except HomgeoError as exc:
                 results.append(CheckResult(
-                    f"{entry.label}::{name}", False,
+                    f"{label}::{name}", False,
                     f"{type(exc).__name__}: {exc}"))
     try:
         results.extend(_model_checks())

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from homgeo import verify
 from homgeo.catalog import (
     _SP11,
     _SU21,
@@ -14,6 +15,7 @@ from homgeo.catalog import (
     list_entries,
 )
 from homgeo.config import DEFAULT_TOL
+from homgeo.curvature import _r4_pair
 from homgeo.errors import ParamOutOfRange, UnknownEntry
 from homgeo.io import SpaceFile, space_from_dict, space_to_dict
 from homgeo.lie import build_lie_algebra, killing_form
@@ -21,6 +23,14 @@ from homgeo.reductive import Frame, InvariantMetric, ReductiveDecomposition
 from homgeo.structure import ClassificationReport, classify
 from homgeo.verify import _check_grading_relations, _model_checks, run_all
 
+
+# the entries on whose first coordinate plane the commutator term of
+# R4(x, y, x, y) does not vanish
+SCALING_FAILURES_WITH_THE_COMMUTATOR_FLIPPED = [
+    "milnor3(lam=[1.0, 1.0, 1.0])::scaling_covariance",
+    "milnor3(lam=[1.0, 2.0, -3.0])::scaling_covariance",
+    "so2_heisenberg(lam3=1.0)::scaling_covariance",
+]
 
 ALL_NAMES = [
     "b2_product",
@@ -145,6 +155,38 @@ def test_run_all_on_a_one_dimensional_space():
     assert all(r.passed for r in report.results)
     assert "line()::classification" in names
     assert not any("scaling" in name for name in names)
+
+
+def test_scaling_check_builds_no_r4_on_the_rescaled_spaces(monkeypatch):
+    built = []
+
+    def spy(dec, metric, tol):
+        frame = Frame(dec, metric, tol)
+        built.append(frame)
+        return frame
+
+    monkeypatch.setattr(verify, "Frame", spy)
+    for entry in default_entries():
+        frame = Frame(entry.decomposition, entry.metric, 1e-7)
+        built.clear()
+        [result] = verify._check_scaling_covariance(entry, frame, None)
+        assert result.passed, (entry.label, result.detail)
+        # both rescaled spaces go through their own Frame at the run's tolerance
+        assert [f.tol for f in built] == [1e-7, 1e-7]
+        for t, scaled in zip((0.5, 2.0), built):
+            assert np.array_equal(scaled.metric.matrix, t * entry.metric.matrix)
+            assert "gamma" in vars(scaled) and "r4" not in vars(scaled)
+
+
+def test_scaling_check_fails_with_the_commutator_sign_flipped(monkeypatch):
+    def flipped(frame, x, y):
+        gx, gy = np.tensordot(x, frame.gamma, 1), np.tensordot(y, frame.gamma, 1)
+        return _r4_pair(frame, x, y) - 2.0 * float(x @ (gx @ gy - gy @ gx) @ y)
+
+    monkeypatch.setattr(verify, "_r4_pair", flipped)
+    report = run_all()
+    failed = sorted(r.name for r in report.results if not r.passed)
+    assert failed == SCALING_FAILURES_WITH_THE_COMMUTATOR_FLIPPED
 
 
 def test_model_checks_read_the_cone():

@@ -19,6 +19,7 @@ import pytest
 from homgeo.catalog import build, default_entries, sp11_model, su21_model
 from homgeo.curvature import (
     _quartic_form,
+    _r4_pair,
     curvature_diagonal_general,
     cyclic_curvature_diagonal,
     killing_quadratic_via_brackets,
@@ -69,6 +70,15 @@ def assert_close(got, want, scale=None):
 def canonical_curvature(frame):
     """rc[a,b,c,d] = <[[f_a,f_b]_k, f_c], f_d>, from k_part and ad_k."""
     return np.einsum("abw,wdc->abcd", frame.k_part, frame.ad_k)
+
+
+def r4_by_index_formula(frame):
+    """R4 from lte, gamma and the isotropy action, written out with np.einsum."""
+    lam = np.einsum("abd->adb", frame.gamma)
+    m_term = np.einsum("abe,edc->abdc", frame.lte, lam)
+    comm = (np.einsum("ade,bec->abdc", lam, lam)
+            - np.einsum("bde,aec->abdc", lam, lam))
+    return np.einsum("abdc->abcd", m_term - comm) + canonical_curvature(frame)
 
 
 def random_spd(n, rng):
@@ -201,11 +211,7 @@ def test_isotropy_curvature(name):
 @pytest.mark.parametrize("name", sorted(CURVATURE_SPACES))
 def test_curvature_tensor(name):
     frame = frame_of(name)
-    lam = np.einsum("abd->adb", frame.gamma)
-    m_term = np.einsum("abe,edc->abdc", frame.lte, lam)
-    comm = (np.einsum("ade,bec->abdc", lam, lam)
-            - np.einsum("bde,aec->abdc", lam, lam))
-    assert_close(frame.r4, np.einsum("abdc->abcd", m_term - comm) + canonical_curvature(frame))
+    assert_close(frame.r4, r4_by_index_formula(frame))
     # the sliced checks see every entry the whole-tensor checks see
     r4 = frame.r4
     bianchi = r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)
@@ -439,6 +445,43 @@ def test_sectional_curvature(name):
         assert_close(sectional_curvature(frame, None, x, y), want)
 
 
+PAIR_SPACES = {
+    **{f"raw-n{n}-k{dim_k}": partial(raw_frame, n, dim_k, 100 * n + dim_k)
+       for n in SIZES + SLICED for dim_k in ISOTROPY},
+    **CURVATURE_SPACES,
+}
+
+
+def assert_pair_contraction(frame, r4):
+    """_r4_pair against x @ _quartic_form(r4, y) @ x on random unit pairs,
+    and 0 on parallel ones, to 1e-12 of r4's size."""
+    scale = float(np.abs(r4).max())
+    rng = np.random.default_rng(frame.n)
+    for x, y in rng.standard_normal((3, 2, frame.n)):
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        got = _r4_pair(frame, x, y)
+        assert type(got) is float
+        assert_close(got, x @ _quartic_form(r4, y) @ x, scale=scale)
+        for t in (1.0, -2.5):
+            assert_close(_r4_pair(frame, x, t * x), 0.0, scale=scale)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SPACES))
+def test_pair_contraction_on_bracket_spaces(name):
+    # the raw tables satisfy no Jacobi identity, so r4's own symmetry
+    # check would refuse them: compare with the index formula instead
+    frame = PAIR_SPACES[name]()
+    assert_pair_contraction(frame, r4_by_index_formula(frame))
+    assert "r4" not in vars(frame)
+
+
+@pytest.mark.parametrize("label", [entry.label for entry in default_entries()])
+def test_pair_contraction_on_the_catalog(label):
+    entry = next(e for e in default_entries() if e.label == label)
+    frame = Frame(entry.decomposition, entry.metric)
+    assert_pair_contraction(frame, frame.r4)
+
+
 STACK = 4  # rows in each stack of sample vectors
 
 
@@ -669,3 +712,16 @@ def test_verify_draws_the_same_samples():
     rows = [twin.standard_normal(3) for _ in range(20 * 2)]
     want = [r / np.linalg.norm(r) for r in rows]
     assert_close(_unit_rows(rng, (20, 2, 3)), np.reshape(want, (20, 2, 3)))
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_killing_form(dim):
+    # a random antisymmetric table: the product must not lean on Jacobi
+    rng = np.random.default_rng(dim)
+    c = skew(rng.standard_normal((dim, dim, dim)))
+    alg = LieAlgebra(dim, tuple(f"e{i}" for i in range(dim)), c, 0.0, 1e-9)
+    want = np.einsum("ilm,jml->ij", c, c)
+    got = killing_form(alg)
+    assert_close(got, (want + want.T) / 2.0)
+    assert np.array_equal(got, got.T)
+    assert not got.flags.writeable

@@ -15,10 +15,7 @@ from homgeo.io import (
     load_space,
     metric_from_dict,
     space_from_dict,
-    space_to_dict,
 )
-from homgeo.lie import build_lie_algebra
-from homgeo.reductive import InvariantMetric, ReductiveDecomposition
 
 
 MILNOR_DOC = {
