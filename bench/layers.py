@@ -5,7 +5,8 @@
 Times build_lie_algebra, Frame, Frame.types, Frame.r4, classify,
 ricci_routes, xi_curvatures, one curvature_diagonal_general call, warm
 and cold, one cyclic_curvature_diagonal call and the whole pipeline at
-n = 3, 6, 16, 20 (perfbench's solvable_large size) and 32;
+n = 3, 6, 16, 20 (perfbench's solvable_large size) and 32, and
+einstein_check at n = 3;
 solve_cyclic on the su(2,1) and sp(1,1) models with their catalog
 gradings, and cyclic_metric at the sample point it returns;
 one curvature_diagonal_general call on the su21_a3ii
@@ -36,10 +37,10 @@ a core where the kernel takes NOMINAL_S.  Each case also records the
 kernel's median and IQR over all its runs.
 
 A short case spreads more between runs than a long one, so a case whose
-scaled median is below BATCH_MIN_BELOW_MS also records the per-batch
-minimum: BATCHES batches of CALLS_PER_BATCH calls, each call prepared
-untimed and then timed alone, as a repeat is, and the fastest call of
-each batch kept.  batch_min_median_ms and batch_min_iqr_ms are the
+scaled median is below BATCH_MIN_BELOW_MS, and every case at n = 3, also
+records the per-batch minimum: BATCHES batches of CALLS_PER_BATCH calls,
+each call prepared untimed and then timed alone, as a repeat is, and the
+fastest call of each batch kept.  batch_min_median_ms and batch_min_iqr_ms are the
 median and IQR of those minima as timed.  Each minimum is also scaled
 by NOMINAL_S / (the fastest of REFS_PER_BATCH kernel runs right after
 its batch), and scaled_batch_min_median_ms and scaled_batch_min_iqr_ms
@@ -49,10 +50,14 @@ median and do not replace it.
 
 Each case times one layer alone.  The layers a case needs first are built
 outside the timed region: Frame.types and Frame.r4 are the first access
-on a fresh Frame (so r4 includes the connection and the isotropy term it
-reads), and ricci_routes and xi_curvatures run on a fresh Frame whose r4
-is already built.  classify is the user call on (dec, metric), so it
-includes building its Frame; pipeline is the five user calls classify,
+on a fresh Frame (so r4 includes the connection, the isotropy term it
+reads and the general Ricci route it ties its trace to).  ricci_routes runs on a fresh Frame whose connection (gamma, and
+the U it reads) is built: that is all it reads of the curvature, since
+its trace route is contracted from the connection; a built r4 would also
+hold the general route, which r4 ties its own trace to.  xi_curvatures
+runs on a fresh Frame whose r4 is built, and einstein_check on a fresh
+Frame with nothing built.  classify is the user call on (dec, metric),
+so it includes building its Frame; pipeline is the five user calls classify,
 curvature_tensor, ricci_routes, einstein_check and xi_curvatures on one
 space, which share one Frame.  These, the n = 5 classify and the
 catalog classify and Frame.types cases get a fresh metric object on
@@ -210,6 +215,11 @@ def bench_size(n: int) -> dict:
         frame.r4
         return frame
 
+    def frame_with_gamma():
+        frame = Frame(dec, metric)
+        frame.gamma
+        return frame
+
     def fresh_metric():
         return hg.InvariantMetric(metric.matrix)
 
@@ -223,23 +233,34 @@ def bench_size(n: int) -> dict:
         hg.einstein_check(dec, g)
         hg.xi_curvatures(dec, g)
 
-    return {
-        "build_lie_algebra": time_case(lambda _: hg.build_lie_algebra(n, brackets)),
-        "Frame": time_case(lambda _: Frame(dec, metric)),
-        "Frame.types": time_case(lambda frame: frame.types, lambda: Frame(dec, metric)),
-        "Frame.r4": time_case(lambda frame: frame.r4, lambda: Frame(dec, metric)),
-        "classify": time_case(lambda g: hg.classify(dec, g), fresh_metric),
-        "ricci_routes": time_case(hg.ricci_routes, frame_with_r4),
-        "xi_curvatures": time_case(hg.xi_curvatures, frame_with_r4),
-        "curvature_diagonal_general": time_case(
-            lambda _: hg.curvature_diagonal_general(plane, None, x, y)),
-        "curvature_diagonal_general.cold": time_case(
+    def no_input():
+        return None
+
+    layers = {
+        "build_lie_algebra": (lambda _: hg.build_lie_algebra(n, brackets), no_input),
+        "Frame": (lambda _: Frame(dec, metric), no_input),
+        "Frame.types": (lambda frame: frame.types, lambda: Frame(dec, metric)),
+        "Frame.r4": (lambda frame: frame.r4, lambda: Frame(dec, metric)),
+        "classify": (lambda g: hg.classify(dec, g), fresh_metric),
+        "ricci_routes": (hg.ricci_routes, frame_with_gamma),
+        "xi_curvatures": (hg.xi_curvatures, frame_with_r4),
+        "curvature_diagonal_general": (
+            lambda _: hg.curvature_diagonal_general(plane, None, x, y), no_input),
+        "curvature_diagonal_general.cold": (
             lambda frame: hg.curvature_diagonal_general(frame, None, x, y),
             lambda: Frame(dec, metric)),
-        "cyclic_curvature_diagonal": time_case(
-            lambda _: hg.cyclic_curvature_diagonal(plane, None, x, y)),
-        "pipeline": time_case(pipeline, fresh_metric),
+        "cyclic_curvature_diagonal": (
+            lambda _: hg.cyclic_curvature_diagonal(plane, None, x, y), no_input),
+        "pipeline": (pipeline, fresh_metric),
     }
+    if n == 3:
+        layers["einstein_check"] = (hg.einstein_check, lambda: Frame(dec, metric))
+    cases = {}
+    for layer, (run, prepare) in layers.items():
+        cases[layer] = stats = time_case(run, prepare)
+        if n == 3 and "batch_min_median_ms" not in stats:
+            stats.update(batch_minima(run, prepare))
+    return cases
 
 
 def bench_models() -> dict:

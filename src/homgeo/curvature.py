@@ -9,10 +9,12 @@ The tensor and the Ricci routes are built once per space as Frame.r4
 and Frame.ricci_routes; the functions here read them off the Frame of
 (dec, metric), or off a Frame passed as dec.  Consecutive calls on the
 same dec and metric objects share that Frame (reductive.as_frame keeps
-the last one), so they build the tensor once.  Two independent diagonal
-formulas (one general, from brackets and U, one for cyclic brackets,
-from brackets and S) and several Ricci routes, which must agree or
-raise ConsistencyError, guard the tensor assembly against sign slips.
+the last one), so they build the tensor once; the Ricci routes and
+einstein_check never build it.  Two independent diagonal formulas (one
+general, from brackets and U, one for cyclic brackets, from brackets
+and S), the tie of the tensor's trace to the general Ricci route, and
+several Ricci routes, which must agree or raise ConsistencyError, guard
+the tensor assembly against sign slips.
 Each diagonal formula is a quadratic form in x (x) y, built once per
 Frame from the bracket data alone (Frame.diagonal_form_general and
 Frame.diagonal_form_cyclic), never from gamma or the tensor it checks.
@@ -167,7 +169,7 @@ def einstein_check(dec, metric=None) -> EinsteinReport:
     frame = as_frame(dec, metric)
     ric = frame.ricci_routes["trace"]
     n = frame.n
-    lam = float(np.trace(ric)) / n
+    lam = float(ric.trace()) / n
     shifted = ric.copy()
     shifted.flat[::n + 1] -= lam  # Ric - lam I
     dev = float(np.abs(shifted).max())

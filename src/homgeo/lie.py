@@ -62,6 +62,19 @@ def _slices(n: int) -> list:
     return [(slice(i, i + rows), buf[:n - i]) for i in range(0, n, rows)]
 
 
+def _block_maxima(*blocks) -> list:
+    """The max-abs entry of each array, from one abs and one reduceat over all of them.
+
+    Every array must be nonempty.  A NaN anywhere in an array is its
+    maximum, since np.maximum propagates NaN.
+    """
+    starts = [0]
+    for block in blocks[:-1]:
+        starts.append(starts[-1] + block.size)
+    flat = np.concatenate(blocks, axis=None)
+    return np.maximum.reduceat(np.abs(flat, out=flat), starts).tolist()
+
+
 def _worst(peaks: list) -> float:
     """The largest of the per-slice peaks, or NaN if any of them is NaN.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, bound, check, tolerance
 from .errors import ConsistencyError, IndexOutOfRange, InvalidMetric, UnimodularInput
-from .lie import LieAlgebra, _frozen, _pullback, _slices, _worst, killing_form, trace_vector
+from .lie import LieAlgebra, _block_maxima, _frozen, _pullback, _slices, _worst, trace_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +100,20 @@ class InvariantMetric:
         return self.matrix.shape[0]
 
 
-def _adjoint(frame_g: np.ndarray, tensor: np.ndarray) -> tuple:
-    """(ad, br) for frame vectors frame_g (dim_g, n) and a bracket tensor.
+def _ricci_trace(gamma: np.ndarray, lte: np.ndarray, iso: np.ndarray) -> np.ndarray:
+    """sum_a R4[x, a, y, a] from the three terms Frame.r4 is assembled from, without forming it.
 
-    ad[c, j] = [f_c, e_j] and br[a, b] = [f_a, f_b] = frame_g.T @ ad, both as
-    g-vectors: the two products of _pullback(tensor, frame_g), the first kept.
+    sum_(a,e) lte[x,a,e] gamma[e,y,a] + iso[x,y] + sum_b gamma[x,y,b] tau_b
+    - sum_(a,b) gamma[x,b,a] gamma[a,y,b], with tau_b = sum_a gamma[a,b,a]:
+    the metric term, the isotropy term (the trace of the canonical
+    curvature) and the trace of the commutator [G_x, G_a][y, a].  The
+    first and last sums read the same (n*n, n) view of gamma, so they
+    are one product.
     """
-    dim, n = frame_g.shape
-    ad = (frame_g.T @ tensor.reshape(dim, dim * dim)).reshape(n, dim, dim)
-    return ad, frame_g.T @ ad
+    n = gamma.shape[0]
+    g_t = gamma.transpose(2, 0, 1).reshape(n * n, n)  # g_t[(a, e), y] = gamma[e, y, a]
+    tau = gamma.trace(axis1=0, axis2=2)  # tau_b = sum_a gamma[a, b, a]
+    return (lte - gamma).reshape(n, n * n) @ g_t + gamma @ tau + iso
 
 
 class Frame:
@@ -122,6 +127,9 @@ class Frame:
     frame_g : (dim_g, n) frame vectors as algebra coefficient vectors
     lte : (n, n, n) lte[a,b,c] = <[f_a, f_b]_m, f_c>
     k_part : (n, n, dim_k) k-components of [f_a, f_b]
+    ad : (n, dim_g, dim_g) ad[c, j] = [f_c, e_j] as a g-vector: the adjoint
+        action of each frame vector, read by killing_m
+    br : (n, n, dim_g) br[a, b] = [f_a, f_b] = frame_g.T @ ad as a g-vector
     ad_k : (dim_k, n, n) ad_k[w, d, c] = <[k_w, f_c], f_d>
     eta : (n,) canonical trace form, eta[a] = -tr ad_{f_a}, which are
         also the frame coordinates of its metric dual xi; c = |eta|
@@ -160,9 +168,8 @@ class Frame:
         self.q_inv = chol.T
         resid = self.q.T @ metric.matrix @ self.q
         resid.flat[::n + 1] -= 1.0
-        ortho = float(np.abs(resid).max())
-        check("frame_orthonormality", ortho,
-              n * float(np.abs(chol).max()) * float(np.abs(self.q).max()))
+        ortho, chol_peak, q_peak = _block_maxima(resid, chol, self.q)
+        check("frame_orthonormality", ortho, n * chol_peak * q_peak)
         algebra = dec.algebra
         dim = algebra.dim
         m_idx = list(dec.m_indices)
@@ -172,7 +179,9 @@ class Frame:
         frame_g[m_idx, :] = self.q
         self.frame_g = frame_g
 
-        ad, br = _adjoint(frame_g, algebra.tensor)
+        # the two products of _pullback(algebra.tensor, frame_g), the first kept
+        self.ad = ad = (frame_g.T @ algebra.tensor.reshape(dim, dim * dim)).reshape(n, dim, dim)
+        self.br = br = frame_g.T @ ad
         self.lte = br[:, :, m_idx] @ self.q_inv.T
         self.k_part = br[:, :, k_idx]
 
@@ -247,8 +256,7 @@ class Frame:
 
         Both diagonal forms read them; neither builds gamma or r4.
         """
-        ad, br = _adjoint(self.frame_g, self.dec.algebra.tensor)
-        return br, ad @ self._m_proj
+        return self.br, self.ad @ self._m_proj
 
     def _pair_matrix(self, left, right, t) -> np.ndarray:
         """Read-only (n*n, n*n) F with v @ F @ v = <left(X,Y), right(X,Y)> - <t(X,X), t(Y,Y)>
@@ -298,8 +306,15 @@ class Frame:
 
     @cached_property
     def killing_m(self) -> np.ndarray:
-        """Killing form restricted to m, in frame coordinates."""
-        return _frozen(self.frame_g.T @ killing_form(self.dec.algebra) @ self.frame_g)
+        """Killing form restricted to m, in frame coordinates.
+
+        B(f_a, f_b) = tr(ad_{f_a} ad_{f_b}) = sum_jl ad[a, j, l] ad[b, l, j]: one
+        product of ad's (n, dim_g^2) view with that of its transpose in the
+        last two slots, as lie.killing_form does on the whole algebra.
+        """
+        ad, n = self.ad, self.n
+        b = ad.reshape(n, -1) @ ad.transpose(0, 2, 1).reshape(n, -1).T
+        return _frozen((b + b.T) / 2.0)
 
     @cached_property
     def _lte_residuals(self) -> tuple:
@@ -325,9 +340,9 @@ class Frame:
         projected bracket) are verified.
         """
         gamma = 0.5 * self.lte + self.u
-        scale = max(1.0, float(np.abs(gamma).max()))
-        compat = float(np.abs(gamma + gamma.transpose(0, 2, 1)).max())
-        tors = float(np.abs(gamma - gamma.transpose(1, 0, 2) - self.lte).max())
+        peak, compat, tors = _block_maxima(gamma, gamma + gamma.transpose(0, 2, 1),
+                                           gamma - gamma.transpose(1, 0, 2) - self.lte)
+        scale = max(1.0, peak)
         check("connection_compatibility", compat, scale)
         check("connection_torsion", tors, scale)
         return _frozen(gamma)
@@ -338,10 +353,13 @@ class Frame:
 
         The algebraic symmetries (both pair antisymmetries, pair
         exchange, first Bianchi identity) are verified over every entry;
-        the worst defect is kept as r4_defect.  The result is the only
-        n^4 array built here: the metric and isotropy terms are one
-        product, and the commutator products and the checks run a slice
-        of the first index at a time in one small buffer.
+        the worst defect is kept as r4_defect.  Its contraction
+        sum_a R4[x,a,y,a] must then agree with the general Ricci route
+        (row ricci_routes, route "r4"), which reads neither gamma nor
+        r4.  The result is the only n^4 array built here: the metric and
+        isotropy terms are one product, and the commutator products and
+        the checks run a slice of the first index at a time in one small
+        buffer.
         """
         n, dim_k = self.n, self.dec.dim_k
         gamma = self.gamma
@@ -386,54 +404,68 @@ class Frame:
             defects.append(peak(out))
         worst = _worst(defects)
         check("curvature_symmetries", worst, scale)
+        # the contraction the trace route takes without r4, tied to the
+        # general route, which reads neither r4 nor gamma
+        traced = np.einsum("xaya->xy", r4)
+        general = self._ricci_general
+        *peaks, gap = _block_maxima(traced, general, traced - general)
+        check("ricci_routes", gap, max(1.0, *peaks), self.tol, ref="general", route="r4")
         self.r4_defect = worst
         return _frozen(r4)
+
+    @cached_property
+    def _ricci_general(self) -> np.ndarray:
+        """The general Ricci route: the bracket/Killing-form formula, from lte and killing_m.
+
+        Read by ricci_routes and by r4's trace tie.
+        """
+        n, lte = self.n, self.lte
+        rows = lte.reshape(n, n * n)  # rows[x, (a, c)] = lte[x, a, c]
+        cols = lte.reshape(n * n, n)  # cols[(a, b), x] = lte[a, b, x]
+        xi_term = (self.eta @ rows).reshape(n, n)  # sum_a eta[a] lte[a, x, y]
+        return _frozen(
+            -0.5 * (rows @ rows.T)
+            - 0.5 * self.killing_m
+            + 0.25 * (cols.T @ cols)
+            + 0.5 * (xi_term + xi_term.T)
+        )
 
     @cached_property
     def ricci_routes(self) -> MappingProxyType:
         """Ricci tensor (frame components) by every applicable route.
 
         Routes:
-          trace    contraction of the curvature tensor (always),
+          trace    sum_a R4[x,a,y,a], contracted from the connection and
+                   the isotropy action without forming R4 (_ricci_trace;
+                   always),
           general  the bracket/Killing-form formula (always),
           cyclic   trace form of U minus Killing form minus the isotropy
                    correction (cyclic brackets only).
 
         Every route must agree with the trace route, or ConsistencyError
         is raised; the worst gap over all route pairs is kept as
-        ricci_gap.
+        ricci_gap.  Building this never builds r4; r4, wherever it is
+        built, ties its own contraction to the general route.
         """
-        n, lte = self.n, self.lte
-        b_m = self.killing_m
-        rows = lte.reshape(n, n * n)  # rows[x, (a, c)] = lte[x, a, c]
-        cols = lte.reshape(n * n, n)  # cols[(a, b), x] = lte[a, b, x]
-        routes = {"trace": np.einsum("xaya->xy", self.r4)}
-
-        xi_term = (self.eta @ rows).reshape(n, n)  # sum_a eta[a] lte[a, x, y]
-        routes["general"] = (
-            -0.5 * (rows @ rows.T)
-            - 0.5 * b_m
-            + 0.25 * (cols.T @ cols)
-            + 0.5 * (xi_term + xi_term.T)
-        )
-
+        n, dim_k = self.n, self.dec.dim_k
+        # the trace of the canonical curvature <[[f_x, f_a]_k, f_y], f_a> over a,
+        # sum_(a, w) k_part[x, a, w] ad_k[w, a, y]; a zero matrix when k is empty
+        iso = (self.k_part.reshape(n, n * dim_k)
+               @ self.ad_k.transpose(1, 0, 2).reshape(n * dim_k, n))
+        routes = {"trace": _ricci_trace(self.gamma, self.lte, iso),
+                  "general": self._ricci_general}
         if self.cyclic_residual <= self.tol:
-            eta_u = self.u @ self.eta
-            # the trace of the canonical curvature <[[f_x, f_a]_k, f_y], f_a> over a,
-            # sum_(a, w) k_part[x, a, w] ad_k[w, a, y]; a zero matrix when k is empty
-            dim_k = self.dec.dim_k
-            iso = (self.k_part.reshape(n, n * dim_k)
-                   @ self.ad_k.transpose(1, 0, 2).reshape(n * dim_k, n))
-            routes["cyclic"] = eta_u - b_m - 0.5 * (iso + iso.T)
+            routes["cyclic"] = self.u @ self.eta - self.killing_m - 0.5 * (iso + iso.T)
 
         names = list(routes)
         stack = _frozen(np.array(list(routes.values())))
-        scale = max(1.0, float(np.abs(stack).max()))
-        gaps = np.abs(stack[1:] - stack[0]).max(axis=(1, 2))
+        # one max-abs pass: the stack, each route against the trace route,
+        # and the cyclic route against the general one
+        peak, *gaps = _block_maxima(stack, *(stack[1:] - stack[0]), *(stack[2:] - stack[1]))
+        scale = max(1.0, peak)
         for name, gap in zip(names[1:], gaps):
-            check("ricci_routes", gap, scale, self.tol, route=name)
-        # the largest entrywise spread is the worst gap over all route pairs
-        self.ricci_gap = float((stack.max(axis=0) - stack.min(axis=0)).max())
+            check("ricci_routes", gap, scale, self.tol, ref="trace", route=name)
+        self.ricci_gap = max(gaps)  # the worst gap over all route pairs
         # each route a read-only view of one row of the stack
         return MappingProxyType(dict(zip(names, stack)))
 

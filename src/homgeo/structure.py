@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, check
 from .errors import ConsistencyError, SlotSymmetryViolation
-from .lie import _frozen
+from .lie import _block_maxima, _frozen
 from .reductive import as_frame, cyclic_sum
 
 # the six class booleans, in report order
@@ -76,8 +76,8 @@ class _SkewPairTensor:
         if a.ndim != 3 or len(set(a.shape)) != 1 or not a.size:
             raise SlotSymmetryViolation(
                 f"expected nonempty cubic rank-3 components, got {a.shape}")
-        defect = float(np.abs(a + a.transpose(self._swap)).max())
-        check(self._check, defect, max(1.0, float(np.abs(a).max())), DEFAULT_TOL)
+        defect, peak = _block_maxima(a + a.transpose(self._swap), a)
+        check(self._check, defect, max(1.0, peak), DEFAULT_TOL)
         object.__setattr__(self, "components", _frozen(a))
 
     @property
@@ -236,27 +236,12 @@ def _evaluate(formula, x) -> list:
 
 
 def _gram(rows, peak) -> list:
-    """Pairwise products of the flat arrays in rows divided by peak^2, taken on rows / peak.
+    """Pairwise products of the rows of a (k, size) array divided by peak^2, taken on rows / peak.
 
     With peak the largest entry no square overflows.
     """
-    unit = np.array(rows) / peak
+    unit = np.divide(rows, peak)
     return np.einsum("ik,jk->ij", unit, unit).tolist()
-
-
-def _norm(a) -> float:
-    """Frobenius norm of a, through _gram."""
-    peak = float(np.abs(a).max()) or 1.0
-    return peak * math.sqrt(_gram((a.reshape(-1),), peak)[0][0])
-
-
-def _block_maxima(*blocks) -> list:
-    """The max-abs entry of each array, from one abs and one reduceat over all of them."""
-    starts = [0]
-    for block in blocks[:-1]:
-        starts.append(starts[-1] + block.size)
-    flat = np.concatenate(blocks, axis=None)
-    return np.maximum.reduceat(np.abs(flat, out=flat), starts).tolist()
 
 
 def decompose(s) -> TypeDecomposition:
@@ -266,41 +251,41 @@ def decompose(s) -> TypeDecomposition:
     Frame.types).  The split is defined once, by _split_formula; for
     n <= _OPERATOR_MAX_N it is read through that formula's cached dense
     matrix, one product with S, and above it the formula runs directly.
-    For n <= 2 both give S1 = S and S2 = S3 = 0 exactly.  Its
-    self-checks are bounded by the tensor's own scale.
+    For n <= 2 both give S1 = S and S2 = S3 = 0 exactly.
+
+    The self-checks (reconstruction, mutual orthogonality and the
+    defining traces of S2 and S3) are bounded by the tensor's own
+    scale.  Max |S| and their max-abs residuals come from one pass, and
+    the norms and pairwise products of the parts from one Gram product
+    of the parts divided by max |S|; the orthogonality bound is divided
+    by max |S|^2 to match.  The three parts are views of one read-only
+    array.
     """
     a = (s if isinstance(s, StructureTensor) else StructureTensor(s)).components
+    flat = a.reshape(-1)
     s1, three_s3, phi = _evaluate(_split_formula, a)
-    s3 = three_s3 / 3.0
-    s2 = a.reshape(-1) - s1 - s3
-    # the norms and the pairwise products come from one Gram product of
-    # the parts, divided by the largest entry of S first
-    peak = float(np.abs(a).max()) or 1.0
-    gram = _gram((s1, s2, s3), peak)
-    dec = TypeDecomposition(
-        *(_frozen(part.reshape(a.shape)) for part in (s1, s2, s3)), _frozen(phi),
-        {name: peak * math.sqrt(gram[i][i]) for i, name in enumerate(("s1", "s2", "s3"))},
-    )
-    _decomposition_selfcheck(a, dec, peak, max(abs(gram[0][1]), abs(gram[0][2]),
-                                               abs(gram[1][2])))
-    return dec
-
-
-def _decomposition_selfcheck(a, dec, peak, overlap):
-    """Reconstruction, mutual orthogonality and the defining traces.
-
-    peak is max |S| (1 when S = 0), and overlap the largest pairwise
-    product of the parts divided by peak^2; the orthogonality bound is
-    divided by peak^2 to match.
-    """
+    parts = np.empty((3, flat.size))  # S1, S2, S3
+    parts[0] = s1
+    np.divide(three_s3, 3.0, out=parts[2])
+    np.subtract(flat, s1, out=parts[1])
+    parts[1] -= parts[2]
+    peak, recon, skew, trace, cyc = _block_maxima(
+        a, flat - (parts[0] + parts[1] + parts[2]),
+        *_evaluate(_check_formula, parts[1:].reshape((2,) + a.shape)))
+    peak = peak or 1.0
+    gram = _gram(parts, peak)
     scale = max(1.0, peak)
-    check("split_reconstruction", float(np.abs(a - (dec.s1 + dec.s2 + dec.s3)).max()), scale)
     ratio = scale / peak
-    check("split_orthogonality", overlap, ratio * ratio)
-    skew, trace, cyc = _block_maxima(*_evaluate(_check_formula, np.array((dec.s2, dec.s3))))
+    check("split_reconstruction", recon, scale)
+    check("split_orthogonality", max(abs(gram[0][1]), abs(gram[0][2]), abs(gram[1][2])),
+          ratio * ratio)
     check("split_skew", skew, scale)
     check("split_trace", trace, scale)
     check("split_cyclic", cyc, scale)
+    return TypeDecomposition(
+        *_frozen(parts).reshape((3,) + a.shape), _frozen(phi),
+        {name: peak * math.sqrt(gram[i][i]) for i, name in enumerate(("s1", "s2", "s3"))},
+    )
 
 
 def _vectorial_target(eta) -> np.ndarray:
@@ -355,30 +340,27 @@ def classify(dec, metric=None) -> ClassificationReport:
     _lte_formula, through its cached matrix for n <= _OPERATOR_MAX_N as
     the split does (see decompose); the vectorial target is a broadcast
     of eta, which comes from the trace of ad, not from lte.  Each
-    residual is the max-abs of its block, all taken in one pass.  Each
     decision is cross-checked against the type-component norms
-    (Frame.types).  The tolerance is the Frame's, and the report records
-    it: pass Frame(dec, metric, tol) as dec to decide at another one.
+    (Frame.types).  The max-abs of every residual block, of the
+    cross-check's two identities and of lte are taken in one pass.  The
+    tolerance is the Frame's, and the report records it: pass
+    Frame(dec, metric, tol) as dec to decide at another one.
     """
     frame = as_frame(dec, metric)
-    tol = frame.tol
-    eta = frame.eta
+    tol, eta, s, lte = frame.tol, frame.eta, frame.s, frame.lte
     types = frame.types  # first, so no residual block is alive while it is built
-    cyc_res, nat_res, vect_res, sym_res, trace_res = _block_maxima(
-        *frame._lte_residuals, frame.lte - _vectorial_target(eta), frame.s, eta)
-
-    cyclic = cyc_res <= tol
-    traceless = trace_res <= tol
-    symmetric = sym_res <= tol
-    vectorial = vect_res <= tol
-    naturally_reductive = nat_res <= tol
+    cyc_lte, nat_lte = frame._lte_residuals
+    (cyc_res, nat_res, vect_res, sym_res, trace_res,
+     s3_gap, trace_gap, lte_peak) = _block_maxima(
+        cyc_lte, nat_lte, lte - _vectorial_target(eta), s, eta,
+        3.0 * types.s3.reshape(-1) + 0.5 * cyc_lte, contract_12(s) - eta, lte)
 
     report = ClassificationReport(
-        cyclic=cyclic,
-        traceless=traceless,
-        vectorial=vectorial,
-        naturally_reductive=naturally_reductive,
-        symmetric=symmetric,
+        cyclic=cyc_res <= tol,
+        traceless=trace_res <= tol,
+        vectorial=vect_res <= tol,
+        naturally_reductive=nat_res <= tol,
+        symmetric=sym_res <= tol,
         norms=dict(types.norms),
         eta=tuple(frame.eta_m.tolist()),
         residuals={
@@ -390,33 +372,35 @@ def classify(dec, metric=None) -> ClassificationReport:
         },
         tol=tol,
     )
-    _classify_crosscheck(report, frame)
+    lte_peak = lte_peak or 1.0
+    lte_norm = lte_peak * math.sqrt(_gram(lte.reshape(1, -1), lte_peak)[0][0])
+    _classify_crosscheck(report, types, frame.n, s3_gap, trace_gap, lte_norm)
     return report
 
 
-def _classify_crosscheck(report, frame):
+def _classify_crosscheck(report, types, n, s3_gap, trace_gap, lte_norm):
     """Bracket-level decisions must match the component-norm picture.
 
     Exact identities tie the two routes together.  The cyclic sum of U
     vanishes, so 3 S3, the cyclic sum of S, is minus half the cyclic sum
-    of the projected bracket lte (Tricerri-Vanhecke); the trace c12(S)
-    equals eta; S - S1 has norm sqrt(s2^2 + s3^2); and S vanishes
-    exactly when lte does.  A wide guard band (crosscheck_norms) keeps the
-    check meaningful without flapping at the threshold.
+    of the projected bracket lte (Tricerri-Vanhecke): s3_gap is the
+    max-abs of their sum.  The trace c12(S) equals eta: trace_gap is the
+    max-abs of their difference.  S - S1 has norm sqrt(s2^2 + s3^2), and
+    S vanishes exactly when lte does, whose norm is lte_norm.  A wide
+    guard band (crosscheck_norms) keeps the check meaningful without
+    flapping at the threshold.
     """
-    s, types, n, tol = frame.s, frame.types, frame.n, frame.tol
+    tol = report.tol
     s_scale = max(1.0, report.residuals["symmetric"])  # max |S|
-    check("crosscheck_s3",
-          float(np.abs(3.0 * types.s3.reshape(-1) + 0.5 * frame._lte_residuals[0]).max()),
-          s_scale)
-    check("crosscheck_trace", float(np.abs(contract_12(s) - frame.eta).max()), s_scale, tol)
+    check("crosscheck_s3", s3_gap, s_scale)
+    check("crosscheck_trace", trace_gap, s_scale, tol)
 
     checks = [
         (report.cyclic, types.norms["s3"]),
         (report.traceless, types.norms["s1"]),
         (report.vectorial, math.hypot(types.norms["s2"], types.norms["s3"])),
         (report.naturally_reductive, math.hypot(types.norms["s1"], types.norms["s2"])),
-        (report.symmetric, _norm(frame.lte)),
+        (report.symmetric, lte_norm),
     ]
     scale = s_scale * n ** 1.5
     for decided, norm in checks:

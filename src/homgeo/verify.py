@@ -160,16 +160,20 @@ def _check_killing_identity(entry, frame, rng):
 
 
 def _check_scaling_covariance(entry, frame, rng):
-    """K(t g) = K(g) / t at t = 0.5 and 2, on the plane of the first two m-basis vectors.
+    """K(t g) = K(g) / t at t = 0.5 and 2, on one seeded plane.
 
-    K(g) is read from the entry's R4.  Each rescaled metric goes through
-    its own Frame (Cholesky, connection), and K(t g) is contracted from
-    that Frame's connection without forming its R4, so the check also
-    ties the two routes together.
+    The plane is spanned by the orthonormal columns of the QR factor of
+    an (n, 2) standard normal draw from rng, in m-index coordinates, so
+    it is never degenerate and it is not a coordinate plane, on which
+    the commutator term of R4(x, y, x, y) can vanish.  K(g) is read from
+    the entry's R4.  Each rescaled metric goes through its own Frame
+    (Cholesky, connection), and K(t g) is contracted from that Frame's
+    connection without forming its R4, so the check also ties the two
+    routes together.
     """
     if frame.n < 2:  # a 1-dimensional m has no plane
         return []
-    x, y = np.eye(frame.n)[:2]
+    x, y = np.linalg.qr(rng.standard_normal((frame.n, 2)))[0].T
     base = sectional_curvature(frame, None, x, y)
     worst = 0.0
     for t in (0.5, 2.0):

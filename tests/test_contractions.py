@@ -16,12 +16,15 @@ from functools import cache, partial
 import numpy as np
 import pytest
 
+from homgeo import reductive
 from homgeo.catalog import build, default_entries, sp11_model, su21_model
 from homgeo.curvature import (
     _quartic_form,
     _r4_pair,
     curvature_diagonal_general,
+    curvature_tensor,
     cyclic_curvature_diagonal,
+    einstein_check,
     killing_quadratic_via_brackets,
     ricci_routes,
     sectional_curvature,
@@ -389,10 +392,156 @@ def test_frame_calls_never_build_rc(dim_k):
     dec, metric = frame.dec, frame.metric
     ricci_routes(dec, metric)
     built = as_frame(dec, metric)
-    # r4 is the only n^4 array the Ricci routes leave on the Frame
+    # the Ricci routes leave no n^4 array on the Frame, r4 included
     big = [name for name, value in vars(built).items()
            if isinstance(value, np.ndarray) and value.size >= built.n ** 4]
-    assert big == ["r4"]
+    assert big == []
+
+
+# lie_frame at every size, with k empty and with k nonempty, beside the
+# curvature spaces and the default catalog entries.  n = 17 with k empty is
+# left out: its table in lie_frame's random basis has entries near 100 and a
+# Jacobi residual of 1.7e-9, which the absolute Jacobi bound (1e-9 at the
+# default tolerance, whatever the table's scale) refuses
+ROUTE_SPACES = {
+    **{f"n{n}-k{dim_k}": partial(lie_frame, n, dim_k, 10 * n + dim_k)
+       for n in SIZES + SLICED for dim_k in ISOTROPY if (n, dim_k) != (17, 0)},
+    **CURVATURE_SPACES,
+    **{entry.label: partial(Frame, entry.decomposition, entry.metric)
+       for entry in default_entries()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_SPACES))
+def test_trace_route_and_killing_on_m_match_their_definitions(name):
+    """The trace route, contracted without R4, against sum_a R4[x,a,y,a];
+    killing_m, from the Frame's adjoint product, against the Killing form of g."""
+    frame = ROUTE_SPACES[name]()
+    trace = frame.ricci_routes["trace"]
+    assert "r4" not in vars(frame)
+    assert_close(trace, np.einsum("xaya->xy", frame.r4))
+    b_full = killing_form(frame.dec.algebra)
+    assert_close(frame.killing_m, frame.frame_g.T @ b_full @ frame.frame_g)
+    assert np.array_equal(frame.killing_m, frame.killing_m.T)
+
+
+@pytest.mark.parametrize("call", [ricci_routes, einstein_check])
+def test_ricci_readers_build_no_r4(call, monkeypatch):
+    def spy(self):
+        raise AssertionError("r4 was built")
+
+    monkeypatch.setattr(Frame, "r4", property(spy))
+    for entry in default_entries():
+        frame = Frame(entry.decomposition, entry.metric)
+        call(frame)
+        call(entry.decomposition, entry.metric)
+        assert "r4" not in vars(frame)
+        assert "r4" not in vars(as_frame(entry.decomposition, entry.metric))
+
+
+# the default entries on which the commutator term of the curvature tensor,
+# and with it its trace sum_a [G_x, G_a][y, a], is not zero
+COMMUTATOR_ENTRIES = [
+    "b2_product(rho=1.0,sigma=2.0,lam=1.5)",
+    "g(alpha=[0.5, 1.0, 2.0])",
+    "g(alpha=[1.0, -1.0])",
+    "g(alpha=[1.0, 1.0])",
+    "milnor3(lam=[1.0, 0.0, -1.0])",
+    "milnor3(lam=[1.0, 1.0, 1.0])",
+    "milnor3(lam=[1.0, 2.0, -3.0])",
+    "milnor3(lam=[2.0, 1.0, 1.0])",
+    "r_heisenberg(alpha=1.0,lam3=1.0)",
+    "so2_heisenberg(lam3=1.0)",
+    "sp11_a3iii(mu=1.0)",
+    "su21_a3ii(lam=1.0,mu=1.0)",
+]
+
+
+def commutator_trace(gamma):
+    """sum_a [G_x, G_a][y, a] with G_x = gamma[x], written out with np.einsum."""
+    return (np.einsum("xyb,aba->xy", gamma, gamma)
+            - np.einsum("ayb,xba->xy", gamma, gamma))
+
+
+def ricci_failures(monkeypatch, mutant):
+    """{label: error text} of the default entries whose ricci_routes raise with
+    reductive._ricci_trace replaced by mutant(original, gamma, lte, iso)."""
+    original = reductive._ricci_trace
+    monkeypatch.setattr(reductive, "_ricci_trace",
+                        lambda gamma, lte, iso: mutant(original, gamma, lte, iso))
+    failed = {}
+    for entry in default_entries():
+        try:
+            Frame(entry.decomposition, entry.metric).ricci_routes
+        except ConsistencyError as exc:
+            failed[entry.label] = str(exc)
+    return failed
+
+
+def test_trace_route_with_the_commutator_flipped_fails(monkeypatch):
+    terms = {entry.label: np.abs(commutator_trace(
+        Frame(entry.decomposition, entry.metric).gamma)).max() for entry in default_entries()}
+    assert sorted(label for label, term in terms.items() if term > 0.1) == COMMUTATOR_ENTRIES
+    assert all(term == 0.0 for label, term in terms.items() if label not in COMMUTATOR_ENTRIES)
+
+    failed = ricci_failures(monkeypatch, lambda original, gamma, lte, iso:
+                            original(gamma, lte, iso) - 2.0 * commutator_trace(gamma))
+    assert sorted(failed) == COMMUTATOR_ENTRIES
+    assert all("Ricci routes 'trace' and 'general' disagree" in text
+               for text in failed.values())
+
+
+def test_trace_route_without_the_isotropy_term_fails(monkeypatch):
+    failed = ricci_failures(monkeypatch, lambda original, gamma, lte, iso:
+                            original(gamma, lte, 0.0 * iso))
+    with_k = sorted(entry.label for entry in default_entries() if entry.decomposition.dim_k)
+    assert len(with_k) == 6
+    assert sorted(failed) == with_k
+    assert all("Ricci routes 'trace' and 'general' disagree" in text
+               for text in failed.values())
+
+
+class FlippedCommutator:
+    """numpy, except that np.matmul into an out array negates the product.
+
+    Frame.r4 forms each commutator G_a G_b - G_b G_a from its one matmul
+    into a scratch buffer, so in reductive this flips the commutator's sign
+    and nothing else.
+    """
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def matmul(a, b, out):
+        np.matmul(a, b, out=out)
+        return np.negative(out, out=out)
+
+
+# with the commutator flipped, the four symmetry checks of r4 catch it on
+# these entries; on the other entries of COMMUTATOR_ENTRIES only the tie of
+# its trace to the general Ricci route does
+SYMMETRY_CATCHES_THE_FLIP = [
+    "r_heisenberg(alpha=1.0,lam3=1.0)",
+    "sp11_a3iii(mu=1.0)",
+    "su21_a3ii(lam=1.0,mu=1.0)",
+]
+
+
+def test_curvature_tensor_with_the_commutator_flipped_fails(monkeypatch):
+    monkeypatch.setattr(reductive, "np", FlippedCommutator())
+    caught = {}
+    for entry in default_entries():
+        try:
+            curvature_tensor(Frame(entry.decomposition, entry.metric))
+        except ConsistencyError as exc:
+            caught[entry.label] = str(exc)
+    assert sorted(caught) == COMMUTATOR_ENTRIES
+    for label, text in caught.items():
+        if label in SYMMETRY_CATCHES_THE_FLIP:
+            assert text.startswith("curvature tensor fails its algebraic symmetries"), label
+        else:
+            assert text.startswith("Ricci routes 'general' and 'r4' disagree"), label
 
 
 @pytest.mark.parametrize("n, dim_k", zip(SLICED, ISOTROPY))

@@ -36,7 +36,7 @@ def test_check_fails_beyond_its_bound_and_on_nan(residual):
 
 def test_check_message_carries_both_numbers():
     with pytest.raises(ConsistencyError) as info:
-        check("ricci_routes", 2.5e-7, 1.0, 1e-9, route="general")
+        check("ricci_routes", 2.5e-7, 1.0, 1e-9, ref="trace", route="general")
     assert str(info.value) == ("Ricci routes 'trace' and 'general' disagree: "
                                "residual 2.500e-07 (bound 1.0e-09)")
     with pytest.raises(InvalidMetric, match=r"^metric is not ad_k-invariant: "
