@@ -71,7 +71,7 @@ def _block_maxima(*blocks) -> list:
     starts = [0]
     for block in blocks[:-1]:
         starts.append(starts[-1] + block.size)
-    flat = np.concatenate(blocks, axis=None)
+    flat = np.concatenate([block.ravel() for block in blocks])
     return np.maximum.reduceat(np.abs(flat, out=flat), starts).tolist()
 
 
