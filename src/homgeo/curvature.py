@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import bound, check
 from .errors import DegeneratePlane, NotCyclic
+from .lie import _block_maxima
 from .reductive import Frame, as_frame
 
 
@@ -172,8 +173,8 @@ def einstein_check(dec, metric=None) -> EinsteinReport:
     lam = float(ric.trace()) / n
     shifted = ric.copy()
     shifted.flat[::n + 1] -= lam  # Ric - lam I
-    dev = float(np.abs(shifted).max())
-    limit = bound("einstein", max(1.0, float(np.abs(ric).max())), frame.tol)
+    dev, peak = _block_maxima(shifted, ric)
+    limit = bound("einstein", max(1.0, peak), frame.tol)
     return EinsteinReport(ric, lam, dev, dev <= limit)
 
 

@@ -100,6 +100,18 @@ class InvariantMetric:
         return self.matrix.shape[0]
 
 
+def _index(indices: tuple):
+    """indices as a slice when they run consecutively upward, else as a list.
+
+    Both select the same entries; a slice reads a view where a list
+    copies, and at n = 3 each copy costs more than the product it feeds.
+    """
+    start = indices[0] if indices else 0
+    if indices == tuple(range(start, start + len(indices))):
+        return slice(start, start + len(indices))
+    return list(indices)
+
+
 def _ricci_trace(gamma: np.ndarray, lte: np.ndarray, iso: np.ndarray) -> np.ndarray:
     """sum_a R4[x, a, y, a] from the three terms Frame.r4 is assembled from, without forming it.
 
@@ -172,8 +184,8 @@ class Frame:
         check("frame_orthonormality", ortho, n * chol_peak * q_peak)
         algebra = dec.algebra
         dim = algebra.dim
-        m_idx = list(dec.m_indices)
-        k_idx = list(dec.k_indices)
+        m_idx = _index(dec.m_indices)
+        k_idx = _index(dec.k_indices)
 
         frame_g = np.zeros((dim, n))
         frame_g[m_idx, :] = self.q
@@ -185,7 +197,7 @@ class Frame:
         self.lte = br[:, :, m_idx] @ self.q_inv.T
         self.k_part = br[:, :, k_idx]
 
-        if k_idx:
+        if dec.dim_k:
             # ad[c, w] = [f_c, k_w] = -[k_w, f_c]; its m part in frame coordinates
             self.ad_k = adk = -(ad[:, k_idx][:, :, m_idx] @ self.q_inv.T).transpose(1, 2, 0)
             inv = float(np.abs(adk + np.transpose(adk, (0, 2, 1))).max())
