@@ -119,8 +119,8 @@ def _ricci_trace(gamma: np.ndarray, lte: np.ndarray, iso: np.ndarray) -> np.ndar
     - sum_(a,b) gamma[x,b,a] gamma[a,y,b], with tau_b = sum_a gamma[a,b,a]:
     the metric term, the isotropy term (the trace of the canonical
     curvature) and the trace of the commutator [G_x, G_a][y, a].  The
-    first and last sums read the same (n*n, n) view of gamma, so they
-    are one product.
+    first and last sums read the same (n*n, n) rearrangement of gamma,
+    so they are one product.
     """
     n = gamma.shape[0]
     g_t = gamma.transpose(2, 0, 1).reshape(n * n, n)  # g_t[(a, e), y] = gamma[e, y, a]
@@ -140,7 +140,7 @@ class Frame:
     lte : (n, n, n) lte[a,b,c] = <[f_a, f_b]_m, f_c>
     k_part : (n, n, dim_k) k-components of [f_a, f_b]
     ad : (n, dim_g, dim_g) ad[c, j] = [f_c, e_j] as a g-vector: the adjoint
-        action of each frame vector, read by killing_m
+        action of each frame vector, read by killing_m and _bracket_pairs
     br : (n, n, dim_g) br[a, b] = [f_a, f_b] = frame_g.T @ ad as a g-vector
     ad_k : (dim_k, n, n) ad_k[w, d, c] = <[k_w, f_c], f_d>
     eta : (n,) canonical trace form, eta[a] = -tr ad_{f_a}, which are
