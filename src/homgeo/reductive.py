@@ -246,13 +246,12 @@ class Frame:
     @cached_property
     def u(self) -> np.ndarray:
         """Symmetric map U, fixed by 2<U(X,Y),Z> = <[Z,X]_m,Y> + <[Z,Y]_m,X>."""
-        lte = self.lte
-        return _frozen(0.5 * (lte.transpose(1, 2, 0) + lte.transpose(2, 1, 0)))
+        return _frozen(_symmetric_map(self.lte))
 
     @cached_property
     def s(self) -> np.ndarray:
-        """Components of the structure tensor S = (1/2) T^c - U."""
-        return _frozen(-0.5 * self.lte - self.u)
+        """Components of the structure tensor S = (1/2) T^c - U, read from _bracket_side."""
+        return self._bracket_side[0].reshape(self.n, self.n, self.n)
 
     @cached_property
     def types(self):
@@ -329,19 +328,20 @@ class Frame:
         return _frozen((b + b.T) / 2.0)
 
     @cached_property
-    def _lte_residuals(self) -> tuple:
-        """The cyclic sum of lte and lte + lte_acb, flattened (structure._lte_formula).
+    def _bracket_side(self) -> tuple:
+        """structure._bracket_formula of (lte, eta), flattened and read-only.
 
-        classify reads both and its cross-check the first again.
+        S, the cyclic sum of lte, lte + lte_acb, lte minus the vectorial
+        target of eta, and c12(S) - eta: s reads the first, classify all five.
         """
-        from .structure import _evaluate, _lte_formula
+        from .structure import _bracket_formula, _evaluate
 
-        return tuple(_frozen(r) for r in _evaluate(_lte_formula, self.lte))
+        return tuple(_evaluate(_bracket_formula, self.lte, self.eta))
 
     @cached_property
     def cyclic_residual(self) -> float:
         """Max-abs cyclic sum of lte; within tol exactly on cyclic spaces."""
-        return float(np.abs(self._lte_residuals[0]).max())
+        return float(np.abs(self._bracket_side[1]).max())
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -581,6 +581,12 @@ def as_frame(dec, metric=None) -> Frame:
     frame = Frame(dec, metric)
     _last_frame = frame
     return frame
+
+
+def _symmetric_map(lte: np.ndarray) -> np.ndarray:
+    """U, 2<U(X,Y),Z> = <[Z,X]_m,Y> + <[Z,Y]_m,X>, from lte over any leading axes."""
+    t = np.swapaxes(lte, -1, -3)  # t[..., a, b, c] = lte[..., c, b, a]
+    return 0.5 * (np.swapaxes(t, -3, -2) + t)
 
 
 def cyclic_sum(components: np.ndarray) -> np.ndarray:

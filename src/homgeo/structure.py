@@ -15,20 +15,26 @@ irreducible pieces.  With phi(Z) = (1/max(n-1,1)) sum_a S_{a a Z}:
     S3       = alternation of S                 (totally skew part)
     S2       = S - S1 - S3                      (traceless cyclic part)
 
-For n <= 2 only the vectorial part exists; the same formulas give S2
-and S3 as exact zeros there.
+For n <= 2 only the vectorial part exists, and the same formulas give
+S2 = S3 = 0 there.
 
 The classification booleans reported by classify are computed from the
 brackets directly and cross-checked against the component norms.
 
-The split, classify's residual tensors and the split's self-checks are
-linear, and each is written once, as a formula on tensors stacked along
-leading axes (_split_formula, _lte_formula, _check_formula).  Up to
-n = _OPERATOR_MAX_N each formula is read through a dense matrix, the
-formula applied to the unit tensors, built and verified on first use
-and cached per n; a space then costs one product per formula instead of
-dozens of small array operations.  Above that size, where the matrices
-would cost more than they save, the formulas run directly.
+Every linear part of classify is written once, as a formula on tensors
+stacked along leading axes, and a point costs two products.  The
+bracket side, _bracket_formula of (lte, eta), gives S = -lte/2 - U,
+the cyclic sum of lte, lte + lte_acb, lte minus the vectorial target of
+eta and c12(S) - eta.  The split side, _split_formula of S, gives S's
+slot-(2, 3) skew defect, S1, S2, S3, phi and the split's defining
+traces.  No product computes both sides of a cross-check: crosscheck_s3
+adds 3 S3 from the split side to half the cyclic sum of lte from the
+bracket side.  Up to n = _OPERATOR_MAX_N each formula is read through a
+dense matrix, the formula applied to the unit inputs, built and
+verified on first use and cached per n; a space then costs one product
+per side instead of dozens of small array operations.  Above that size,
+where the matrices would cost more than they save, the formulas run
+directly.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from .config import DEFAULT_TOL, check
 from .errors import ConsistencyError, SlotSymmetryViolation
 from .lie import _block_maxima, _frozen
-from .reductive import as_frame, cyclic_sum
+from .reductive import _symmetric_map, as_frame, cyclic_sum
 
 # the six class booleans, in report order
 CLASS_FIELDS = ("cyclic", "traceless", "traceless_cyclic", "vectorial",
@@ -63,6 +69,14 @@ class _ClassBooleans:
         return {name: getattr(self, name) for name in CLASS_FIELDS}
 
 
+def _cubic(components) -> np.ndarray:
+    """components as a float array, or SlotSymmetryViolation unless nonempty, cubic and rank 3."""
+    a = np.asarray(components, dtype=float)
+    if a.ndim != 3 or len(set(a.shape)) != 1 or not a.size:
+        raise SlotSymmetryViolation(f"expected nonempty cubic rank-3 components, got {a.shape}")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class _SkewPairTensor:
     """Cubic rank-3 components, antisymmetric in one pair of slots."""
@@ -72,10 +86,7 @@ class _SkewPairTensor:
     _check: ClassVar[str]  # the slot check's row in config.CHECKS
 
     def __post_init__(self):
-        a = np.asarray(self.components, dtype=float)
-        if a.ndim != 3 or len(set(a.shape)) != 1 or not a.size:
-            raise SlotSymmetryViolation(
-                f"expected nonempty cubic rank-3 components, got {a.shape}")
+        a = _cubic(self.components)
         defect, peak = _block_maxima(a + a.transpose(self._swap), a)
         check(self._check, defect, max(1.0, peak), DEFAULT_TOL)
         object.__setattr__(self, "components", _frozen(a))
@@ -140,56 +151,70 @@ class TypeDecomposition:
     norms: dict = field(default_factory=dict)
 
 
+def _vectorial(phi) -> np.ndarray:
+    """<X,Y> phi(Z) - <X,Z> phi(Y) for forms phi stacked along leading axes.
+
+    Written through diagonal views of a zero tensor.
+    """
+    n = phi.shape[-1]
+    v = np.zeros(phi.shape + (n, n))
+    np.einsum("...aac->...ac", v)[...] += phi[..., None, :]
+    np.einsum("...aba->...ab", v)[...] -= phi[..., None, :]
+    return v
+
+
+def _bracket_formula(lte, eta):
+    """classify's bracket-side tensors of stacked projected brackets lte and trace forms eta.
+
+    S = -lte/2 - U, the cyclic sum of lte, lte + lte_acb, lte minus the
+    vectorial target (delta_ac eta_b - delta_bc eta_a) / max(n-1, 1),
+    and c12(S) - eta.  The target is minus _vectorial of
+    eta / max(n-1, 1) with slots 1, 3 exchanged.
+    """
+    s = -0.5 * lte - _symmetric_map(lte)
+    minus_target = np.swapaxes(_vectorial(eta / max(eta.shape[-1] - 1, 1)), -1, -3)
+    return (s, cyclic_sum(lte), lte + np.swapaxes(lte, -1, -2),
+            lte + minus_target, contract_12(s) - eta)
+
+
 def _split_formula(s):
-    """S1, 3 S3 and phi of structure tensors stacked along leading axes.
+    """The split of structure tensors stacked along leading axes, with its checks.
 
-    The cyclic sum is returned undivided, so that its matrix rows hold
-    integers and give S3 = 0 exactly where it vanishes (n <= 2).
+    S + S with slots 2, 3 exchanged; S1, S2, S3 joined along the first
+    slot, so that each flattens to the three parts end to end; phi; and
+    the defining traces of S2 and S3, which must vanish: S3 + S3 with
+    slots 1, 2 exchanged, c12(S2) and the cyclic sum of S2.
     """
-    n = s.shape[-1]
-    phi = contract_12(s) / max(n - 1, 1)
-    s1 = np.zeros(s.shape)
-    # S1_{XYZ} = <X,Y> phi(Z) - <X,Z> phi(Y), written through diagonal views
-    np.einsum("...aac->...ac", s1)[...] += phi[..., None, :]
-    np.einsum("...aba->...ab", s1)[...] -= phi[..., None, :]
-    return s1, cyclic_sum(s), phi
-
-
-def _check_formula(parts):
-    """The defining traces of stacked (S2, S3) pairs, which must vanish.
-
-    S3 + S3 with slots 1, 2 exchanged, c12(S2) and the cyclic sum of S2.
-    """
-    s2, s3 = parts[..., 0, :, :, :], parts[..., 1, :, :, :]
-    return s3 + np.swapaxes(s3, -3, -2), contract_12(s2), cyclic_sum(s2)
-
-
-def _lte_formula(lte):
-    """classify's residual tensors of projected brackets: the cyclic sum, lte + lte_acb."""
-    return cyclic_sum(lte), lte + np.swapaxes(lte, -1, -2)
+    phi = contract_12(s) / max(s.shape[-1] - 1, 1)
+    s1, s3 = _vectorial(phi), cyclic_sum(s) / 3.0
+    s2 = s - s1 - s3
+    return (s + np.swapaxes(s, -1, -2), np.concatenate((s1, s2, s3), axis=-3), phi,
+            s3 + np.swapaxes(s3, -3, -2), contract_12(s2), cyclic_sum(s2))
 
 
 # The formulas above go through a cached dense matrix for n <= 4, the
 # dimensions the paper classifies, and are evaluated directly above.
-# Split, residuals and checks, matrices against formulas (medians of two
-# in-process runs on a shared 2-core Xeon, one OpenBLAS thread): 7-12 vs
-# 39-56 us at n = 3, 13-16 vs 42-58 at n = 4, 23-34 vs 38-59 at n = 5 and
-# 133 vs 37-41 at n = 6.  No catalog space or workload has n = 5, and its
-# 1 MB of matrices took 125-140 ms to build and verify in a fresh process
-# under OpenBLAS's default thread pool (4 ms with one thread; n = 4: 1 ms).
+# Both sides, matrices against formulas (minima of 7 in-process repeats
+# on a shared 2-core Xeon, one OpenBLAS thread): 8 vs 48 us at n = 3,
+# 13 vs 49 at n = 4, 28 vs 51 at n = 5 and 154 vs 52 at n = 6.  No
+# catalog space or workload has n = 5, and its 1.3 MB of matrices took
+# 145 ms to build and verify in a fresh process under OpenBLAS's default
+# thread pool (4 ms with one thread; n = 4: under 1 ms).
 _OPERATOR_MAX_N = 4
 
 
-def _matrix(formula, shape):
-    """A linear formula on inputs of this shape as (dense matrix, output slices).
+def _matrix(formula, *shapes):
+    """A linear formula on inputs of these shapes as (dense matrix, output slices).
 
-    The matrix maps a flattened input to the formula's outputs, each
-    flattened and joined end to end; the slices cut that vector back
-    into the outputs.  Its columns are the formula applied to the unit
-    tensors, which run along one leading axis.
+    The matrix maps the inputs, flattened and joined end to end, to the
+    formula's outputs, each flattened and joined end to end; the slices
+    cut that vector back into the outputs.  Its columns are the formula
+    applied to the unit inputs, which run along one leading axis.
     """
-    size = math.prod(shape)
-    outputs = formula(np.eye(size).reshape((size,) + shape))
+    sizes = [math.prod(shape) for shape in shapes]
+    size = sum(sizes)
+    units = np.split(np.eye(size), np.cumsum(sizes[:-1]), axis=1)
+    outputs = formula(*(u.reshape((size,) + shape) for u, shape in zip(units, shapes)))
     bounds = np.cumsum([0] + [out[0].size for out in outputs]).tolist()
     matrix = np.concatenate([out.reshape(size, -1) for out in outputs], axis=1).T
     return _frozen(matrix), tuple(map(slice, bounds[:-1], bounds[1:]))
@@ -205,13 +230,11 @@ def _operator(n: int) -> MappingProxyType:
     orthogonal in the Frobenius product and sum to that projector.
     """
     shape = (n, n, n)
-    ops = {formula: _matrix(formula, shape) for formula in (_split_formula, _lte_formula)}
-    ops[_check_formula] = _matrix(_check_formula, (2,) + shape)
+    ops = {_bracket_formula: _matrix(_bracket_formula, shape, shape[:1]),
+           _split_formula: _matrix(_split_formula, shape)}
     skew, _ = _matrix(lambda x: (0.5 * (x - np.swapaxes(x, -1, -2)),), shape)
-    split, (s1_rows, cyclic_rows, _) = ops[_split_formula]
-    p1 = split[s1_rows] @ skew
-    p3 = split[cyclic_rows] @ skew / 3.0
-    projectors = (p1, skew - p1 - p3, p3)
+    split, (_, parts, *_) = ops[_split_formula]
+    projectors = split[parts].reshape(3, n ** 3, n ** 3) @ skew
     worst = max(float(np.abs(p @ p - p).max()) for p in projectors)
     check("projector_idempotent", worst)
     worst = max(float(np.abs(projectors[i].T @ projectors[j]).max())
@@ -221,17 +244,18 @@ def _operator(n: int) -> MappingProxyType:
     return MappingProxyType(ops)
 
 
-def _evaluate(formula, x) -> list:
-    """formula(x) as a list of flat arrays.
+def _evaluate(formula, *inputs) -> list:
+    """formula(*inputs) as a list of flat read-only arrays.
 
-    For n <= _OPERATOR_MAX_N this is one product with the formula's
-    _operator matrix; above it the formula itself runs.
+    For n <= _OPERATOR_MAX_N this is one product of the formula's
+    _operator matrix with the inputs joined end to end; above it the
+    formula itself runs.
     """
-    n = x.shape[-1]
+    n = inputs[0].shape[-1]
     if n > _OPERATOR_MAX_N:
-        return [out.reshape(-1) for out in formula(x)]
+        return [_frozen(out).reshape(-1) for out in formula(*inputs)]
     matrix, slices = _operator(n)[formula]
-    y = matrix @ x.reshape(-1)
+    y = _frozen(matrix @ np.concatenate([x.reshape(-1) for x in inputs]))
     return [y[part] for part in slices]
 
 
@@ -248,30 +272,27 @@ def decompose(s) -> TypeDecomposition:
     """Split a structure tensor into its three orthogonal type components.
 
     Components are taken in an orthonormal basis (a Frame's S is; see
-    Frame.types).  The split is defined once, by _split_formula; for
-    n <= _OPERATOR_MAX_N it is read through that formula's cached dense
-    matrix, one product with S, and above it the formula runs directly.
-    For n <= 2 both give S1 = S and S2 = S3 = 0 exactly.
+    Frame.types).  The split and its checks are defined once, by
+    _split_formula; for n <= _OPERATOR_MAX_N they are read through that
+    formula's cached dense matrix, one product with S, and above it the
+    formula runs directly.  For n <= 2 only S1 can be nonzero.
 
-    The self-checks (reconstruction, mutual orthogonality and the
-    defining traces of S2 and S3) are bounded by the tensor's own
-    scale.  Max |S| and their max-abs residuals come from one pass, and
-    the norms and pairwise products of the parts from one Gram product
-    of the parts divided by max |S|; the orthogonality bound is divided
-    by max |S|^2 to match.  The three parts are views of one read-only
+    S must be antisymmetric in its last two slots
+    (structure_tensor_skew, SlotSymmetryViolation).  The split's
+    self-checks (reconstruction, mutual orthogonality and the defining
+    traces of S2 and S3) follow, bounded by the tensor's own scale.
+    Max |S| and every max-abs residual come from one pass, and the norms
+    and pairwise products of the parts from one Gram product of the
+    parts divided by max |S|; the orthogonality bound is divided by
+    max |S|^2 to match.  The three parts are views of one read-only
     array.
     """
-    a = (s if isinstance(s, StructureTensor) else StructureTensor(s)).components
-    flat = a.reshape(-1)
-    s1, three_s3, phi = _evaluate(_split_formula, a)
-    parts = np.empty((3, flat.size))  # S1, S2, S3
-    parts[0] = s1
-    np.divide(three_s3, 3.0, out=parts[2])
-    np.subtract(flat, s1, out=parts[1])
-    parts[1] -= parts[2]
-    peak, recon, skew, trace, cyc = _block_maxima(
-        a, flat - (parts[0] + parts[1] + parts[2]),
-        *_evaluate(_check_formula, parts[1:].reshape((2,) + a.shape)))
+    a = s.components if isinstance(s, StructureTensor) else _cubic(s)
+    defect, parts, phi, *traces = _evaluate(_split_formula, a)
+    parts = parts.reshape(3, -1)  # S1, S2, S3
+    peak, defect, recon, skew, trace, cyc = _block_maxima(
+        a, defect, a.reshape(-1) - parts.sum(axis=0), *traces)
+    check("structure_tensor_skew", defect, max(1.0, peak), DEFAULT_TOL)
     peak = peak or 1.0
     gram = _gram(parts, peak)
     scale = max(1.0, peak)
@@ -283,18 +304,9 @@ def decompose(s) -> TypeDecomposition:
     check("split_trace", trace, scale)
     check("split_cyclic", cyc, scale)
     return TypeDecomposition(
-        *_frozen(parts).reshape((3,) + a.shape), _frozen(phi),
+        *parts.reshape((3,) + a.shape), phi,
         {name: peak * math.sqrt(gram[i][i]) for i, name in enumerate(("s1", "s2", "s3"))},
     )
-
-
-def _vectorial_target(eta) -> np.ndarray:
-    """(delta_ac eta_b - delta_bc eta_a) / max(n-1, 1), from eta written on a diagonal."""
-    n = eta.shape[0]
-    half = np.zeros((n, n, n))  # half[a, c, b] = delta_ac eta_b / max(n-1, 1)
-    half.reshape(n * n, n)[::n + 1] = eta / max(n - 1, 1)
-    half = half.transpose(0, 2, 1)
-    return half - half.transpose(1, 0, 2)  # the second term is the first with a, b exchanged
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,10 +348,10 @@ def classify(dec, metric=None) -> ClassificationReport:
       nat. red.:    <[X,Y]_m, Z> is antisymmetric in Y, Z,
       symmetric:    S = 0.
 
-    The cyclic and naturally reductive residual tensors come from
-    _lte_formula, through its cached matrix for n <= _OPERATOR_MAX_N as
-    the split does (see decompose); the vectorial target is a broadcast
-    of eta, which comes from the trace of ad, not from lte.  Each
+    Every residual tensor, S and the trace identity's gap come from
+    one product of (lte, eta), read through Frame._bracket_side
+    (_bracket_formula), and the split from a second one, of S (see
+    decompose); eta comes from the trace of ad, not from lte.  Each
     decision is cross-checked against the type-component norms
     (Frame.types).  The max-abs of every residual block, of the
     cross-check's two identities and of lte are taken in one pass.  The
@@ -347,13 +359,13 @@ def classify(dec, metric=None) -> ClassificationReport:
     Frame(dec, metric, tol) as dec to decide at another one.
     """
     frame = as_frame(dec, metric)
-    tol, eta, s, lte = frame.tol, frame.eta, frame.s, frame.lte
-    types = frame.types  # first, so no residual block is alive while it is built
-    cyc_lte, nat_lte = frame._lte_residuals
+    tol, lte = frame.tol, frame.lte
+    types = frame.types
+    s, cyc_lte, nat_lte, vect_lte, trace_gap = frame._bracket_side
     (cyc_res, nat_res, vect_res, sym_res, trace_res,
      s3_gap, trace_gap, lte_peak) = _block_maxima(
-        cyc_lte, nat_lte, lte - _vectorial_target(eta), s, eta,
-        3.0 * types.s3.reshape(-1) + 0.5 * cyc_lte, contract_12(s) - eta, lte)
+        cyc_lte, nat_lte, vect_lte, s, frame.eta,
+        3.0 * types.s3.reshape(-1) + 0.5 * cyc_lte, trace_gap, lte)
 
     report = ClassificationReport(
         cyclic=cyc_res <= tol,

@@ -6,7 +6,6 @@ import scipy.linalg
 
 from homgeo.catalog import default_entries, su21_model
 from homgeo.errors import (
-    ConsistencyError,
     IndexOutOfRange,
     JacobiViolation,
     NotADerivation,

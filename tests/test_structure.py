@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homgeo import structure
-from homgeo.catalog import build
+from homgeo.catalog import build, default_entries
 from homgeo.curvature import einstein_check
 from homgeo.errors import ConsistencyError, SlotSymmetryViolation
 from homgeo.lie import build_lie_algebra, change_basis
@@ -148,11 +149,11 @@ def test_classify_norms_do_not_overflow():
 
 
 def _random_inputs(n, seed):
-    """A structure tensor, a projected bracket and a stacked (S2, S3) pair."""
+    """A structure tensor, and a projected bracket with a trace form."""
     rng = np.random.default_rng([seed, n])
-    return {structure._split_formula: random_structure(n, seed),
-            structure._lte_formula: rng.standard_normal((n, n, n)),
-            structure._check_formula: rng.standard_normal((2, n, n, n))}
+    return {structure._split_formula: (random_structure(n, seed),),
+            structure._bracket_formula: (rng.standard_normal((n, n, n)),
+                                         rng.standard_normal(n))}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -161,11 +162,11 @@ def test_operator_and_formulas_agree(n):
     # both sides of the cutoff are compared here
     ops = structure._operator(n)
     for scale in (1e-5, 1.0, 1e5):
-        for formula, x in _random_inputs(n, 3).items():
-            x = scale * x
+        for formula, inputs in _random_inputs(n, 3).items():
+            inputs = [scale * x for x in inputs]
             matrix, slices = ops[formula]
-            y = matrix @ x.reshape(-1)
-            outputs = formula(x)
+            y = matrix @ np.concatenate([x.reshape(-1) for x in inputs])
+            outputs = formula(*inputs)
             assert len(outputs) == len(slices)
             for out, part in zip(outputs, slices):
                 assert np.abs(y[part] - out.reshape(-1)).max() <= 1e-13 * scale
@@ -183,6 +184,57 @@ def test_operator_verification_catches_a_transposed_slot(monkeypatch):
             structure._operator(3)
         with pytest.raises(ConsistencyError, match="type projectors"):
             decompose(random_structure(3, 0))
+    finally:
+        monkeypatch.undo()
+        structure._operator.cache_clear()
+
+
+def _classify_both_routes(monkeypatch, dec, metric):
+    """classify on fresh Frames, through the matrices and with the formulas forced."""
+    by_matrix = classify(Frame(dec, metric))
+    with monkeypatch.context() as m:
+        m.setattr(structure, "_OPERATOR_MAX_N", 0)
+        frame = Frame(dec, metric)
+        by_formula = classify(frame)
+    return by_matrix, by_formula, max(1.0, float(np.abs(frame.lte).max()))
+
+
+def _assert_routes_agree(by_matrix, by_formula, scale):
+    assert by_matrix.booleans() == by_formula.booleans()
+    for got, want in ((by_matrix.residuals, by_formula.residuals),
+                      (by_matrix.norms, by_formula.norms)):
+        assert got.keys() == want.keys()
+        for k in got:
+            assert abs(got[k] - want[k]) <= 1e-14 * scale, k
+
+
+def test_matrix_and_formula_routes_classify_the_milnor_grid_alike(monkeypatch):
+    # criterion 01's 11^3 grid, all at n = 3
+    grid = np.linspace(-3.0, 3.0, 11)
+    for lam in itertools.product(grid, repeat=3):
+        _assert_routes_agree(*_classify_both_routes(monkeypatch, *milnor_dec(*lam)))
+
+
+def test_matrix_and_formula_routes_classify_the_catalog_alike(monkeypatch):
+    # the entries with n > 4 take the formulas either way
+    for entry in default_entries():
+        _assert_routes_agree(
+            *_classify_both_routes(monkeypatch, entry.decomposition, entry.metric))
+
+
+@pytest.mark.parametrize("alpha", [(1.0, 2.0), (0.5, 1.0, 2.0, -0.7, 1.3)])
+def test_classify_catches_a_transposed_slot_of_u(monkeypatch, alpha):
+    # S = -lte/2 - U with U's last two slots exchanged stays antisymmetric
+    # in them and keeps its cyclic sum, so the slot and split checks pass;
+    # its trace is -eta/2, so crosscheck_trace catches it when eta != 0,
+    # at n = 3 through the bracket-side matrix and at n = 6 through the formula
+    u = structure._symmetric_map
+    monkeypatch.setattr(structure, "_symmetric_map", lambda lte: np.swapaxes(u(lte), -1, -2))
+    structure._operator.cache_clear()
+    try:
+        entry = build("g", alpha=alpha)
+        with pytest.raises(ConsistencyError, match=r"c12\(S\) disagrees"):
+            classify(Frame(entry.decomposition, entry.metric))
     finally:
         monkeypatch.undo()
         structure._operator.cache_clear()
