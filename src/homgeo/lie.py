@@ -84,11 +84,23 @@ def _worst(peaks: list) -> float:
     return math.nan if any(map(math.isnan, peaks)) else max(peaks)
 
 
+def _head(buf: np.ndarray, *shape) -> np.ndarray:
+    """The first prod(shape) entries of the contiguous array buf, viewed in shape."""
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
 def jacobi_residual(tensor: np.ndarray) -> float:
     """Max-abs residual of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
 
-    t is the only (dim, dim, dim, dim) array; the cyclic sum and its
-    abs-max are taken a slice of i at a time in one reused buffer.
+    tensor must be exactly antisymmetric in its first two slots, as every
+    LieAlgebra's is.  Then t's rows (j, k) and (k, j) are exact negatives,
+    the residual at (k, j, i) is bitwise minus the one at (i, j, k), since
+    the first addition below commutes, and each slice of i sweeps only the
+    k from the slice's start on.  (On any other tensor each cyclic rotation
+    of (i, j, k) still has a member in that range, so the result differs
+    from the full sweep's only by rounding.)  t is the only
+    (dim, dim, dim, dim) array; the cyclic sum and its abs-max are taken a
+    slice of i at a time in one reused buffer.
     """
     dim = tensor.shape[0]
     if not tensor.size:
@@ -96,9 +108,11 @@ def jacobi_residual(tensor: np.ndarray) -> float:
     # t[i,j,k,m] = sum_l c[j,k,l] c[i,l,m] = [e_i, [e_j, e_k]]
     t = (tensor.reshape(dim * dim, dim) @ tensor).reshape(dim, dim, dim, dim)
     peaks = []
-    for s, jac in _slices(dim):
-        np.add(t[s], t[:, s].transpose(1, 2, 0, 3), out=jac)  # + [e_k, [e_i, e_j]]
-        jac += t[:, :, s].transpose(2, 0, 1, 3)  # + [e_j, [e_k, e_i]]
+    for s, buf in _slices(dim):
+        lo = s.start
+        jac = _head(buf, len(buf), dim, dim - lo, dim)
+        np.add(t[s, :, lo:], t[lo:, s].transpose(1, 2, 0, 3), out=jac)  # + [e_k, [e_i, e_j]]
+        jac += t[:, lo:, s].transpose(2, 0, 1, 3)  # + [e_j, [e_k, e_i]]
         peaks.append(float(np.abs(jac, out=jac).max()))
     return _worst(peaks)
 
@@ -219,6 +233,8 @@ def build_lie_algebra(dim, brackets, basis_labels=None, tol=DEFAULT_TOL) -> LieA
             vals.append(sign * float(v))
     # bincount adds repeated indices in input order, as += in a loop does;
     # with nothing to add it returns integers
+    flat = np.fromiter(flat, np.intp, len(flat))
+    vals = np.fromiter(vals, float, len(vals))
     upper = np.bincount(flat, weights=vals, minlength=dim ** 3).astype(float, copy=False)
     return _algebra(upper.reshape(dim, dim, dim), basis_labels, tol)
 

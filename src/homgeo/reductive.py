@@ -23,7 +23,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL, bound, check, tolerance
 from .errors import ConsistencyError, IndexOutOfRange, InvalidMetric, UnimodularInput
-from .lie import LieAlgebra, _block_maxima, _frozen, _pullback, _slices, _worst, trace_vector
+from .lie import (LieAlgebra, _block_maxima, _frozen, _head, _pullback, _slices, _worst,
+                  trace_vector)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,26 +396,8 @@ class Frame:
             part += prod
             part -= prod.transpose(0, 1, 3, 2)
 
-        def peak(x):
-            return float(np.abs(x, out=x).max())
-
         scale = max(1.0, float(r4.max()), -float(r4.min()))
-        defects = []
-        for s, out in slices:
-            part = r4[s]
-            np.add(part, r4[:, s].transpose(1, 0, 2, 3), out=out)  # R(X,Y) = -R(Y,X)
-            defects.append(peak(out))
-            np.add(part, part.transpose(0, 1, 3, 2), out=out)  # R(X,Y) skew-adjoint
-            defects.append(peak(out))
-            # pair exchange, in the axis order (c, d, a, b) of r4[:, :, s]: the
-            # strided read then stays inside part instead of crossing all of r4
-            swap = out.reshape(n, n, -1, n)
-            np.subtract(r4[:, :, s], part.transpose(2, 3, 0, 1), out=swap)
-            defects.append(peak(swap))
-            np.add(part, r4[:, s].transpose(1, 2, 0, 3), out=out)  # first Bianchi identity
-            out += r4[:, :, s].transpose(2, 0, 1, 3)
-            defects.append(peak(out))
-        worst = _worst(defects)
+        worst = _worst(_symmetry_defects(r4, slices))
         check("curvature_symmetries", worst, scale)
         # the contraction the trace route takes without r4, tied to the
         # general route, which reads neither r4 nor gamma
@@ -504,35 +487,16 @@ class Frame:
                 "canonical trace form vanishes; the foliation needs c > 0"
             )
         c2 = self.c ** 2
-
-        # While no column is left out, column a's Gram-Schmidt residual norm
-        # is sqrt(tail[a+1] / tail[a]), tail[a] = sum_{b >= a} v_b^2, v = eta / c.
-        # Gram-Schmidt on the kept columns is their QR factorisation with
-        # R's diagonal positive.
         thr = bound("foliation_rank", tol=math.sqrt(tol))
-        v = self.eta / self.c
-        skip, tail = n - 1, 0.0  # tail = tail[a + 1] on entry to the loop body
-        for a, sq in zip(range(n - 1, -1, -1), reversed((v * v).tolist())):
-            if tail <= thr * thr * (tail + sq):
-                skip = a
-            tail += sq
-        p = v[:, None] * -v  # symmetric: its kept rows are the kept columns
-        p.reshape(-1)[::n + 1] += 1.0
-        if skip < n - 1:
-            p[skip:n - 1] = p[skip + 1:]
-        q, r = np.linalg.qr(p[:n - 1].T)
-        diag = r.diagonal()
-        if not min(map(abs, diag.tolist())) > thr:
+        full, resid = _kernel_basis(self.eta / self.c, thr)
+        if not all(r > thr for r in resid):
             raise ConsistencyError("failed to build an orthonormal basis of ker eta")
-        q *= np.copysign(1.0, diag)  # R's diagonal positive: the Gram-Schmidt basis
-        # [q | v] must be an orthogonal matrix: the check is what vouches
-        # for the factorisation, whatever the routine returned
-        p[:n - 1] = q.T
-        p[n - 1] = v
-        gram = p @ p.T
+        # [d_basis | xi / c] must be an orthogonal matrix: the check is what
+        # vouches for the closed form, whatever it returned
+        gram = full.T @ full
         gram.reshape(-1)[::n + 1] -= 1.0
         check("foliation_basis", np.abs(gram).max(), n)
-        d_basis = _frozen(q)
+        d_basis = _frozen(full[:, :n - 1])
 
         u = self.u
         u_dd = _pullback(u, d_basis)
@@ -581,6 +545,76 @@ def as_frame(dec, metric=None) -> Frame:
     frame = Frame(dec, metric)
     _last_frame = frame
     return frame
+
+
+def _kernel_basis(v: np.ndarray, thr: float) -> tuple:
+    """The Gram-Schmidt basis of ker v for a unit vector v, in closed form.
+
+    Gram-Schmidt runs on the projected frame vectors P e_a, P = I - v v^T,
+    in index order with one left out: the first whose residual norm is at
+    most thr, or the last if there is none.  While none is left out,
+    column a's residual norm is sqrt(tail[a+1] / tail[a]), with
+    tail[a] = sum_(b >= a) v_b^2.  With s the index left out,
+    T_a = tail[a] and w_a = sum_(b >= a) v_b e_b, plus v_s^2 and v_s e_s
+    when a > s, kept column a is (T_a e_a - v_a w_a) / sqrt(T_a (T_a - v_a^2))
+    and its residual norm is sqrt((T_a - v_a^2) / T_a); T_a - v_a^2, its
+    entry a before scaling, is T_(a+1), taken as it is rather than as a
+    difference.  Returns the (n, n) array [basis | v] and the residual
+    norms of the n - 1 kept columns, as a list in column order.
+    """
+    n = len(v)
+    sq = v * v
+    t = np.zeros(n + 1)
+    t[:n] = np.cumsum(sq[::-1])[::-1]  # tail, summed from the end
+    small = np.flatnonzero(t[1:] <= thr * thr * t[:n])
+    skip = int(small[0]) if small.size else n - 1
+    t[skip + 1:] += sq[skip]  # T, and T_(a+1) = T_a - v_a^2 for every kept a
+    rest, t = t[1:], t[:n]
+    d = np.tril(v[:, None] * -v)  # d[b, a] = -v_b v_a for b >= a
+    d[skip, skip + 1:] = v[skip] * -v[skip + 1:]
+    d.reshape(-1)[::n + 1] = rest
+    d /= np.sqrt(t * rest)
+    resid = np.sqrt(rest / t).tolist()
+    del resid[skip]
+    d[:, skip:n - 1] = d[:, skip + 1:]
+    d[:, n - 1] = v
+    return d, resid
+
+
+def _symmetry_defects(r4: np.ndarray, slices: list) -> list:
+    """Max-abs defects of the four algebraic symmetries of an (n, n, n, n) r4, in order.
+
+    R(X,Y) = -R(Y,X), R(X,Y) skew-adjoint, pair exchange and the first
+    Bianchi identity, swept a slice of the first index a at a time in the
+    buffers of slices, which is _slices(n); a defect is NaN if any of its
+    residuals is.  The first residual is symmetric in (a, b) and the third
+    antisymmetric in the pairs (a, b), (c, d), bitwise so for any r4, so
+    for a slice starting at a0 they are read only where b >= a0 and where
+    c >= a0: each entry left out is, up to sign, one read in an earlier
+    slice or in this one.  The other two sweep every entry.
+    """
+    n = r4.shape[0]
+
+    def peak(x):
+        return float(np.abs(x, out=x).max())
+
+    swap_ab, skew, swap_pairs, bianchi = peaks = ([], [], [], [])
+    for s, out in slices:
+        part, lo, rows = r4[s], s.start, len(out)
+        pair = _head(out, rows, n - lo, n, n)
+        np.add(part[:, lo:], r4[lo:, s].transpose(1, 0, 2, 3), out=pair)  # R(X,Y) = -R(Y,X)
+        swap_ab.append(peak(pair))
+        np.add(part, part.transpose(0, 1, 3, 2), out=out)  # R(X,Y) skew-adjoint
+        skew.append(peak(out))
+        # pair exchange, in the axis order (c, d, a, b) of r4[:, :, s]: the
+        # strided read then stays inside part instead of crossing all of r4
+        exchange = _head(out, n - lo, n, rows, n)
+        np.subtract(r4[lo:, :, s], part[:, :, lo:].transpose(2, 3, 0, 1), out=exchange)
+        swap_pairs.append(peak(exchange))
+        np.add(part, r4[:, s].transpose(1, 2, 0, 3), out=out)  # first Bianchi identity
+        out += r4[:, :, s].transpose(2, 0, 1, 3)
+        bianchi.append(peak(out))
+    return [_worst(p) for p in peaks]
 
 
 def _symmetric_map(lte: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import pytest
 
 from homgeo import reductive
 from homgeo.catalog import build, default_entries, sp11_model, su21_model
+from homgeo.config import check
 from homgeo.curvature import (
     _quartic_form,
     _r4_pair,
@@ -44,6 +45,7 @@ from homgeo.reductive import (
     Frame,
     InvariantMetric,
     ReductiveDecomposition,
+    _symmetry_defects,
     as_frame,
 )
 from homgeo.spectrum import theta_split
@@ -52,6 +54,9 @@ from homgeo.verify import _check_diagonal_routes, _check_killing_identity, _unit
 SIZES = (1, 2, 3, 5, 8)
 # sizes that _slices sweeps in several slices, the second with a short last one
 SLICED = (20, 17)
+# one row per slice: the halved symmetry sweeps leave out nearly half of
+# each residual they halve
+LARGE = 32
 ISOTROPY = (0, 2)
 ISOTROPY_ENTRIES = (
     ("so2_heisenberg", {"lam3": 1.0}),
@@ -172,9 +177,12 @@ BRACKET_SPACES = {
 }
 
 
+LARGE_SPACES = {f"n{LARGE}-k0": partial(lie_frame, LARGE, 0, 10 * LARGE)}
+
+
 @cache
 def frame_of(name):
-    return BRACKET_SPACES[name]()
+    return {**BRACKET_SPACES, **LARGE_SPACES}[name]()
 
 
 def test_inputs_are_asymmetric():
@@ -211,16 +219,59 @@ def test_isotropy_curvature(name):
                  np.einsum("dk,abck->abcd", frame.q_inv, outer[..., m]))
 
 
-@pytest.mark.parametrize("name", sorted(CURVATURE_SPACES))
-def test_curvature_tensor(name):
-    frame = frame_of(name)
-    assert_close(frame.r4, r4_by_index_formula(frame))
-    # the sliced checks see every entry the whole-tensor checks see
-    r4 = frame.r4
+def full_symmetry_defects(r4):
+    """The max-abs defects of r4's four symmetries, each over every entry, in order."""
     bianchi = r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)
     defects = [r4 + r4.transpose(1, 0, 2, 3), r4 + r4.transpose(0, 1, 3, 2),
                r4 - r4.transpose(2, 3, 0, 1), bianchi]
-    assert frame.r4_defect == max(float(np.abs(d).max()) for d in defects)
+    return [float(np.abs(d).max()) for d in defects]
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_SPACES) + sorted(LARGE_SPACES))
+def test_curvature_tensor(name):
+    frame = frame_of(name)
+    assert_close(frame.r4, r4_by_index_formula(frame))
+    # the sliced and halved checks find what the whole-tensor checks find
+    assert frame.r4_defect == max(full_symmetry_defects(frame.r4))
+
+
+@pytest.mark.parametrize("n", SLICED + (LARGE,))
+def test_halved_symmetry_sweeps_are_the_full_sweeps(n):
+    """Each defect bit for bit, on any tensor: each residual left out is one read, up to sign."""
+    rng = np.random.default_rng(n)
+    r4 = rng.standard_normal((n,) * 4)
+    assert len(_slices(n)) > 1
+    assert _symmetry_defects(r4, _slices(n)) == full_symmetry_defects(r4)
+
+
+def late_pair(n):
+    """(a, b): a the last index of the next-to-last slice of n, b the last index.
+
+    Sweeping the other half of each halved residual, b < n - a0 for a
+    slice starting at a0, would read neither (a, b) nor (b, a).
+    """
+    a, b = _slices(n)[-1][0].start - 1, n - 1
+    assert a not in range(n)[_slices(n)[-1][0]]
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "name", [f"n{n}-k{dim_k}" for n, dim_k in zip(SLICED, ISOTROPY)] + sorted(LARGE_SPACES))
+def test_r4_defect_planted_in_a_skipped_orientation_is_caught(name):
+    """r4[b, a, a, 0] with b > a in a later slice: the sweeps of b's slice leave
+    both halved residuals there out, and the sweep of a's slice reads them."""
+    frame = frame_of(name)
+    n = frame.n
+    a, b = late_pair(n)
+    r4 = frame.r4.copy()
+    r4[b, a, a, 0] += 1e-3
+    defects = _symmetry_defects(r4, _slices(n))
+    assert defects == full_symmetry_defects(r4)
+    swap_ab, _, swap_pairs, _ = defects
+    assert min(swap_ab, swap_pairs) >= 0.99e-3
+    scale = max(1.0, float(np.abs(r4).max()))
+    with pytest.raises(ConsistencyError, match="algebraic symmetries"):
+        check("curvature_symmetries", max(defects), scale)
 
 
 def test_slices_tile_the_first_axis():
@@ -244,6 +295,43 @@ def test_jacobi_residual(dim):
         t = np.einsum("jkl,ilm->ijkm", tensor, tensor)
         jac = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
         assert_close(jacobi_residual(tensor), np.abs(jac).max())
+
+
+def full_jacobi_residual(tensor):
+    """jacobi_residual's cyclic sum over every (i, j, k), from the same t in the same order."""
+    dim = tensor.shape[0]
+    t = (tensor.reshape(dim * dim, dim) @ tensor).reshape((dim,) * 4)
+    jac = t + np.transpose(t, (1, 2, 0, 3))
+    jac += np.transpose(t, (2, 0, 1, 3))
+    return float(np.abs(jac).max())
+
+
+@pytest.mark.parametrize("dim", SLICED + (LARGE,))
+def test_halved_jacobi_sweep_is_the_full_sweep(dim):
+    """Bit for bit on exactly antisymmetric tensors, Lie or not."""
+    rng = np.random.default_rng(dim)
+    assert len(_slices(dim)) > 1
+    lie = build_lie_algebra(dim, dense_table(dim, dim)).tensor
+    for tensor in (skew(rng.standard_normal((dim,) * 3)), lie):
+        assert jacobi_residual(tensor) == full_jacobi_residual(tensor)
+
+
+@pytest.mark.parametrize("dim", SLICED + (LARGE,))
+def test_jacobi_defect_planted_in_a_skipped_orientation_is_caught(dim):
+    """Brackets among the last three basis vectors, each pair given as (i, j)
+    with i > j, that fail Jacobi: the residual lives on those three indices
+    alone, where the other half of the sweep would read none of it."""
+    rng = np.random.default_rng(dim)
+    late = range(dim - 3, dim)
+    table = {(i, j): {k: float(rng.standard_normal()) for k in late}
+             for i in late for j in late if i > j}
+    with pytest.raises(JacobiViolation):
+        build_lie_algebra(dim, table)
+    tensor = np.zeros((dim,) * 3)
+    for (i, j), out in table.items():
+        for k, v in out.items():
+            tensor[i, j, k], tensor[j, i, k] = v, -v
+    assert jacobi_residual(tensor) == full_jacobi_residual(tensor) > 0.1
 
 
 @pytest.mark.parametrize("dim", (3,) + SLICED)

@@ -9,6 +9,7 @@ from homgeo.errors import (
     UnimodularInput,
 )
 from homgeo import reductive
+from homgeo.config import bound
 from homgeo.io import space_from_dict, space_to_dict
 from homgeo.lie import build_lie_algebra, from_tensor, killing_form
 from homgeo.reductive import (
@@ -353,30 +354,64 @@ def test_foliation_checks_its_factorisation(monkeypatch):
     dec = solvable_along([0.3, 0.5, -0.8, 0.1])
     g = InvariantMetric.identity(4)
     message = "failed to build an orthonormal basis of ker eta"
-    qr = reductive.np.linalg.qr
-    # the orthogonal factor, off by a little
+    kernel_basis = reductive._kernel_basis
+    # the basis columns, off by a little
     for perturb in (lambda q: q * (1.0 + 1e-8),
                     lambda q: q + 1e-8 * np.triu(np.ones_like(q))):
-        def orthogonal(a, p=perturb):
-            q, r = qr(a)
-            return p(q), r
+        def orthogonal(v, thr, p=perturb):
+            d, resid = kernel_basis(v, thr)
+            d[:, :-1] = p(d[:, :-1])
+            return d, resid
 
-        monkeypatch.setattr(reductive.np.linalg, "qr", orthogonal)
+        monkeypatch.setattr(reductive, "_kernel_basis", orthogonal)
         with pytest.raises(ConsistencyError, match=message):
             Frame(dec, g).foliation
     monkeypatch.undo()
 
-    # a second dependent column in the triangular factor
-    def factor(a):
-        q, r = qr(a)
-        r[1, 1] = 0.0
-        return q, r
+    # a second dependent column in the residual norms
+    def dependent(v, thr):
+        d, resid = kernel_basis(v, thr)
+        resid[1] = 0.0
+        return d, resid
 
-    monkeypatch.setattr(reductive.np.linalg, "qr", factor)
+    monkeypatch.setattr(reductive, "_kernel_basis", dependent)
     with pytest.raises(ConsistencyError, match=message):
         Frame(dec, g).foliation
     monkeypatch.undo()
     Frame(dec, g).foliation
+
+
+def qr_kernel_basis(v, thr):
+    """Gram-Schmidt basis of ker v as a QR factorisation with R's diagonal positive,
+    and the kept columns' |r_aa|: the projected frame vectors I - v v^T in
+    index order with the column _kernel_basis leaves out left out."""
+    n = len(v)
+    tail = np.cumsum((v * v)[::-1])[::-1]
+    small = np.flatnonzero(np.append(tail[1:], 0.0) <= thr * thr * tail)
+    skip = int(small[0]) if small.size else n - 1
+    p = np.eye(n) - np.outer(v, v)
+    q, r = np.linalg.qr(np.delete(p, skip, axis=1))
+    diag = r.diagonal()
+    return q * np.copysign(1.0, diag), np.abs(diag), skip
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 20])
+def test_closed_form_kernel_basis_is_the_qr_basis(n):
+    """At every position of the column left out, with the entries past it
+    zero or tiny, the closed form matches the sign-fixed QR basis."""
+    thr = bound("foliation_rank", tol=np.sqrt(1e-9))
+    rng = np.random.default_rng(n)
+    for skip in range(n):
+        for tiny in (0.0, 1e-7):
+            v = rng.standard_normal(n)
+            v[skip + 1:] *= tiny
+            v /= np.linalg.norm(v)
+            want, want_resid, left_out = qr_kernel_basis(v, thr)
+            assert left_out == skip
+            d, resid = reductive._kernel_basis(v, thr)
+            assert np.abs(d[:, :-1] - want).max() <= 1.1e-11
+            assert np.array_equal(d[:, -1], v)
+            assert np.abs(np.array(resid) - want_resid).max() <= 1.1e-11
 
 
 def test_killing_restriction_helper():
