@@ -85,7 +85,13 @@ def _worst(peaks: list) -> float:
 
 
 def _head(buf: np.ndarray, *shape) -> np.ndarray:
-    """The first prod(shape) entries of the contiguous array buf, viewed in shape."""
+    """The first prod(shape) entries of the contiguous array buf, viewed in shape.
+
+    buf itself when it already has that shape, as every buffer has at
+    n = 3, where the two reshapes would cost more than the sweep saves.
+    """
+    if buf.shape == shape:
+        return buf
     return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
