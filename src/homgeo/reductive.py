@@ -397,7 +397,7 @@ class Frame:
             part -= prod.transpose(0, 1, 3, 2)
 
         scale = max(1.0, float(r4.max()), -float(r4.min()))
-        worst = _worst(_symmetry_defects(r4, slices))
+        worst = _worst(_symmetry_peaks(r4, slices))
         check("curvature_symmetries", worst, scale)
         # the contraction the trace route takes without r4, tied to the
         # general route, which reads neither r4 nor gamma
@@ -581,40 +581,41 @@ def _kernel_basis(v: np.ndarray, thr: float) -> tuple:
     return d, resid
 
 
-def _symmetry_defects(r4: np.ndarray, slices: list) -> list:
-    """Max-abs defects of the four algebraic symmetries of an (n, n, n, n) r4, in order.
+def _symmetry_peaks(r4: np.ndarray, slices: list) -> list:
+    """Max-abs residuals of the four algebraic symmetries of an (n, n, n, n) r4.
 
     R(X,Y) = -R(Y,X), R(X,Y) skew-adjoint, pair exchange and the first
     Bianchi identity, swept a slice of the first index a at a time in the
-    buffers of slices, which is _slices(n); a defect is NaN if any of its
-    residuals is.  The first residual is symmetric in (a, b) and the third
-    antisymmetric in the pairs (a, b), (c, d), bitwise so for any r4, so
-    for a slice starting at a0 they are read only where b >= a0 and where
-    c >= a0: each entry left out is, up to sign, one read in an earlier
-    slice or in this one.  The other two sweep every entry.
+    buffers of slices, which is _slices(n); the peaks come four per
+    slice, in that order, and a peak is NaN if any of its residuals is.
+    The first residual is symmetric in (a, b) and the third antisymmetric
+    in the pairs (a, b), (c, d), bitwise so for any r4, so for a slice
+    starting at a0 they are read only where b >= a0 and where c >= a0:
+    each entry left out is, up to sign, one read in an earlier slice or
+    in this one.  The other two sweep every entry.
     """
     n = r4.shape[0]
 
     def peak(x):
         return float(np.abs(x, out=x).max())
 
-    swap_ab, skew, swap_pairs, bianchi = peaks = ([], [], [], [])
+    peaks = []
     for s, out in slices:
         part, lo, rows = r4[s], s.start, len(out)
         pair = _head(out, rows, n - lo, n, n)
         np.add(part[:, lo:], r4[lo:, s].transpose(1, 0, 2, 3), out=pair)  # R(X,Y) = -R(Y,X)
-        swap_ab.append(peak(pair))
+        peaks.append(peak(pair))
         np.add(part, part.transpose(0, 1, 3, 2), out=out)  # R(X,Y) skew-adjoint
-        skew.append(peak(out))
+        peaks.append(peak(out))
         # pair exchange, in the axis order (c, d, a, b) of r4[:, :, s]: the
         # strided read then stays inside part instead of crossing all of r4
         exchange = _head(out, n - lo, n, rows, n)
         np.subtract(r4[lo:, :, s], part[:, :, lo:].transpose(2, 3, 0, 1), out=exchange)
-        swap_pairs.append(peak(exchange))
+        peaks.append(peak(exchange))
         np.add(part, r4[:, s].transpose(1, 2, 0, 3), out=out)  # first Bianchi identity
         out += r4[:, :, s].transpose(2, 0, 1, 3)
-        bianchi.append(peak(out))
-    return [_worst(p) for p in peaks]
+        peaks.append(peak(out))
+    return peaks
 
 
 def _symmetric_map(lte: np.ndarray) -> np.ndarray:
