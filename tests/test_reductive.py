@@ -414,6 +414,21 @@ def test_closed_form_kernel_basis_is_the_qr_basis(n):
             assert np.abs(np.array(resid) - want_resid).max() <= 1.1e-11
 
 
+@pytest.mark.parametrize("n, k", [(3, 3.0), (5, 1.5), (20, 1.5)])
+def test_foliation_basis_stays_orthonormal_next_to_the_rank_threshold(n, k):
+    """eta's last entry is k times foliation_rank's threshold times the one
+    before, so the last kept column's Gram-Schmidt residual norm is about k
+    times the threshold.  The closed form stays orthonormal to roundoff; a
+    QR factorisation of the same columns is off by about eps over that
+    norm, 4e-13 to 6e-12 here and beyond the foliation_basis bound at n = 3."""
+    thr = bound("foliation_rank", tol=np.sqrt(1e-9))
+    direction = np.linspace(1.0, 2.0, n)
+    direction[-1] = k * thr * direction[-2]
+    frame = Frame(solvable_along(direction), InvariantMetric.identity(n))
+    full = np.column_stack([frame.foliation.d_basis, frame.eta / frame.c])
+    assert np.abs(full.T @ full - np.eye(n)).max() <= 1e-14
+
+
 def test_killing_restriction_helper():
     alg = milnor(1.0, 2.0, -3.0)
     dec = ReductiveDecomposition(alg, (), (0, 1, 2))
