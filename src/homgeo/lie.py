@@ -9,6 +9,7 @@ coefficients, up to the tolerance it was built with.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,22 +47,6 @@ def _pullback(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p.T @ half
 
 
-# entries in one slice of an (n, n, n, n) array: a small array is one
-# slice, and a large one is swept in slices far smaller than itself
-_SLICE_ENTRIES = 1 << 15
-
-
-def _slices(n: int) -> list:
-    """(slice, buffer) pairs that sweep the first axis of an (n, n, n, n) array.
-
-    Each buffer is the (rows, n, n, n) view of one scratch array that
-    matches its slice; the last slice may be shorter than the others.
-    """
-    rows = min(n, max(1, _SLICE_ENTRIES // n ** 3))
-    buf = np.empty((rows, n, n, n))
-    return [(slice(i, i + rows), buf[:n - i]) for i in range(0, n, rows)]
-
-
 def _block_maxima(*blocks) -> list:
     """The max-abs entry of each array, from one abs and one reduceat over all of them.
 
@@ -84,42 +69,62 @@ def _worst(peaks: list) -> float:
     return math.nan if any(map(math.isnan, peaks)) else max(peaks)
 
 
-def _head(buf: np.ndarray, *shape) -> np.ndarray:
-    """The first prod(shape) entries of the contiguous array buf, viewed in shape.
+@functools.cache
+def _jacobi_rows(dim: int) -> tuple:
+    """Index arrays of jacobi_residual's sweep at dimension dim >= 2.
 
-    buf itself when it already has that shape, as every buffer has at
-    n = 3, where the two reshapes would cost more than the sweep saves.
+    pairs lists the rows (j, k), j < k, of the tensor's (dim^2, dim)
+    view, in np.triu_indices order; p below is a position in that list.
+    The others index the rows of h, the (dim * len(pairs), dim) view of
+    h[x, p, m] = [e_x, [e_j, e_k]]_m: over the triples i < j < k in
+    lexicographic order, first, second and third are the rows
+    [e_i, [e_j, e_k]], [e_k, [e_i, e_j]] and [e_j, [e_i, e_k]], and
+    repeated lists [e_j, [e_j, e_k]] and then [e_k, [e_j, e_k]] over the
+    pairs, the rows the triples with a repeated index read.
     """
-    if buf.shape == shape:
-        return buf
-    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+    j, k = np.triu_indices(dim, 1)
+    count = len(j)
+    pair = np.zeros((dim, dim), np.intp)
+    pair[j, k] = np.arange(count)
+    index = np.arange(dim)
+    ti, tj, tk = np.nonzero((index[:, None, None] < index[:, None])
+                            & (index[:, None] < index))
+    rows = (ti * count + pair[tj, tk], tk * count + pair[ti, tj], tj * count + pair[ti, tk])
+    repeated = np.concatenate([j * count, k * count]) + np.tile(np.arange(count), 2)
+    return (j * dim + k, *rows, repeated)
 
 
-def jacobi_residual(tensor: np.ndarray) -> float:
+def jacobi_residual(tensor: np.ndarray, peak: float | None = None) -> float:
     """Max-abs residual of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
 
-    tensor must be exactly antisymmetric in its first two slots, as every
-    LieAlgebra's is.  Then t's rows (j, k) and (k, j) are exact negatives,
-    the residual at (k, j, i) is bitwise minus the one at (i, j, k), since
-    the first addition below commutes, and each slice of i sweeps only the
-    k from the slice's start on.  (On any other tensor each cyclic rotation
-    of (i, j, k) still has a member in that range, so the result differs
-    from the full sweep's only by rounding.)  t is the only
-    (dim, dim, dim, dim) array; the cyclic sum and its abs-max are taken a
-    slice of i at a time in one reused buffer.
+    Each inner bracket [e_j, e_k] is read from the stored row j < k,
+    extended by antisymmetry; the outer bracket [e_x, Y] = sum_l Y_l c[x, l, :]
+    reads the whole tensor.  The residual is then totally antisymmetric
+    in (i, j, k), so it is swept once per index orbit: over i < j < k, as
+    [e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] - [e_j, [e_i, e_k]], read off
+    h[x, p] = [e_x, [e_j, e_k]] over the pairs p = (j, k), j < k.  On an
+    exactly antisymmetric tensor, as every LieAlgebra's is, that is the
+    full sweep's sum at (i, j, k), term for term.  At a triple with a
+    repeated index the full sweep reads x - x for an entry x of h, which
+    is 0 unless x overflowed.  Those entries are read, giving NaN, only
+    when 3 * dim * peak**2 is not finite, peak being max |c| (taken from
+    tensor unless given): below that no product or sum here overflows.
     """
     dim = tensor.shape[0]
-    if not tensor.size:
+    if dim < 2:
         return 0.0
-    # t[i,j,k,m] = sum_l c[j,k,l] c[i,l,m] = [e_i, [e_j, e_k]]
-    t = (tensor.reshape(dim * dim, dim) @ tensor).reshape(dim, dim, dim, dim)
-    peaks = []
-    for s, buf in _slices(dim):
-        lo = s.start
-        jac = _head(buf, len(buf), dim, dim - lo, dim)
-        np.add(t[s, :, lo:], t[lo:, s].transpose(1, 2, 0, 3), out=jac)  # + [e_k, [e_i, e_j]]
-        jac += t[:, lo:, s].transpose(2, 0, 1, 3)  # + [e_j, [e_k, e_i]]
-        peaks.append(float(np.abs(jac, out=jac).max()))
+    if peak is None:
+        peak = float(np.abs(tensor).max())
+    pairs, first, second, third, repeated = _jacobi_rows(dim)
+    # h[x, p] = sum_l c[j, k, l] c[x, l, :]; take gathers rows faster than indexing
+    h = (tensor.reshape(dim * dim, dim).take(pairs, 0) @ tensor).reshape(-1, dim)
+    jac = h.take(first, 0)
+    jac += h.take(second, 0)
+    jac -= h.take(third, 0)
+    peaks = [float(np.abs(jac, out=jac).max(initial=0.0))]
+    if not math.isfinite(3.0 * dim * peak * peak):
+        x = h.take(repeated, 0)
+        peaks.append(float(np.abs(x - x).max()))
     return _worst(peaks)
 
 
@@ -184,11 +189,11 @@ def _algebra(upper: np.ndarray, basis_labels, tol: float) -> LieAlgebra:
         raise IndexOutOfRange(f"got {len(labels)} labels for dimension {dim}")
     tensor = upper - upper.transpose(1, 0, 2)
     tensor += 0.0  # -0.0 + 0.0 is 0.0
-    finite = np.isfinite(tensor)
-    if not finite.all():  # a NaN Jacobi residual would compare false against tol
-        i, j, _ = np.argwhere(~finite)[0]
+    peak = float(np.abs(tensor).max(initial=0.0))  # NaN if any entry is
+    if not math.isfinite(peak):  # a NaN Jacobi residual would compare false against tol
+        i, j, _ = np.argwhere(~np.isfinite(tensor))[0]
         raise ParamOutOfRange(f"bracket [e{i}, e{j}] has a non-finite coefficient")
-    defect = jacobi_residual(tensor)
+    defect = jacobi_residual(tensor, peak)
     check("jacobi", defect, tol=tol)
     return LieAlgebra(dim, labels, _frozen(tensor), defect, tol)
 

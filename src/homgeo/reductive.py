@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, bound, check, tolerance
 from .errors import ConsistencyError, IndexOutOfRange, InvalidMetric, UnimodularInput
-from .lie import (LieAlgebra, _block_maxima, _frozen, _head, _pullback, _slices, _worst,
+from .lie import (LieAlgebra, _block_maxima, _frozen, _pullback, _worst,
                   trace_vector)
 
 
@@ -365,8 +365,10 @@ class Frame:
         """Lowered curvature R4[a,b,c,d] = <R(f_a,f_b) f_c, f_d>.
 
         The algebraic symmetries (both pair antisymmetries, pair
-        exchange, first Bianchi identity) are verified over every entry;
-        the worst defect is kept as r4_defect.  Its contraction
+        exchange, first Bianchi identity) are verified over every entry,
+        each residual read once per set of entries where it is the same
+        up to sign and the order of its terms (_symmetry_peaks); the
+        worst defect is kept as r4_defect.  Its contraction
         sum_a R4[x,a,y,a] must then agree with the general Ricci route
         (row ricci_routes, route "r4"), which reads neither gamma nor
         r4.  The result is the only n^4 array built here: the metric and
@@ -581,6 +583,33 @@ def _kernel_basis(v: np.ndarray, thr: float) -> tuple:
     return d, resid
 
 
+# entries in one slice of an (n, n, n, n) array: a small array is one
+# slice, and a large one is swept in slices far smaller than itself
+_SLICE_ENTRIES = 1 << 15
+
+
+def _slices(n: int) -> list:
+    """(slice, buffer) pairs that sweep the first axis of an (n, n, n, n) array.
+
+    Each buffer is the (rows, n, n, n) view of one scratch array that
+    matches its slice; the last slice may be shorter than the others.
+    """
+    rows = min(n, max(1, _SLICE_ENTRIES // n ** 3))
+    buf = np.empty((rows, n, n, n))
+    return [(slice(i, i + rows), buf[:n - i]) for i in range(0, n, rows)]
+
+
+def _head(buf: np.ndarray, *shape) -> np.ndarray:
+    """The first prod(shape) entries of the contiguous array buf, viewed in shape.
+
+    buf itself when it already has that shape, as every buffer has at
+    n = 3, where the two reshapes would cost more than the sweep saves.
+    """
+    if buf.shape == shape:
+        return buf
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
 def _symmetry_peaks(r4: np.ndarray, slices: list) -> list:
     """Max-abs residuals of the four algebraic symmetries of an (n, n, n, n) r4.
 
@@ -592,7 +621,11 @@ def _symmetry_peaks(r4: np.ndarray, slices: list) -> list:
     in the pairs (a, b), (c, d), bitwise so for any r4, so for a slice
     starting at a0 they are read only where b >= a0 and where c >= a0:
     each entry left out is, up to sign, one read in an earlier slice or
-    in this one.  The other two sweep every entry.
+    in this one.  The Bianchi residual sums the same three terms, in
+    another order, at (a, b, c), (b, c, a) and (c, a, b), so it too is
+    read only where b >= a0 and c >= a0: that keeps the rotation whose
+    smallest index comes first, summed as over every entry.  The
+    (c, d)-skew residual sweeps every entry.
     """
     n = r4.shape[0]
 
@@ -612,9 +645,10 @@ def _symmetry_peaks(r4: np.ndarray, slices: list) -> list:
         exchange = _head(out, n - lo, n, rows, n)
         np.subtract(r4[lo:, :, s], part[:, :, lo:].transpose(2, 3, 0, 1), out=exchange)
         peaks.append(peak(exchange))
-        np.add(part, r4[:, s].transpose(1, 2, 0, 3), out=out)  # first Bianchi identity
-        out += r4[:, :, s].transpose(2, 0, 1, 3)
-        peaks.append(peak(out))
+        bianchi = _head(out, rows, n - lo, n - lo, n)  # first Bianchi identity
+        np.add(part[:, lo:, lo:], r4[lo:, s, lo:].transpose(1, 2, 0, 3), out=bianchi)
+        bianchi += r4[lo:, lo:, s].transpose(2, 0, 1, 3)
+        peaks.append(peak(bianchi))
     return peaks
 
 

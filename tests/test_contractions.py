@@ -11,6 +11,8 @@ random metric, valid Lie algebras in a random non-orthogonal basis, and
 the catalog spaces with nonempty isotropy.
 """
 
+import math
+import sys
 from functools import cache, partial
 
 import numpy as np
@@ -35,7 +37,6 @@ from homgeo.errors import ConsistencyError, JacobiViolation, NotCyclic
 from homgeo.lie import (
     LieAlgebra,
     _pullback,
-    _slices,
     build_lie_algebra,
     change_basis,
     jacobi_residual,
@@ -45,6 +46,7 @@ from homgeo.reductive import (
     Frame,
     InvariantMetric,
     ReductiveDecomposition,
+    _slices,
     _symmetry_peaks,
     as_frame,
 )
@@ -280,6 +282,61 @@ def test_r4_defect_planted_in_a_skipped_orientation_is_caught(name):
         check("curvature_symmetries", max(defects), scale)
 
 
+def leading_bianchi_residual(r4):
+    """The Bianchi sum of full_symmetry_defects, in its order, over the entries
+    the sweep of a's slice reads: b and c from that slice's start a0 on."""
+    n = r4.shape[0]
+    a0 = np.array([s.start for s, buf in _slices(n) for _ in range(len(buf))])
+    a, b, c = np.indices((n,) * 3)
+    read = (b >= a0[a]) & (c >= a0[a])
+    bianchi = r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)
+    return float(np.abs(bianchi[read]).max())
+
+
+def spread_triple(n):
+    """(a, b, c), a < b < c, with b the start of the second slice of n."""
+    a, b, c = 0, _slices(n)[1][0].start, n - 1
+    assert a < b < c
+    return a, b, c
+
+
+@pytest.mark.parametrize(
+    "name", [f"n{n}-k{dim_k}" for n, dim_k in zip(SLICED, ISOTROPY)] + sorted(LARGE_SPACES))
+def test_bianchi_defect_planted_at_a_late_rotation_is_caught(name):
+    """r4[c, a, b, 0] with a < b < c and a's slice before b's: the Bianchi sums
+    at (b, c, a) and (c, a, b) read it too, but only the sweep of a's slice,
+    at (a, b, c), reads one of the three."""
+    frame = frame_of(name)
+    a, b, c = spread_triple(frame.n)
+    r4 = frame.r4.copy()
+    r4[c, a, b, 0] += 1e-3
+    bianchi = symmetry_defects(r4)[3]
+    assert bianchi == leading_bianchi_residual(r4) >= 0.99e-3
+    scale = max(1.0, float(np.abs(r4).max()))
+    with pytest.raises(ConsistencyError, match="algebraic symmetries"):
+        check("curvature_symmetries", bianchi, scale)
+
+
+@pytest.mark.parametrize("n", SLICED + (LARGE,))
+def test_bianchi_sweep_reads_one_rotation_of_each_orbit(n):
+    """Bit for bit the Bianchi sums of the sweep's entries, on any tensor.
+
+    On three entries x, y, z = 1, -1, 1e-17 at r4[a, b, c], r4[b, c, a] and
+    r4[c, a, b] (a < b < c, a's slice before b's), the sum read at (a, b, c)
+    is (x + z) + y = 0, while the one at (b, c, a), which no slice reads, is
+    (y + x) + z = 1e-17: the sweep's defect is short of the full sweep's by
+    rounding, and reads no rotation it leaves out.
+    """
+    rng = np.random.default_rng(n)
+    r4 = rng.standard_normal((n,) * 4)
+    assert symmetry_defects(r4)[3] == leading_bianchi_residual(r4)
+    a, b, c = spread_triple(n)
+    r4 = np.zeros((n,) * 4)
+    r4[a, b, c, 0], r4[b, c, a, 0], r4[c, a, b, 0] = 1.0, -1.0, 1e-17
+    assert symmetry_defects(r4)[3] == leading_bianchi_residual(r4) == 0.0
+    assert full_symmetry_defects(r4)[3] == 1e-17
+
+
 def test_slices_tile_the_first_axis():
     for n in SIZES + SLICED:
         pieces = _slices(n)
@@ -293,59 +350,110 @@ def test_slices_tile_the_first_axis():
     assert len(_slices(short)[-1][1]) < len(_slices(short)[0][1])
 
 
+def stored_skew(tensor):
+    """The antisymmetric tensor whose rows (j, k), j < k, are tensor's."""
+    upper = np.triu(tensor.transpose(2, 0, 1), 1).transpose(1, 2, 0)
+    return skew(upper)
+
+
 @pytest.mark.parametrize("dim", SIZES + SLICED)
 def test_jacobi_residual(dim):
+    """The einsum residual, each inner bracket [e_j, e_k] read from the row j < k.
+
+    On the first draw, which is not antisymmetric, the rows j > k are then
+    not read as inner brackets; the outer bracket reads the whole tensor.
+    """
     rng = np.random.default_rng(dim)
     for tensor in (rng.standard_normal((dim,) * 3),
                    skew(rng.standard_normal((dim,) * 3))):
-        t = np.einsum("jkl,ilm->ijkm", tensor, tensor)
+        t = np.einsum("jkl,ilm->ijkm", stored_skew(tensor), tensor)
         jac = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
         assert_close(jacobi_residual(tensor), np.abs(jac).max())
 
 
-def full_jacobi_residual(tensor):
-    """jacobi_residual's cyclic sum over every (i, j, k), from the same t in the same order."""
+def full_jacobi_sums(tensor):
+    """The cyclic sum at every (i, j, k), from t[i,j,k,m] = [e_i, [e_j, e_k]]_m.
+
+    The terms are added in jacobi_residual's order, and t is the product
+    of the same shape: a product's rounding can depend on its shape.
+    """
     dim = tensor.shape[0]
     t = (tensor.reshape(dim * dim, dim) @ tensor).reshape((dim,) * 4)
-    jac = t + np.transpose(t, (1, 2, 0, 3))
-    jac += np.transpose(t, (2, 0, 1, 3))
-    return float(np.abs(jac).max())
+    jac = t + np.transpose(t, (1, 2, 0, 3))  # + [e_k, [e_i, e_j]]
+    jac += np.transpose(t, (2, 0, 1, 3))  # + [e_j, [e_k, e_i]]
+    return jac
+
+
+def full_jacobi_residual(tensor):
+    """The max-abs cyclic sum over every (i, j, k)."""
+    return float(np.abs(full_jacobi_sums(tensor)).max())
+
+
+def leading_jacobi_residual(tensor):
+    """The max-abs cyclic sum over i < j < k of the full sweep."""
+    i, j, k = np.indices((tensor.shape[0],) * 3)
+    return float(np.abs(full_jacobi_sums(tensor)[(i < j) & (j < k)]).max(initial=0.0))
 
 
 @pytest.mark.parametrize("dim", SLICED + (LARGE,))
 def test_halved_jacobi_sweep_is_the_full_sweep(dim):
-    """Bit for bit on exactly antisymmetric tensors, Lie or not."""
+    """Bit for bit the full sweep over i < j < k, on exactly antisymmetric tensors,
+    Lie or not; at most the full sweep over every (i, j, k), and short of it
+    by no more than the rounding of a sum of three terms."""
     rng = np.random.default_rng(dim)
-    assert len(_slices(dim)) > 1
     lie = build_lie_algebra(dim, dense_table(dim, dim)).tensor
     for tensor in (skew(rng.standard_normal((dim,) * 3)), lie):
-        assert jacobi_residual(tensor) == full_jacobi_residual(tensor)
+        got, full = jacobi_residual(tensor), full_jacobi_residual(tensor)
+        assert got == leading_jacobi_residual(tensor)
+        term = dim * float(np.abs(tensor).max()) ** 2
+        assert full - 4 * np.finfo(float).eps * term <= got <= full
 
 
-@pytest.mark.parametrize("dim", SLICED + (LARGE,))
-def test_jacobi_defect_planted_in_a_skipped_orientation_is_caught(dim):
-    """Brackets among the last three basis vectors, each pair given as (i, j)
-    with i > j, that fail Jacobi: the residual lives on those three indices
-    alone, where the other half of the sweep would read none of it."""
-    rng = np.random.default_rng(dim)
-    late = range(dim - 3, dim)
-    table = {(i, j): {k: float(rng.standard_normal()) for k in late}
-             for i in late for j in late if i > j}
-    with pytest.raises(JacobiViolation):
-        build_lie_algebra(dim, table)
+def reversed_table(indices, rng):
+    """Random brackets among three basis vectors, each pair given as (i, j) with
+    i > j: they fail Jacobi, and the residual lives on those three indices."""
+    return {(i, j): {k: float(rng.standard_normal()) for k in indices}
+            for i in indices for j in indices if i > j}
+
+
+def table_tensor(dim, table):
+    """The dense bracket tensor of a table, filled in both orientations."""
     tensor = np.zeros((dim,) * 3)
     for (i, j), out in table.items():
         for k, v in out.items():
             tensor[i, j, k], tensor[j, i, k] = v, -v
-    assert jacobi_residual(tensor) == full_jacobi_residual(tensor) > 0.1
+    return tensor
+
+
+@pytest.mark.parametrize("dim", SLICED + (LARGE,))
+def test_jacobi_defect_planted_in_a_skipped_orientation_is_caught(dim):
+    """A reversed table on the last three basis vectors: of the six orderings
+    of those indices, the sweep reads only the increasing one."""
+    rng = np.random.default_rng(dim)
+    table = reversed_table(range(dim - 3, dim), rng)
+    with pytest.raises(JacobiViolation):
+        build_lie_algebra(dim, table)
+    tensor = table_tensor(dim, table)
+    assert jacobi_residual(tensor) == leading_jacobi_residual(tensor) > 0.1
+
+
+@pytest.mark.parametrize("dim", (3,) + SLICED + (LARGE,))
+def test_jacobi_defect_on_spread_indices_given_reversed_is_caught(dim):
+    """A reversed table on the first, a middle and the last basis vector."""
+    rng = np.random.default_rng(dim + 1)
+    table = reversed_table((0, dim // 2, dim - 1), rng)
+    with pytest.raises(JacobiViolation):
+        build_lie_algebra(dim, table)
+    tensor = table_tensor(dim, table)
+    assert jacobi_residual(tensor) == leading_jacobi_residual(tensor) > 0.1
 
 
 @pytest.mark.parametrize("dim", (3,) + SLICED)
 def test_overflowed_jacobi_sum_is_refused(dim):
     """so(3) scaled by 1e200 on the last three indices sums inf - inf.
 
-    The NaN lies in the one slice at dim 3 and in the last slice of the
-    others, after slices whose residual is 0.
+    The NaN lies only at triples with a repeated index; every triple of
+    three distinct indices has residual 0.
     """
     a, b, c = dim - 3, dim - 2, dim - 1
     table = {(a, b): {c: 1e200}, (b, c): {a: 1e200}, (c, a): {b: 1e200}}
@@ -357,6 +465,57 @@ def test_overflowed_jacobi_sum_is_refused(dim):
         assert np.isnan(jacobi_residual(tensor))
         with pytest.raises(JacobiViolation, match="residual nan"):
             build_lie_algebra(dim, table)
+
+
+def so3_table(dim, scale):
+    """so(3), scaled by scale, on the last three basis vectors."""
+    a, b, c = dim - 3, dim - 2, dim - 1
+    return {(a, b): {c: scale}, (b, c): {a: scale}, (c, a): {b: scale}}
+
+
+def guard_passes(dim, peak):
+    """Whether jacobi_residual skips the triples with a repeated index."""
+    return math.isfinite(3.0 * dim * peak * peak)
+
+
+@pytest.mark.parametrize("dim", (3,) + SLICED + (LARGE,))
+def test_overflow_only_a_repeated_index_reads_is_refused(dim):
+    """so(3) scaled just past and just short of sqrt(max float): [e_a, [e_a, e_b]]
+    overflows at the first scale and not at the second, and every triple of
+    three distinct indices has residual 0 at both.  Both lie beyond the guard,
+    which is what makes the sweep read the triples with a repeated index."""
+    edge = math.sqrt(sys.float_info.max)
+    over, under = edge * (1 + 2 ** -40), edge * (1 - 2 ** -40)
+    assert not math.isfinite(over * over) and math.isfinite(under * under)
+    assert not guard_passes(dim, under)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(JacobiViolation, match="residual nan"):
+            build_lie_algebra(dim, so3_table(dim, over))
+    with np.errstate(all="raise"):
+        assert build_lie_algebra(dim, so3_table(dim, under)).jacobi_defect == 0.0
+
+
+def aligned_tensor(dim):
+    """Every stored bracket coefficient 1: [e_x, [e_j, e_k]] on the first basis
+    vector x = 0 then sums dim - 1 products of one sign, as large as a table
+    whose largest coefficient is 1 allows."""
+    return skew(np.triu(np.ones((dim, dim, dim)).transpose(2, 0, 1), 1).transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("dim", (3,) + SLICED + (LARGE,))
+def test_overflow_guard_leaves_out_only_finite_reads(dim):
+    """A table at max |c| just short of and just past the guard's edge,
+    sqrt(max float / (3 dim)): every sum of the full sweep is finite at both,
+    and the sweep, skipping or reading the triples with a repeated index, is
+    the full sweep over i < j < k."""
+    edge = math.sqrt(sys.float_info.max / (3 * dim))
+    for scale, passes in ((edge * (1 - 2 ** -40), True), (edge * (1 + 2 ** -40), False)):
+        assert guard_passes(dim, scale) is passes
+        tensor = scale * aligned_tensor(dim)
+        with np.errstate(all="raise"):
+            got = jacobi_residual(tensor)
+            assert np.isfinite(full_jacobi_sums(tensor)).all()
+        assert got == leading_jacobi_residual(tensor) > 0.0
 
 
 class Items(list):
