@@ -116,11 +116,20 @@ def jacobi_residual(tensor: np.ndarray, peak: float | None = None) -> float:
     if peak is None:
         peak = float(np.abs(tensor).max())
     pairs, first, second, third, repeated = _jacobi_rows(dim)
-    # h[x, p] = sum_l c[j, k, l] c[x, l, :]; take gathers rows faster than indexing
-    h = (tensor.reshape(dim * dim, dim).take(pairs, 0) @ tensor).reshape(-1, dim)
-    jac = h.take(first, 0)
-    jac += h.take(second, 0)
-    jac -= h.take(third, 0)
+    # h[x, p] = sum_l c[j, k, l] c[x, l, :], the sweep and one term of it share
+    # one allocation, so the heap takes this call's scratch back as one block
+    size = dim * len(pairs) * dim
+    buf = np.empty(size + 2 * len(first) * dim)
+    h = buf[:size].reshape(dim, len(pairs), dim)
+    np.matmul(tensor.reshape(dim * dim, dim).take(pairs, 0), tensor, out=h)
+    h = h.reshape(-1, dim)
+    jac, term = buf[size:].reshape(2, -1, dim)
+    # take gathers rows faster than indexing; mode "raise" would copy through a buffer
+    h.take(first, 0, out=jac, mode="clip")
+    h.take(second, 0, out=term, mode="clip")
+    jac += term
+    h.take(third, 0, out=term, mode="clip")
+    jac -= term
     peaks = [float(np.abs(jac, out=jac).max(initial=0.0))]
     if not math.isfinite(3.0 * dim * peak * peak):
         x = h.take(repeated, 0)
