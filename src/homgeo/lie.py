@@ -69,7 +69,7 @@ def _worst(peaks: list) -> float:
     return math.nan if any(map(math.isnan, peaks)) else max(peaks)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)  # a few dimensions in use at a time
 def _jacobi_rows(dim: int) -> tuple:
     """Index arrays of jacobi_residual's sweep at dimension dim >= 2.
 
@@ -106,9 +106,10 @@ def jacobi_residual(tensor: np.ndarray, peak: float | None = None) -> float:
     exactly antisymmetric tensor, as every LieAlgebra's is, that is the
     full sweep's sum at (i, j, k), term for term.  At a triple with a
     repeated index the full sweep reads x - x for an entry x of h, which
-    is 0 unless x overflowed.  Those entries are read, giving NaN, only
-    when 3 * dim * peak**2 is not finite, peak being max |c| (taken from
-    tensor unless given): below that no product or sum here overflows.
+    is 0 unless x overflowed.  Those entries are read, as NaN where x
+    overflowed, only when 3 * dim * peak**2 is not finite, peak being
+    max |c| (taken from tensor unless given): below that no product or
+    sum here overflows.
     """
     dim = tensor.shape[0]
     if dim < 2:
@@ -116,8 +117,9 @@ def jacobi_residual(tensor: np.ndarray, peak: float | None = None) -> float:
     if peak is None:
         peak = float(np.abs(tensor).max())
     pairs, first, second, third, repeated = _jacobi_rows(dim)
-    # h[x, p] = sum_l c[j, k, l] c[x, l, :], the sweep and one term of it share
-    # one allocation, so the heap takes this call's scratch back as one block
+    # h[x, p] = sum_l c[j, k, l] c[x, l, :]; h, the sweep and one term of it
+    # share one allocation: as three arrays they left the heap's top free to be
+    # returned to the kernel and faulted in again on every call
     size = dim * len(pairs) * dim
     buf = np.empty(size + 2 * len(first) * dim)
     h = buf[:size].reshape(dim, len(pairs), dim)
