@@ -294,9 +294,9 @@ def leading_bianchi_residual(r4):
 
 
 def spread_triple(n):
-    """(a, b, c), a < b < c, with b the start of the second slice of n."""
+    """(a, b, c): the first index, the start of the second slice and the last index."""
     a, b, c = 0, _slices(n)[1][0].start, n - 1
-    assert a < b < c
+    assert _slices(n)[1][0].stop <= c
     return a, b, c
 
 
@@ -321,20 +321,23 @@ def test_bianchi_defect_planted_at_a_late_rotation_is_caught(name):
 def test_bianchi_sweep_reads_one_rotation_of_each_orbit(n):
     """Bit for bit the Bianchi sums of the sweep's entries, on any tensor.
 
-    On three entries x, y, z = 1, -1, 1e-17 at r4[a, b, c], r4[b, c, a] and
-    r4[c, a, b] (a < b < c, a's slice before b's), the sum read at (a, b, c)
-    is (x + z) + y = 0, while the one at (b, c, a), which no slice reads, is
-    (y + x) + z = 1e-17: the sweep's defect is short of the full sweep's by
-    rounding, and reads no rotation it leaves out.
+    With x, y, z = 1, -1, 2**-53 at r4[a, b, c], r4[b, c, a] and r4[c, a, b],
+    a < b < c in three slices, the sum at (a, b, c) is (x + z) + y = 0, and
+    the sums at (b, c, a) and (c, a, b), which no slice reads, are
+    (y + x) + z = (z + y) + x = 2**-53.  The same values sit on the other
+    cyclic class, at r4[a, c, b], r4[c, b, a] and r4[b, a, c].  The sweep's
+    defect is then short of the full sweep's by rounding, and it reads no
+    rotation it leaves out.
     """
     rng = np.random.default_rng(n)
     r4 = rng.standard_normal((n,) * 4)
     assert symmetry_defects(r4)[3] == leading_bianchi_residual(r4)
     a, b, c = spread_triple(n)
     r4 = np.zeros((n,) * 4)
-    r4[a, b, c, 0], r4[b, c, a, 0], r4[c, a, b, 0] = 1.0, -1.0, 1e-17
+    for p, q, r in ((a, b, c), (a, c, b)):
+        r4[p, q, r, 0], r4[q, r, p, 0], r4[r, p, q, 0] = 1.0, -1.0, 2.0 ** -53
     assert symmetry_defects(r4)[3] == leading_bianchi_residual(r4) == 0.0
-    assert full_symmetry_defects(r4)[3] == 1e-17
+    assert full_symmetry_defects(r4)[3] == 2.0 ** -53
 
 
 def test_slices_tile_the_first_axis():
