@@ -377,8 +377,8 @@ def test_jacobi_residual(dim):
 def full_jacobi_sums(tensor):
     """The cyclic sum at every (i, j, k), from t[i,j,k,m] = [e_i, [e_j, e_k]]_m.
 
-    The terms are added in jacobi_residual's order, and t is the product
-    of the same shape: a product's rounding can depend on its shape.
+    The terms are added in jacobi_residual's order, and t is formed as it
+    forms h, one product per outer index i, here over every pair (j, k).
     """
     dim = tensor.shape[0]
     t = (tensor.reshape(dim * dim, dim) @ tensor).reshape((dim,) * 4)
@@ -502,7 +502,7 @@ def aligned_tensor(dim):
     """Every stored bracket coefficient 1: [e_x, [e_j, e_k]] on the first basis
     vector x = 0 then sums dim - 1 products of one sign, as large as a table
     whose largest coefficient is 1 allows."""
-    return skew(np.triu(np.ones((dim, dim, dim)).transpose(2, 0, 1), 1).transpose(1, 2, 0))
+    return stored_skew(np.ones((dim,) * 3))
 
 
 @pytest.mark.parametrize("dim", (3,) + SLICED + (LARGE,))
