@@ -51,10 +51,14 @@ median and do not replace it.
 Each case times one layer alone.  The layers a case needs first are built
 outside the timed region: Frame.types and Frame.r4 are the first access
 on a fresh Frame (so r4 includes the connection, the isotropy term it
-reads and the general Ricci route it ties its trace to).  ricci_routes runs on a fresh Frame whose connection (gamma, and
-the U it reads) is built: that is all it reads of the curvature, since
-its trace route is contracted from the connection; a built r4 would also
-hold the general route, which r4 ties its own trace to.  xi_curvatures
+reads and the general Ricci route it ties its trace to).  ricci_routes
+runs on a fresh Frame whose connection (gamma, and the U it reads) is
+built.  Above n = 3 that is all it reads of the curvature, since its
+trace route is contracted from the connection; a built r4 would also
+hold the general route, which r4 ties its own trace to.  At n = 3, where
+k is empty, it reads only the projected brackets and the trace form,
+through one cached operator product, and the built connection goes
+unread.  xi_curvatures
 runs on a fresh Frame whose r4 is built, and einstein_check on a fresh
 Frame with nothing built.  classify is the user call on (dec, metric),
 so it includes building its Frame; pipeline is the five user calls classify,

@@ -66,6 +66,7 @@ CHECKS = MappingProxyType({
     "curvature_symmetries": Row(1e-10, 0, SCALED,
                                 "curvature tensor fails its algebraic symmetries"),
     "ricci_routes": Row(1e-9, 1, FLOOR, "Ricci routes '{ref}' and '{route}' disagree"),
+    "ricci_operator": Row(1e-12, 0, SCALED, "Ricci route operator fails {part}"),
     "foliation_c": Row(1e-12, 1),  # c at most this is unimodular
     "foliation_rank": Row(1e-8, 1),  # at sqrt(tol): a column left out of ker eta
     "foliation_basis": Row(1e-12, 0, SCALED, "failed to build an orthonormal basis of ker eta"),

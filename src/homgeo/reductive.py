@@ -13,15 +13,17 @@ the same two objects share one, and it keeps at most one.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-from .config import DEFAULT_TOL, bound, check, tolerance
+from .config import DEFAULT_SEED, DEFAULT_TOL, bound, check, tolerance
 from .errors import ConsistencyError, IndexOutOfRange, InvalidMetric, UnimodularInput
 from .lie import (LieAlgebra, _block_maxima, _frozen, _pullback, _worst,
                   trace_vector)
@@ -113,7 +115,7 @@ def _index(indices: tuple):
     return list(indices)
 
 
-def _ricci_trace(gamma: np.ndarray, lte: np.ndarray, iso: np.ndarray) -> np.ndarray:
+def _ricci_trace(gamma: np.ndarray, lte: np.ndarray, iso) -> np.ndarray:
     """sum_a R4[x, a, y, a] from the three terms Frame.r4 is assembled from, without forming it.
 
     sum_(a,e) lte[x,a,e] gamma[e,y,a] + iso[x,y] + sum_b gamma[x,y,b] tau_b
@@ -121,12 +123,115 @@ def _ricci_trace(gamma: np.ndarray, lte: np.ndarray, iso: np.ndarray) -> np.ndar
     the metric term, the isotropy term (the trace of the canonical
     curvature) and the trace of the commutator [G_x, G_a][y, a].  The
     first and last sums read the same (n*n, n) rearrangement of gamma,
-    so they are one product.
+    so they are one product.  gamma, lte and iso may be stacked along
+    leading axes, which broadcast.
     """
-    n = gamma.shape[0]
-    g_t = gamma.transpose(2, 0, 1).reshape(n * n, n)  # g_t[(a, e), y] = gamma[e, y, a]
-    tau = gamma.trace(axis1=0, axis2=2)  # tau_b = sum_a gamma[a, b, a]
-    return (lte - gamma).reshape(n, n * n) @ g_t + gamma @ tau + iso
+    *lead, n, _, _ = gamma.shape
+    g_t = gamma.mT.swapaxes(-3, -2).reshape(*lead, n * n, n)  # g_t[(a, e), y] = gamma[e, y, a]
+    tau = gamma.trace(axis1=-3, axis2=-1)  # tau_b = sum_a gamma[a, b, a]
+    return ((lte - gamma).reshape(*lead, n, n * n) @ g_t
+            + np.matvec(gamma, tau[..., None, :]) + iso)
+
+
+def _ricci_brackets(lte: np.ndarray, eta: np.ndarray, killing: np.ndarray) -> np.ndarray:
+    """The general Ricci route, the bracket/Killing-form formula, over any leading axes.
+
+    -1/2 sum_(a,c) lte[x,a,c] lte[y,a,c] - 1/2 B(f_x, f_y)
+    + 1/4 sum_(a,b) lte[a,b,x] lte[a,b,y] + 1/2 (eta(lte[., x, y]) + eta(lte[., y, x])),
+    with B the Killing form on m, killing.
+    """
+    *lead, n, _, _ = lte.shape
+    rows = lte.reshape(*lead, n, n * n)  # rows[x, (a, c)] = lte[x, a, c]
+    cols = lte.reshape(*lead, n * n, n)  # cols[(a, b), x] = lte[a, b, x]
+    xi_term = np.vecmat(eta, rows).reshape(*lead, n, n)  # sum_a eta[a] lte[a, x, y]
+    return (-0.5 * (rows @ rows.mT)
+            - 0.5 * killing
+            + 0.25 * (cols.mT @ cols)
+            + 0.5 * (xi_term + xi_term.mT))
+
+
+def _connection(lte: np.ndarray) -> tuple:
+    """(U, gamma = lte/2 + U) of projected brackets stacked along leading axes.
+
+    Frame.u and Frame.gamma at k = 0, as the route formula reads them.
+    """
+    u = _symmetric_map(lte)
+    return u, 0.5 * lte + u
+
+
+def _ricci_formula(lte: np.ndarray, eta: np.ndarray) -> tuple:
+    """The trace, general and cyclic Ricci routes of k = 0 spaces, from lte and eta alone.
+
+    lte and eta may be stacked along leading axes.  With k empty, m is
+    all of g and lte is the whole bracket in the frame, so the Killing
+    form on m is B[a, b] = sum_(j,l) lte[a,j,l] lte[b,l,j], and the
+    isotropy terms of the trace and cyclic routes vanish.  The routes
+    are Frame.ricci_routes' three, in its order; the cyclic one holds
+    only on cyclic brackets, and the caller keeps it only there.
+    """
+    *lead, n, _, _ = lte.shape
+    u, gamma = _connection(lte)
+    killing = lte.reshape(*lead, n, n * n) @ lte.mT.reshape(*lead, n, n * n).mT
+    return (_ricci_trace(gamma, lte, 0.0), _ricci_brackets(lte, eta, killing),
+            np.matvec(u, eta[..., None, :]) - killing)
+
+
+# Frame.ricci_routes' route names, in its order
+_RICCI_ROUTES = ("trace", "general", "cyclic")
+
+# The Ricci routes go through the cached _ricci_operator for k = 0 up to
+# this n, and through the Frame's own tensors above it and whenever k is
+# not empty.  Frame.ricci_routes with the Frame's cyclic residual built,
+# operator against Frame tensors (minima of 7 in-process repeats of 2000
+# calls on a shared 2-core Xeon, one OpenBLAS thread): 19 vs 61 us at
+# n = 2 and 23 vs 62 at n = 3 (Milnor groups, g(alpha)), but 73 vs 62 at
+# n = 4 (b2_product), where the (48, 4624) matrix costs more than the
+# contractions it replaces.  The n = 3 matrix is 190 kB and builds and
+# verifies in about 2 ms.
+_RICCI_OPERATOR_MAX_N = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _ricci_operator(n: int) -> np.ndarray:
+    """The (3 n^2, m^2) matrix M with M @ (x (x) x) the routes of _ricci_formula, flattened.
+
+    x = (lte, eta) flattened and joined, m = n^3 + n.  Column (i, j) is
+    the symmetric bilinear form of the formula at unit inputs,
+    (F(e_i + e_j) - F(e_i) - F(e_j)) / 2, evaluated along one leading axis;
+    the formula's coefficients are dyadic, so the entries are exact.
+    Built on first use per n and verified then (row ricci_operator): on
+    seeded random inputs, lte antisymmetric in its first two slots, M
+    must agree with the formula evaluated directly, and the connection
+    the formula reads must be metric compatible and torsion free.
+    """
+    size = n ** 3 + n
+    eye = np.eye(size)
+
+    def routes(x):
+        lte, eta = x[..., :n ** 3].reshape(*x.shape[:-1], n, n, n), x[..., n ** 3:]
+        return np.stack(_ricci_formula(lte, eta), axis=-3).reshape(*x.shape[:-1], 3 * n * n)
+
+    units = routes(eye)  # (size, 3 n^2)
+    pairs = routes(eye[:, None] + eye) - units[:, None] - units  # (size, size, 3 n^2)
+    matrix = _frozen(0.5 * pairs.reshape(size * size, -1).T)
+
+    # Python's generator, not numpy's: importing numpy.random takes about
+    # 13 ms, and a k = 0 space at n <= 3 reads it nowhere else
+    rng = random.Random(DEFAULT_SEED)
+    draw = np.array([rng.gauss(0.0, 1.0) for _ in range(4 * size)]).reshape(4, size)
+    lte = draw[:, :n ** 3].reshape(4, n, n, n)
+    lte = lte - np.swapaxes(lte, -3, -2)
+    x = np.concatenate((lte.reshape(4, -1), draw[:, n ** 3:]), axis=1)
+    direct = routes(x)
+    gap, peak = _block_maxima((x[:, :, None] * x[:, None]).reshape(4, -1) @ matrix.T - direct,
+                              direct)
+    check("ricci_operator", gap, max(1.0, peak), part="its route formulas")
+    _, gamma = _connection(lte)
+    peak, compat, tors = _block_maxima(gamma, gamma + gamma.mT,
+                                       gamma - np.swapaxes(gamma, -3, -2) - lte)
+    check("ricci_operator", compat, max(1.0, peak), part="metric compatibility")
+    check("ricci_operator", tors, max(1.0, peak), part="the torsion identity")
+    return matrix
 
 
 class Frame:
@@ -412,20 +517,12 @@ class Frame:
 
     @cached_property
     def _ricci_general(self) -> np.ndarray:
-        """The general Ricci route: the bracket/Killing-form formula, from lte and killing_m.
+        """The general Ricci route (_ricci_brackets), from lte, eta and killing_m.
 
-        Read by ricci_routes and by r4's trace tie.
+        Read by r4's trace tie, and by ricci_routes where it does not
+        read _ricci_operator.
         """
-        n, lte = self.n, self.lte
-        rows = lte.reshape(n, n * n)  # rows[x, (a, c)] = lte[x, a, c]
-        cols = lte.reshape(n * n, n)  # cols[(a, b), x] = lte[a, b, x]
-        xi_term = (self.eta @ rows).reshape(n, n)  # sum_a eta[a] lte[a, x, y]
-        return _frozen(
-            -0.5 * (rows @ rows.T)
-            - 0.5 * self.killing_m
-            + 0.25 * (cols.T @ cols)
-            + 0.5 * (xi_term + xi_term.T)
-        )
+        return _frozen(_ricci_brackets(self.lte, self.eta, self.killing_m))
 
     @cached_property
     def ricci_routes(self) -> MappingProxyType:
@@ -439,23 +536,33 @@ class Frame:
           cyclic   trace form of U minus Killing form minus the isotropy
                    correction (cyclic brackets only).
 
-        Every route must agree with the trace route, or ConsistencyError
-        is raised; the worst gap over all route pairs is kept as
-        ricci_gap.  Building this never builds r4; r4, wherever it is
-        built, ties its own contraction to the general route.
+        With k empty and n <= _RICCI_OPERATOR_MAX_N all three are one
+        product, _ricci_operator(n) @ (x (x) x) with x = (lte, eta): the
+        routes of _ricci_formula, which reads the Killing form on m from
+        lte and builds neither gamma nor u on the Frame.  Otherwise they
+        are read from the Frame's connection, isotropy action and
+        killing_m.  Every route must agree with the trace route, or
+        ConsistencyError is raised; the worst gap over all route pairs
+        is kept as ricci_gap.  Building this never builds r4; r4,
+        wherever it is built, ties its own contraction to the general
+        route.
         """
         n, dim_k = self.n, self.dec.dim_k
-        # the trace of the canonical curvature <[[f_x, f_a]_k, f_y], f_a> over a,
-        # sum_(a, w) k_part[x, a, w] ad_k[w, a, y]; a zero matrix when k is empty
-        iso = (self.k_part.reshape(n, n * dim_k)
-               @ self.ad_k.transpose(1, 0, 2).reshape(n * dim_k, n))
-        routes = {"trace": _ricci_trace(self.gamma, self.lte, iso),
-                  "general": self._ricci_general}
-        if self.cyclic_residual <= self.tol:
-            routes["cyclic"] = self.u @ self.eta - self.killing_m - 0.5 * (iso + iso.T)
+        if dim_k or n > _RICCI_OPERATOR_MAX_N:
+            # the trace of the canonical curvature <[[f_x, f_a]_k, f_y], f_a> over a,
+            # sum_(a, w) k_part[x, a, w] ad_k[w, a, y]; a zero matrix when k is empty
+            iso = (self.k_part.reshape(n, n * dim_k)
+                   @ self.ad_k.transpose(1, 0, 2).reshape(n * dim_k, n))
+            routes = [_ricci_trace(self.gamma, self.lte, iso), self._ricci_general]
+            if self.cyclic_residual <= self.tol:
+                routes.append(self.u @ self.eta - self.killing_m - 0.5 * (iso + iso.T))
+            stack = _frozen(np.array(routes))
+        else:
+            x = np.concatenate((self.lte.reshape(-1), self.eta))
+            stack = (_ricci_operator(n) @ (x[:, None] * x).reshape(-1)).reshape(3, n, n)
+            stack = _frozen(stack if self.cyclic_residual <= self.tol else stack[:2])
 
-        names = list(routes)
-        stack = _frozen(np.array(list(routes.values())))
+        names = _RICCI_ROUTES[:len(stack)]
         # one max-abs pass: the stack, each route against the trace route,
         # and the cyclic route against the general one
         peak, *gaps = _block_maxima(stack, *(stack[1:] - stack[0]), *(stack[2:] - stack[1]))

@@ -11,6 +11,7 @@ random metric, valid Lie algebras in a random non-orthogonal basis, and
 the catalog spaces with nonempty isotropy.
 """
 
+import itertools
 import math
 import sys
 from functools import cache, partial
@@ -714,23 +715,33 @@ COMMUTATOR_ENTRIES = [
 
 
 def commutator_trace(gamma):
-    """sum_a [G_x, G_a][y, a] with G_x = gamma[x], written out with np.einsum."""
-    return (np.einsum("xyb,aba->xy", gamma, gamma)
-            - np.einsum("ayb,xba->xy", gamma, gamma))
+    """sum_a [G_x, G_a][y, a] with G_x = gamma[x], written out with np.einsum,
+    over any leading axes, as _ricci_trace takes them."""
+    return (np.einsum("...xyb,...aba->...xy", gamma, gamma)
+            - np.einsum("...ayb,...xba->...xy", gamma, gamma))
 
 
 def ricci_failures(monkeypatch, mutant):
     """{label: error text} of the default entries whose ricci_routes raise with
-    reductive._ricci_trace replaced by mutant(original, gamma, lte, iso)."""
+    reductive._ricci_trace replaced by mutant(original, gamma, lte, iso).
+
+    The Ricci operator is built from _ricci_trace, so it is rebuilt from the
+    mutant, and again from the original afterwards.
+    """
     original = reductive._ricci_trace
     monkeypatch.setattr(reductive, "_ricci_trace",
                         lambda gamma, lte, iso: mutant(original, gamma, lte, iso))
+    reductive._ricci_operator.cache_clear()
     failed = {}
-    for entry in default_entries():
-        try:
-            Frame(entry.decomposition, entry.metric).ricci_routes
-        except ConsistencyError as exc:
-            failed[entry.label] = str(exc)
+    try:
+        for entry in default_entries():
+            try:
+                Frame(entry.decomposition, entry.metric).ricci_routes
+            except ConsistencyError as exc:
+                failed[entry.label] = str(exc)
+    finally:
+        monkeypatch.undo()
+        reductive._ricci_operator.cache_clear()
     return failed
 
 
@@ -755,6 +766,92 @@ def test_trace_route_without_the_isotropy_term_fails(monkeypatch):
     assert sorted(failed) == with_k
     assert all("Ricci routes 'trace' and 'general' disagree" in text
                for text in failed.values())
+
+
+def test_trace_route_with_two_slots_of_u_transposed_fails(monkeypatch):
+    # U(X, Y) read with its last two slots exchanged inside the trace route
+    # alone, where the operator's connection check does not see it; on every
+    # entry but su(2) with its bi-invariant metric, where U = 0, the routes
+    # then disagree, on the entries the operator serves as on the others
+    def transposed_u(original, gamma, lte, iso):
+        return original(0.5 * lte + (gamma - 0.5 * lte).mT, lte, iso)
+
+    frames = {entry.label: Frame(entry.decomposition, entry.metric)
+              for entry in default_entries()}
+    with_u = sorted(label for label, frame in frames.items() if np.abs(frame.u).max() > 0.1)
+    assert [label for label in frames if label not in with_u] == ["milnor3(lam=[1.0, 1.0, 1.0])"]
+    through_operator = [label for label in with_u if frames[label].n <= 3
+                        and not frames[label].dec.dim_k]
+    assert len(through_operator) == 6
+    failed = ricci_failures(monkeypatch, transposed_u)
+    assert sorted(failed) == with_u
+    assert all("Ricci routes 'trace' and 'general' disagree" in text
+               for text in failed.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ricci_operator_agrees_with_its_formulas(n):
+    matrix = reductive._ricci_operator(n)
+    assert matrix.shape == (3 * n * n, (n ** 3 + n) ** 2)
+    rng = np.random.default_rng(n)
+    for scale in (1e-5, 1.0, 1e5):
+        lte = scale * skew(rng.standard_normal((n, n, n)))
+        eta = scale * rng.standard_normal(n)
+        direct = np.stack(reductive._ricci_formula(lte, eta))
+        x = np.concatenate((lte.reshape(-1), eta))
+        by_matrix = (matrix @ np.outer(x, x).reshape(-1)).reshape(3, n, n)
+        assert np.abs(by_matrix - direct).max() <= 1e-13 * max(1.0, np.abs(direct).max())
+
+
+def test_ricci_operator_verification_catches_a_broken_connection(monkeypatch):
+    # U doubled: the connection the formula reads is still torsion free, but
+    # no longer metric compatible
+    original = reductive._symmetric_map
+    monkeypatch.setattr(reductive, "_symmetric_map", lambda lte: 2.0 * original(lte))
+    reductive._ricci_operator.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="Ricci route operator fails metric"):
+            reductive._ricci_operator(3)
+    finally:
+        monkeypatch.undo()
+        reductive._ricci_operator.cache_clear()
+
+
+def milnor_grid():
+    """Criterion 01's 11^3 Milnor algebras with the identity metric."""
+    grid = np.linspace(-3.0, 3.0, 11)
+    for lam in itertools.product(grid, repeat=3):
+        alg = build_lie_algebra(3, {(1, 2): {0: lam[0]}, (2, 0): {1: lam[1]},
+                                    (0, 1): {2: lam[2]}})
+        yield ReductiveDecomposition(alg, (), (0, 1, 2)), InvariantMetric.identity(3)
+
+
+def test_ricci_routes_agree_with_the_operator_forced_off(monkeypatch):
+    spaces = [*milnor_grid(),
+              *((entry.decomposition, entry.metric) for entry in default_entries())]
+    through_operator = 0
+    for dec, metric in spaces:
+        frame = Frame(dec, metric)
+        report = einstein_check(frame)
+        with monkeypatch.context() as m:
+            m.setattr(reductive, "_RICCI_OPERATOR_MAX_N", 0)
+            forced = Frame(dec, metric)
+            forced_report = einstein_check(forced)
+        through_operator += "gamma" not in vars(frame) and "gamma" in vars(forced)
+        assert list(frame.ricci_routes) == list(forced.ricci_routes)
+        assert report.is_einstein == forced_report.is_einstein
+        scale = max(1.0, np.abs(forced_report.ricci).max())
+        for name, ric in frame.ricci_routes.items():
+            assert np.abs(ric - forced.ricci_routes[name]).max() <= 1e-14 * scale
+    assert through_operator == 1331 + 7
+
+
+def test_einstein_check_at_n3_builds_no_connection():
+    entry = build("milnor3", lam=[1.0, 2.0, -3.0])
+    frame = Frame(entry.decomposition, entry.metric)
+    einstein_check(frame)
+    assert not {"gamma", "u", "r4"} & set(vars(frame))
+    assert sorted(frame.ricci_routes) == ["cyclic", "general", "trace"]
 
 
 class FlippedCommutator:

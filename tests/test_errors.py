@@ -4,7 +4,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from homgeo import config, structure
+from homgeo import config, reductive, structure
 from homgeo.catalog import _BLOCK_MODELS, build, default_entries, list_entries, su21_model
 from homgeo.config import CHECKS, bound, check, tolerance
 from homgeo.errors import (
@@ -120,6 +120,7 @@ def test_every_row_is_read(monkeypatch):
         solve_cyclic(alg, grading)
         theta_split(alg, theta)
     structure._operator.__wrapped__(3)  # past the cache: the projector checks
+    reductive._ricci_operator.__wrapped__(3)  # past the cache: the operator checks
     # an infeasible chamber, a trace-free witness search and a kernel with c > 0
     su2 = build("milnor3", lam=[1.0, 1.0, 1.0]).algebra
     assert not solve_cyclic(su2, BlockGrading(((0,), (1,), (2,)), (-1, -1, -1))).feasible
