@@ -843,7 +843,7 @@ def test_ricci_routes_agree_with_the_operator_forced_off(monkeypatch):
         scale = max(1.0, np.abs(forced_report.ricci).max())
         for name, ric in frame.ricci_routes.items():
             assert np.abs(ric - forced.ricci_routes[name]).max() <= 1e-14 * scale
-    assert through_operator == 1331 + 7
+    assert through_operator == 1331 + 7  # the grid and the n <= 3, k = 0 entries
 
 
 def test_einstein_check_at_n3_builds_no_connection():
