@@ -57,10 +57,13 @@ built.  Above n = 3 that is all it reads of the curvature, since its
 trace route is contracted from the connection; a built r4 would also
 hold the general route, which r4 ties its own trace to.  At n = 3, where
 k is empty, it reads only the projected brackets and the trace form,
-through one cached operator product, and the built connection goes
+through one cached operator product whose rows also give the route
+gaps and the Einstein deviation, and the built connection goes
 unread.  xi_curvatures
 runs on a fresh Frame whose r4 is built, and einstein_check on a fresh
-Frame with nothing built.  classify is the user call on (dec, metric),
+Frame with nothing built: at n = 3 that is the cyclic residual and the
+same operator product, after which it reads the deviation and the
+trace route's peak that ricci_routes records.  classify is the user call on (dec, metric),
 so it includes building its Frame; pipeline is the five user calls classify,
 curvature_tensor, ricci_routes, einstein_check and xi_curvatures on one
 space, which share one Frame.  These, the n = 5 classify and the

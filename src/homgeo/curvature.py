@@ -29,7 +29,6 @@ import numpy as np
 
 from .config import bound, check
 from .errors import DegeneratePlane, NotCyclic
-from .lie import _block_maxima
 from .reductive import Frame, as_frame
 
 
@@ -157,7 +156,7 @@ def ricci_routes(dec, metric=None) -> dict:
     return dict(as_frame(dec, metric).ricci_routes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EinsteinReport:
     ricci: np.ndarray
     einstein_constant: float
@@ -166,19 +165,20 @@ class EinsteinReport:
 
 
 def einstein_check(dec, metric=None) -> EinsteinReport:
-    """Best Einstein constant tr(Ric)/n and the max deviation from it."""
+    """Best Einstein constant tr(Ric)/n and the max deviation from it.
+
+    Ric is the trace route; the deviation, the max-abs entry of
+    Ric - (tr Ric / n) I, and Ric's own max-abs entry are read off the
+    pass Frame.ricci_routes takes over its checks.
+    """
     frame = as_frame(dec, metric)
     ric = frame.ricci_routes["trace"]
-    n = frame.n
-    lam = float(ric.trace()) / n
-    shifted = ric.copy()
-    shifted.flat[::n + 1] -= lam  # Ric - lam I
-    dev, peak = _block_maxima(shifted, ric)
-    limit = bound("einstein", max(1.0, peak), frame.tol)
-    return EinsteinReport(ric, lam, dev, dev <= limit)
+    dev = frame.einstein_deviation
+    limit = bound("einstein", max(1.0, frame.ricci_peak), frame.tol)
+    return EinsteinReport(ric, float(ric.trace()) / frame.n, dev, dev <= limit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XiCurvatureReport:
     """Curvature data of the planes containing the mean-curvature axis.
 

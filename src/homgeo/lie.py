@@ -336,7 +336,7 @@ def unimodular_kernel(algebra: LieAlgebra):
     return False, _frozen(basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
     """A validated derivation D of a Lie algebra: D[X,Y] = [DX,Y] + [X,DY]."""
 

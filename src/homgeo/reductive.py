@@ -179,59 +179,105 @@ def _ricci_formula(lte: np.ndarray, eta: np.ndarray) -> tuple:
 # Frame.ricci_routes' route names, in its order
 _RICCI_ROUTES = ("trace", "general", "cyclic")
 
+
+def _ricci_blocks(routes: np.ndarray, n: int) -> np.ndarray:
+    """The blocks Frame.ricci_routes takes the max-abs entries of, stacked, from its routes.
+
+    routes is (r, n*n, ...): the first r of Frame.ricci_routes' routes,
+    each flattened over its two slots, as values or as the rows of an
+    operator; every block is linear in it.  The blocks are the routes,
+    each route against the trace route, the cyclic route against the
+    general one, and the trace route minus (tr/n) I, the deviation
+    einstein_check reads: 7 blocks from 3 routes, 4 from 2.
+    """
+    trace = routes[0]
+    shifted = trace.copy()
+    shifted[::n + 1] -= trace[::n + 1].sum(axis=0) / n
+    return np.concatenate((routes, routes[1:] - trace, routes[2:] - routes[1], shifted[None]))
+
+
 # The Ricci routes go through the cached _ricci_operator for k = 0 up to
 # this n, and through the Frame's own tensors above it and whenever k is
 # not empty.  Frame.ricci_routes with the Frame's cyclic residual built,
 # operator against Frame tensors (minima of 7 in-process repeats of 2000
-# calls on a shared 2-core Xeon, one OpenBLAS thread): 19 vs 61 us at
-# n = 2 and 23 vs 62 at n = 3 (Milnor groups, g(alpha)), but 73 vs 62 at
-# n = 4 (b2_product), where the (48, 4624) matrix costs more than the
-# contractions it replaces.  The n = 3 matrix is 190 kB and builds and
-# verifies in about 2 ms.
+# calls on a shared 2-core Xeon, one OpenBLAS thread): 12 vs 66 us at
+# n = 2 and 13 vs 66-69 at n = 3 (Milnor groups, g(alpha)); the (63, 78)
+# n = 3 matrix is 39 kB and builds and verifies in about 1 ms.  At n = 4
+# (b2_product) the (112, 406) matrix reads 18 vs 68 us, but b2_product
+# is the only n = 4, k = 0 space a workload runs, so n = 4 stays on the
+# Frame's tensors until a sweep over n = 4 needs it.
 _RICCI_OPERATOR_MAX_N = 3
 
 
 @functools.lru_cache(maxsize=None)
-def _ricci_operator(n: int) -> np.ndarray:
-    """The (3 n^2, m^2) matrix M with M @ (x (x) x) the routes of _ricci_formula, flattened.
+def _ricci_operator(n: int) -> tuple:
+    """(M, left, right, starts): M @ (z[left] * z[right]) is _ricci_blocks of _ricci_formula's routes.
 
-    x = (lte, eta) flattened and joined, m = n^3 + n.  Column (i, j) is
-    the symmetric bilinear form of the formula at unit inputs,
-    (F(e_i + e_j) - F(e_i) - F(e_j)) / 2, evaluated along one leading axis;
-    the formula's coefficients are dyadic, so the entries are exact.
-    Built on first use per n and verified then (row ricci_operator): on
-    seeded random inputs, lte antisymmetric in its first two slots, M
-    must agree with the formula evaluated directly, and the connection
-    the formula reads must be metric compatible and torsion free.
+    z = np.concatenate((lte.reshape(-1), eta)).  The routes are quadratic
+    in the packed point x = (lte[a, b, c] for a < b, eta), of size
+    n^2 (n - 1) / 2 + n, which fixes lte, antisymmetric in a and b.  M has
+    one column per product x_i x_j, i <= j, whose two factors sit at
+    z[left] and z[right], and 7 n^2 rows, one block of n^2 per block of
+    _ricci_blocks: the three routes, the three route-pair differences
+    and the trace route minus (tr/n) I; starts holds the first row of
+    each block, for np.maximum.reduceat.  In the route rows, column
+    (i, j) is F(e_i) for i = j and F(e_i + e_j) - F(e_i) - F(e_j) for
+    i < j, F the formula evaluated along one leading axis; its
+    coefficients are dyadic, so those entries are exact.  Built on first
+    use per n and verified then (row ricci_operator): on seeded random
+    lte, antisymmetric in its first two slots, and eta, every row of M
+    must agree with the formula evaluated directly, the differences and
+    the deviation taken from its routes, and the connection the formula
+    reads must be metric compatible and torsion free.
     """
-    size = n ** 3 + n
+    nn, pairs = n * n, n * (n - 1) // 2
+    size = pairs * n + n
+    upper = np.triu_indices(n, 1)
+
+    def routes(x):  # the stacked routes at packed points x, (..., 3 n^2)
+        lead = x.shape[:-1]
+        part = x[..., :pairs * n].reshape(*lead, pairs, n)
+        lte = np.zeros((*lead, n, n, n))
+        lte[..., upper[0], upper[1], :] = part
+        lte[..., upper[1], upper[0], :] = -part
+        return np.stack(_ricci_formula(lte, x[..., pairs * n:]), axis=-3).reshape(*lead, 3 * nn)
+
+    i, j = np.triu_indices(size)
     eye = np.eye(size)
-
-    def routes(x):
-        lte, eta = x[..., :n ** 3].reshape(*x.shape[:-1], n, n, n), x[..., n ** 3:]
-        return np.stack(_ricci_formula(lte, eta), axis=-3).reshape(*x.shape[:-1], 3 * n * n)
-
     units = routes(eye)  # (size, 3 n^2)
-    pairs = routes(eye[:, None] + eye) - units[:, None] - units  # (size, size, 3 n^2)
-    matrix = _frozen(0.5 * pairs.reshape(size * size, -1).T)
+    cols = np.where((i == j)[:, None], units[i], routes(eye[i] + eye[j]) - units[i] - units[j])
+    matrix = _frozen(_ricci_blocks(cols.T.reshape(3, nn, -1), n).reshape(7 * nn, -1))
+    # the positions in z of lte[a, b, c], a < b, then those of eta: x = z[packed]
+    lte_at = (upper[0] * nn + upper[1] * n)[:, None] + np.arange(n)
+    packed = np.concatenate((lte_at.reshape(-1), n ** 3 + np.arange(n)))
+    left, right, starts = packed[i], packed[j], np.arange(0, 7 * nn, nn)
+    for array in left, right, starts:
+        array.setflags(write=False)
 
     # Python's generator, not numpy's: importing numpy.random takes about
     # 13 ms, and a k = 0 space at n <= 3 reads it nowhere else
     rng = random.Random(DEFAULT_SEED)
-    draw = np.array([rng.gauss(0.0, 1.0) for _ in range(4 * size)]).reshape(4, size)
-    lte = draw[:, :n ** 3].reshape(4, n, n, n)
+    draw = np.array([rng.gauss(0.0, 1.0) for _ in range(4 * (n ** 3 + n))])
+    lte = draw[:4 * n ** 3].reshape(4, n, n, n)
     lte = lte - np.swapaxes(lte, -3, -2)
-    x = np.concatenate((lte.reshape(4, -1), draw[:, n ** 3:]), axis=1)
-    direct = routes(x)
-    gap, peak = _block_maxima((x[:, :, None] * x[:, None]).reshape(4, -1) @ matrix.T - direct,
-                              direct)
+    eta = draw[4 * n ** 3:].reshape(4, n)
+    z = np.concatenate((lte.reshape(4, -1), eta), axis=1)
+    trace, general, cyclic = _ricci_formula(lte, eta)
+    lam = np.trace(trace, axis1=-2, axis2=-1)[:, None, None] / n
+    direct = np.stack((trace, general, cyclic, general - trace, cyclic - trace,
+                       cyclic - general), axis=1).reshape(4, -1)
+    by_matrix = (z[:, left] * z[:, right]) @ matrix.T
+    peak, gap, deviation = _block_maxima(direct, by_matrix[:, :6 * nn] - direct,
+                                         by_matrix[:, 6 * nn:]
+                                         - (trace - lam * np.eye(n)).reshape(4, -1))
     check("ricci_operator", gap, max(1.0, peak), part="its route formulas")
+    check("ricci_operator", deviation, max(1.0, peak), part="its Einstein rows")
     _, gamma = _connection(lte)
     peak, compat, tors = _block_maxima(gamma, gamma + gamma.mT,
                                        gamma - np.swapaxes(gamma, -3, -2) - lte)
     check("ricci_operator", compat, max(1.0, peak), part="metric compatibility")
     check("ricci_operator", tors, max(1.0, peak), part="the torsion identity")
-    return matrix
+    return matrix, left, right, starts
 
 
 class Frame:
@@ -259,7 +305,8 @@ class Frame:
     The cached properties below the coordinate helpers are built and
     verified on first access, then shared by every function handed this
     Frame, directly or through as_frame; their arrays and mappings are
-    read-only.  r4 and ricci_routes also set r4_defect and ricci_gap.
+    read-only.  r4 also sets r4_defect, and ricci_routes sets ricci_gap,
+    ricci_peak and einstein_deviation.
     """
 
     def __init__(self, dec: ReductiveDecomposition, metric: InvariantMetric, tol=DEFAULT_TOL):
@@ -537,39 +584,52 @@ class Frame:
                    correction (cyclic brackets only).
 
         With k empty and n <= _RICCI_OPERATOR_MAX_N all three are one
-        product, _ricci_operator(n) @ (x (x) x) with x = (lte, eta): the
-        routes of _ricci_formula, which reads the Killing form on m from
-        lte and builds neither gamma nor u on the Frame.  Otherwise they
-        are read from the Frame's connection, isotropy action and
-        killing_m.  Every route must agree with the trace route, or
-        ConsistencyError is raised; the worst gap over all route pairs
-        is kept as ricci_gap.  Building this never builds r4; r4,
-        wherever it is built, ties its own contraction to the general
-        route.
+        product of the matrix of _ricci_operator(n) with the pairwise
+        products of the packed point (lte[a, b, c] for a < b, eta): its
+        rows also give the route differences and the trace route minus
+        (tr/n) I, and the Killing form on m is read from lte, so neither
+        gamma nor u is built on the Frame.  Otherwise the routes are read from the Frame's
+        connection, isotropy action and killing_m.  Either way one
+        max-abs pass over _ricci_blocks reads every check: every route
+        must agree with the trace route, or ConsistencyError is raised;
+        the worst gap over all route pairs is kept as ricci_gap, the
+        trace route's max-abs entry as ricci_peak and that of
+        Ric - (tr Ric / n) I as einstein_deviation.  Building this never
+        builds r4; r4, wherever it is built, ties its own contraction to
+        the general route.
         """
         n, dim_k = self.n, self.dec.dim_k
+        cyclic = self.cyclic_residual <= self.tol
         if dim_k or n > _RICCI_OPERATOR_MAX_N:
             # the trace of the canonical curvature <[[f_x, f_a]_k, f_y], f_a> over a,
             # sum_(a, w) k_part[x, a, w] ad_k[w, a, y]; a zero matrix when k is empty
             iso = (self.k_part.reshape(n, n * dim_k)
                    @ self.ad_k.transpose(1, 0, 2).reshape(n * dim_k, n))
             routes = [_ricci_trace(self.gamma, self.lte, iso), self._ricci_general]
-            if self.cyclic_residual <= self.tol:
+            if cyclic:
                 routes.append(self.u @ self.eta - self.killing_m - 0.5 * (iso + iso.T))
             stack = _frozen(np.array(routes))
+            blocks = _ricci_blocks(stack.reshape(len(routes), n * n), n)
+            peaks = np.abs(blocks, out=blocks).max(axis=1).tolist()
         else:
-            x = np.concatenate((self.lte.reshape(-1), self.eta))
-            stack = (_ricci_operator(n) @ (x[:, None] * x).reshape(-1)).reshape(3, n, n)
-            stack = _frozen(stack if self.cyclic_residual <= self.tol else stack[:2])
+            matrix, left, right, starts = _ricci_operator(n)
+            z = np.concatenate((self.lte.reshape(-1), self.eta))
+            blocks = _frozen(matrix @ (z[left] * z[right]))
+            peaks = np.maximum.reduceat(np.abs(blocks), starts).tolist()
+            stack = blocks[:3 * n * n].reshape(3, n, n)
+            if not cyclic:  # the blocks that do not read the cyclic route
+                stack = stack[:2]
+                peaks = [peaks[i] for i in (0, 1, 3, 6)]
 
         names = _RICCI_ROUTES[:len(stack)]
-        # one max-abs pass: the stack, each route against the trace route,
-        # and the cyclic route against the general one
-        peak, *gaps = _block_maxima(stack, *(stack[1:] - stack[0]), *(stack[2:] - stack[1]))
-        scale = max(1.0, peak)
+        # peaks: the routes, their gaps in _ricci_blocks' order, the deviation
+        gaps = peaks[len(stack):-1]
+        scale = max(1.0, _worst(peaks[:len(stack)]))
         for name, gap in zip(names[1:], gaps):
             check("ricci_routes", gap, scale, self.tol, ref="trace", route=name)
         self.ricci_gap = max(gaps)  # the worst gap over all route pairs
+        self.ricci_peak = peaks[0]
+        self.einstein_deviation = peaks[-1]
         # each route a read-only view of one row of the stack
         return MappingProxyType(dict(zip(names, stack)))
 

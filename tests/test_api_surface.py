@@ -132,3 +132,29 @@ def test_tolerance_enters_at_build_points_only():
     }
     for record in records:
         assert "tol" in record.__dataclass_fields__
+
+
+def _einstein_report():
+    entry = build("milnor3", lam=[1.0, 2.0, -3.0])
+    return einstein_check(entry.decomposition, entry.metric)
+
+
+def _xi_report():
+    entry = build("g", alpha=[1.0, 2.0])
+    return xi_curvatures(Frame(entry.decomposition, entry.metric))
+
+
+def _derivation():
+    alg = build_lie_algebra(3, {(0, 1): {2: 1.0}})
+    return homgeo.derivation(alg, np.diag([1.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("make", [_einstein_report, _xi_report, _derivation])
+def test_array_holding_results_compare_by_identity(make):
+    # equal field values, arrays included, but two objects: == must not
+    # compare the arrays, and hashing must not reach them
+    first, second = make(), make()
+    assert first == first
+    assert first != second
+    assert hash(first) == hash(first)
+    assert len({first, second}) == 2

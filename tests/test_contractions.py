@@ -791,16 +791,48 @@ def test_trace_route_with_two_slots_of_u_transposed_fails(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ricci_operator_agrees_with_its_formulas(n):
-    matrix = reductive._ricci_operator(n)
-    assert matrix.shape == (3 * n * n, (n ** 3 + n) ** 2)
+    matrix, left, right, _ = reductive._ricci_operator(n)
+    size = n * n * (n - 1) // 2 + n  # the packed point (lte[a < b], eta)
+    assert matrix.shape == (7 * n * n, size * (size + 1) // 2)
     rng = np.random.default_rng(n)
     for scale in (1e-5, 1.0, 1e5):
         lte = scale * skew(rng.standard_normal((n, n, n)))
         eta = scale * rng.standard_normal(n)
-        direct = np.stack(reductive._ricci_formula(lte, eta))
-        x = np.concatenate((lte.reshape(-1), eta))
-        by_matrix = (matrix @ np.outer(x, x).reshape(-1)).reshape(3, n, n)
+        trace, general, cyclic = reductive._ricci_formula(lte, eta)
+        # the routes, the route-pair differences and the Einstein rows
+        direct = np.stack((trace, general, cyclic, general - trace, cyclic - trace,
+                           cyclic - general, trace - np.trace(trace) / n * np.eye(n)))
+        z = np.concatenate((lte.reshape(-1), eta))
+        by_matrix = (matrix @ (z[left] * z[right])).reshape(7, n, n)
         assert np.abs(by_matrix - direct).max() <= 1e-13 * max(1.0, np.abs(direct).max())
+
+
+def einstein_over_n_minus_1(original, routes, n):
+    blocks = original(routes, n)
+    blocks[-1] = routes[0] - n / (n - 1) * (routes[0] - blocks[-1])  # Ric - tr/(n - 1) I
+    return blocks
+
+
+def einstein_of_the_general_route(original, routes, n):
+    blocks = original(routes, n)
+    blocks[-1] = original(routes[1:], n)[-1]
+    return blocks
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mutant", [einstein_over_n_minus_1, einstein_of_the_general_route])
+def test_ricci_operator_refuses_a_wrong_einstein_block(monkeypatch, mutant, n):
+    original = reductive._ricci_blocks
+    monkeypatch.setattr(reductive, "_ricci_blocks",
+                        lambda routes, n: mutant(original, routes, n))
+    reductive._ricci_operator.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError,
+                           match="Ricci route operator fails its Einstein rows"):
+            reductive._ricci_operator(n)
+    finally:
+        monkeypatch.undo()
+        reductive._ricci_operator.cache_clear()
 
 
 def test_ricci_operator_verification_catches_a_broken_connection(monkeypatch):
@@ -843,6 +875,10 @@ def test_ricci_routes_agree_with_the_operator_forced_off(monkeypatch):
         scale = max(1.0, np.abs(forced_report.ricci).max())
         for name, ric in frame.ricci_routes.items():
             assert np.abs(ric - forced.ricci_routes[name]).max() <= 1e-14 * scale
+        for got, want in ((report.deviation, forced_report.deviation),
+                          (report.einstein_constant, forced_report.einstein_constant),
+                          (frame.ricci_gap, forced.ricci_gap)):
+            assert abs(got - want) <= 1e-14 * scale
     assert through_operator == 1331 + 7  # the grid and the n <= 3, k = 0 entries
 
 
