@@ -211,24 +211,25 @@ _RICCI_OPERATOR_MAX_N = 3
 
 @functools.lru_cache(maxsize=None)
 def _ricci_operator(n: int) -> tuple:
-    """(M, left, right, starts): M @ (z[left] * z[right]) is _ricci_blocks of _ricci_formula's routes.
+    """(M, left, right, starts): M @ (z[left] * z[right]) is _ricci_blocks of the routes.
 
-    z = np.concatenate((lte.reshape(-1), eta)).  The routes are quadratic
-    in the packed point x = (lte[a, b, c] for a < b, eta), of size
-    n^2 (n - 1) / 2 + n, which fixes lte, antisymmetric in a and b.  M has
-    one column per product x_i x_j, i <= j, whose two factors sit at
-    z[left] and z[right], and 7 n^2 rows, one block of n^2 per block of
-    _ricci_blocks: the three routes, the three route-pair differences
-    and the trace route minus (tr/n) I; starts holds the first row of
-    each block, for np.maximum.reduceat.  In the route rows, column
-    (i, j) is F(e_i) for i = j and F(e_i + e_j) - F(e_i) - F(e_j) for
-    i < j, F the formula evaluated along one leading axis; its
-    coefficients are dyadic, so those entries are exact.  Built on first
-    use per n and verified then (row ricci_operator): on seeded random
-    lte, antisymmetric in its first two slots, and eta, every row of M
-    must agree with the formula evaluated directly, the differences and
-    the deviation taken from its routes, and the connection the formula
-    reads must be metric compatible and torsion free.
+    z = np.concatenate((lte.reshape(-1), eta)), and the routes are those
+    of _ricci_formula.  They are quadratic in the packed point
+    x = (lte[a, b, c] for a < b, eta), of size n^2 (n - 1) / 2 + n, which
+    fixes lte, antisymmetric in a and b.  M has one column per product
+    x_i x_j, i <= j, whose two factors sit at z[left] and z[right], and
+    7 n^2 rows, one block of n^2 per block of _ricci_blocks: the three
+    routes, the three route-pair differences and the trace route minus
+    (tr/n) I; starts holds the first row of each block, for
+    np.maximum.reduceat.  In the route rows, column (i, j) is F(e_i) for
+    i = j and F(e_i + e_j) - F(e_i) - F(e_j) for i < j, F the formula
+    evaluated along one leading axis; its coefficients are dyadic, so
+    those entries are exact.  Built on first use per n and verified then
+    (row ricci_operator): on seeded random lte, antisymmetric in its
+    first two slots, and eta, every row of M must agree with the formula
+    evaluated directly, the differences and the deviation taken from its
+    routes, and the connection the formula reads must be metric
+    compatible and torsion free.
     """
     nn, pairs = n * n, n * (n - 1) // 2
     size = pairs * n + n
@@ -588,15 +589,15 @@ class Frame:
         products of the packed point (lte[a, b, c] for a < b, eta): its
         rows also give the route differences and the trace route minus
         (tr/n) I, and the Killing form on m is read from lte, so neither
-        gamma nor u is built on the Frame.  Otherwise the routes are read from the Frame's
-        connection, isotropy action and killing_m.  Either way one
-        max-abs pass over _ricci_blocks reads every check: every route
-        must agree with the trace route, or ConsistencyError is raised;
-        the worst gap over all route pairs is kept as ricci_gap, the
-        trace route's max-abs entry as ricci_peak and that of
-        Ric - (tr Ric / n) I as einstein_deviation.  Building this never
-        builds r4; r4, wherever it is built, ties its own contraction to
-        the general route.
+        gamma nor u is built on the Frame.  Otherwise the routes are
+        read from the Frame's connection, isotropy action and killing_m.
+        Either way one max-abs pass over the blocks of _ricci_blocks
+        reads every check: every route must agree with the trace route,
+        or ConsistencyError is raised; the worst gap over all route
+        pairs is kept as ricci_gap, the trace route's max-abs entry as
+        ricci_peak and that of Ric - (tr Ric / n) I as
+        einstein_deviation.  Building this never builds r4; r4, wherever
+        it is built, ties its own contraction to the general route.
         """
         n, dim_k = self.n, self.dec.dim_k
         cyclic = self.cyclic_residual <= self.tol
